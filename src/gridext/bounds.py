@@ -8,7 +8,9 @@ one).  Vacuity is therefore a first-class output: each report carries a
 compare against a meaningless number.
 
 All logarithms are base 2.  Formulas evaluate in double precision, good to
-at least 15 significant digits; comparisons against exact integer counts go
+at least 15 significant digits; a value past the double range (m^n above
+about 2^1024 at astronomic m) is reported as inf, with its vacuity flag
+still set from its sign.  Comparisons against exact integer counts go
 through math.log of the big integer (exact to double precision) and use a
 documented 1e-9 relative tolerance.
 """
@@ -65,6 +67,16 @@ def _require_mn(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
+def _grid_size(m: int, n: int) -> float:
+    """m^n as a double, or inf once it is past the double range."""
+    if n * math.log2(m) > 1025:
+        return math.inf
+    try:
+        return float(m**n)
+    except OverflowError:
+        return math.inf
+
+
 def entropy_deficit_rate(n: int) -> float:
     """(1 + lg n) / (n - 1): per-cell entropy shortfall rate in lower bounds."""
     n = int(n)
@@ -80,7 +92,9 @@ def log_count_lower_bound(m: int, n: int) -> BoundReport:
     every desk-scale m at small n.
     """
     m, n = _require_mn(m, n)
-    value = (n - 1) * float(m**n) * (math.log2(m) - entropy_deficit_rate(n))
+    factor = math.log2(m) - entropy_deficit_rate(n)
+    # A zero factor gives 0 even where m^n is inf (inf * 0 would be nan).
+    value = (n - 1) * _grid_size(m, n) * factor if factor else 0.0
     return BoundReport(
         name="log_count_lower_bound",
         inputs={"m": m, "n": n},
@@ -97,7 +111,8 @@ def avg_degree_lower_bound(m: int, n: int) -> BoundReport:
     """
     m, n = _require_mn(m, n)
     ratio = 48.0 * math.log2(n) / math.log2(m)
-    value = float(m**n) * (1.0 - math.sqrt(ratio))
+    factor = 1.0 - math.sqrt(ratio)
+    value = _grid_size(m, n) * factor if factor else 0.0
     return BoundReport(
         name="avg_degree_lower_bound",
         inputs={"m": m, "n": n},
@@ -128,7 +143,10 @@ def pits_threshold(m: int, n: int, R: float) -> float:
     R = float(R)
     if R <= 0:
         raise DomainError(f"need R > 0, got R={R}")
-    return 2.0**-R * (m * math.e / 2.0) ** (n - 1)
+    try:
+        return 2.0**-R * (m * math.e / 2.0) ** (n - 1)
+    except OverflowError:
+        return math.inf
 
 
 def pits_fraction_bound(n: int, R: float) -> BoundReport:

@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .bounds import pits_threshold
 from .counting import completion_counts, count_extensions
@@ -74,6 +73,11 @@ __all__ = [
 ]
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < 2**64:
+        raise DomainError(f"seed must be a 64-bit nonnegative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """How to draw random extensions: method, seed, and walk parameters."""
@@ -86,8 +90,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in ("exact", "mcmc"):
             raise DomainError(f"method must be 'exact' or 'mcmc', got {self.method!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise DomainError(f"seed must be a 64-bit nonnegative integer, got {self.seed}")
+        _check_seed(self.seed)
         if int(self.mcmc_steps) < 0:
             raise DomainError(f"mcmc_steps must be >= 0, got {self.mcmc_steps}")
         if not 0.0 <= float(self.laziness) <= 1.0:
@@ -105,8 +108,7 @@ class WordStream:
     """
 
     def __init__(self, seed: int, buffer_size: int = 4096):
-        if not 0 <= int(seed) < 2**64:
-            raise DomainError(f"seed must be a 64-bit nonnegative integer, got {seed}")
+        _check_seed(seed)
         self._bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
         self._buffer_size = int(buffer_size)
         self._buf = None
@@ -260,6 +262,7 @@ def mcmc_ensemble(
         raise DomainError(f"need chains >= 0, got {chains}")
     if not 0.0 <= laziness <= 1.0:
         raise DomainError(f"laziness must be in [0, 1], got {laziness}")
+    _check_seed(seed)
     size = shape.size
     if starts is None:
         arr = np.tile(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, 1))
@@ -509,13 +512,18 @@ def chi_square_uniformity(observed: Sequence[int]) -> ChiSquareResult:
     """Chi-square test of the observed cell counts against equal expecteds.
 
     Pass the full support as cells (zeros included for unobserved cells).
+    scipy is imported here, not at module level: this test is its only
+    use, and importing scipy.stats would add most of the package's import
+    time to every command.
     """
+    from scipy import stats
+
     obs = np.asarray(list(observed), dtype=float)
     if obs.size < 2:
         raise DomainError("need at least two cells")
     if np.any(obs < 0) or obs.sum() <= 0:
         raise DomainError("cell counts must be nonnegative with a positive total")
-    res = _scipy_stats.chisquare(obs)
+    res = stats.chisquare(obs)
     return ChiSquareResult(float(res.statistic), int(obs.size - 1), float(res.pvalue))
 
 

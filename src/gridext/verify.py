@@ -39,6 +39,7 @@ from .jumps import jump_times, jumps, rank_lex_extension
 from .sampling import (
     ExactSampler,
     SamplerConfig,
+    _check_seed,
     chi_square_uniformity,
     entropy_profile_exact,
     exact_pits_deficit_fractions,
@@ -81,6 +82,9 @@ class VerifyConfig:
     tv_steps: int = 10_000
     deficit_samples: int = 20_000
     convexity_vectors: int = 10_000
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -96,6 +96,25 @@ class TestAlmostRegular:
         assert r.value == pytest.approx(0.5, rel=1e-12)
 
 
+class TestAstronomicM:
+    """m^n past the double range: inf, never OverflowError or nan."""
+
+    def test_lg_m_768(self):
+        count = log_count_lower_bound(2**768, 2)
+        degree = avg_degree_lower_bound(2**768, 2)
+        assert count.value == math.inf and not count.vacuous
+        assert degree.value == math.inf and not degree.vacuous
+
+    def test_zero_factor_stays_zero(self):
+        # lg m == 48 lg n exactly, with m^n = 2^1152 past the double range
+        r = avg_degree_lower_bound(2**144, 8)
+        assert r.value == 0.0 and r.vacuous
+
+    def test_pits_threshold(self):
+        assert pits_threshold(2**768, 3, 1.0) == math.inf
+        assert pits_threshold(2**2000, 2, 1.0) == math.inf
+
+
 class TestPits:
     def test_threshold(self):
         assert pits_threshold(3, 2, 4.0) == pytest.approx(2.0**-4 * (3 * math.e / 2))

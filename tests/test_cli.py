@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +236,14 @@ class TestBounds:
         tail = next(r for r in data if r["name"] == "markov_tail_probability")
         assert tail["value"] == 0.25 and not tail["vacuous"]
 
+    def test_astronomic_m(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--m", str(2**768), "--n", "2", "--R", "2")
+        assert code == 0
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert reports["log_count_lower_bound"]["value"] == float("inf")
+        assert reports["avg_degree_lower_bound"]["vacuous"] is False
+        assert reports["almost_regular_fraction"]["value"] == pytest.approx(0.5)
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "bounds", "--m", "3", "--n", "2", "--format", "csv")
         rows = parse_csv(out)
@@ -257,6 +269,12 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range(self, capsys, seed):
+        code, _, err = run(capsys, "verify", "--suite", "bounds", "--seed", seed)
+        assert code == 2
+        assert err.startswith("error: seed must be")
 
 
 class TestConjectureScan:
@@ -294,3 +312,35 @@ class TestTopLevel:
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 2
+
+
+def run_fresh(code):
+    """Run `code` in a new interpreter that imports gridext from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColdImport:
+    """scipy loads only for the chi-square test (this process already has it)."""
+
+    def test_commands_do_not_load_scipy(self):
+        out = run_fresh(
+            "import sys, gridext, gridext.cli\n"
+            "assert gridext.cli.main(['count', '--shape', '3x3']) == 0\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        assert out.splitlines()[-1] == "False"
+
+    def test_chi_square_loads_scipy(self):
+        out = run_fresh(
+            "import sys\n"
+            "from gridext import chi_square_uniformity\n"
+            "res = chi_square_uniformity([5, 5])\n"
+            "print('scipy' in sys.modules, res.pvalue)\n"
+        )
+        assert out.splitlines()[-1] == "True 1.0"

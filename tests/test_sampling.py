@@ -172,6 +172,11 @@ class TestMcmc:
         assert set(counts) == {(0, 1, 2, 3), (0, 2, 1, 3)}
         assert abs(counts[(0, 1, 2, 3)] - 1000) < 150
 
+    def test_ensemble_rejects_bad_seed(self, square3):
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError):
+                mcmc_ensemble(square3, 1, 1, seed=seed)
+
     def test_full_laziness_never_moves(self, square3):
         finals = mcmc_ensemble(square3, 50, 8, seed=2, laziness=1.0)
         assert np.array_equal(finals, np.tile(rank_lex_indices(square3), (8, 1)))
