@@ -9,16 +9,17 @@ compare against a meaningless number.
 
 All logarithms are base 2.  Formulas evaluate in double precision, good to
 at least 15 significant digits; a value past the double range (m^n above
-about 2^1024 at astronomic m) is reported as inf, with its vacuity flag
-still set from its sign.  Comparisons against exact integer counts go
-through math.log of the big integer (exact to double precision) and use a
-documented 1e-9 relative tolerance.
+about 2^1024, at astronomic m or n) is reported as +-inf, with its vacuity
+flag still set from its sign, and one below it as 0.0.  Comparisons against
+exact integer counts go through math.log of the big integer (exact to double
+precision) and use a documented 1e-9 relative tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
@@ -67,22 +68,33 @@ def _require_mn(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
-def _grid_size(m: int, n: int) -> float:
-    """m^n as a double, or inf once it is past the double range."""
-    if n * math.log2(m) > 1025:
-        return math.inf
+def _scaled_grid_size(m: int, n: int, coeff: int, factor: float) -> float:
+    """coeff * m^n * factor as a double, for m >= 2 and coeff <= n.
+
+    0 when factor is 0 (inf * 0 would be nan), +-inf by its sign once m^n
+    passes the double range, which it does for every n > 1024; n is tested
+    as an int first, so an astronomic n is never converted to float.
+    """
+    if not factor:
+        return 0.0
+    if n > 1024 or n * math.log2(m) > 1025:
+        return math.copysign(math.inf, factor)
     try:
-        return float(m**n)
+        return coeff * float(m**n) * factor
     except OverflowError:
-        return math.inf
+        return math.copysign(math.inf, factor)
 
 
 def entropy_deficit_rate(n: int) -> float:
-    """(1 + lg n) / (n - 1): per-cell entropy shortfall rate in lower bounds."""
+    """(1 + lg n) / (n - 1): per-cell entropy shortfall rate in lower bounds.
+
+    Divided exactly and rounded once: the float quotient for n <= 2^53,
+    and no float conversion of an astronomic n (the value underflows to 0).
+    """
     n = int(n)
     if n < 2:
         raise DomainError(f"need n >= 2, got n={n}")
-    return (1 + math.log2(n)) / (n - 1)
+    return float(Fraction(1 + math.log2(n)) / (n - 1))
 
 
 def log_count_lower_bound(m: int, n: int) -> BoundReport:
@@ -93,8 +105,7 @@ def log_count_lower_bound(m: int, n: int) -> BoundReport:
     """
     m, n = _require_mn(m, n)
     factor = math.log2(m) - entropy_deficit_rate(n)
-    # A zero factor gives 0 even where m^n is inf (inf * 0 would be nan).
-    value = (n - 1) * _grid_size(m, n) * factor if factor else 0.0
+    value = _scaled_grid_size(m, n, n - 1, factor)
     return BoundReport(
         name="log_count_lower_bound",
         inputs={"m": m, "n": n},
@@ -112,7 +123,7 @@ def avg_degree_lower_bound(m: int, n: int) -> BoundReport:
     m, n = _require_mn(m, n)
     ratio = 48.0 * math.log2(n) / math.log2(m)
     factor = 1.0 - math.sqrt(ratio)
-    value = _grid_size(m, n) * factor if factor else 0.0
+    value = _scaled_grid_size(m, n, 1, factor)
     return BoundReport(
         name="avg_degree_lower_bound",
         inputs={"m": m, "n": n},

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from ._version import __version__
@@ -25,7 +26,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import jumps, pits_sequence, read_extensions_file
+from .jumps import jumps, pits_sequence, read_extensions_file, write_index_orders
 from .sampling import SamplerConfig, jump_stats_from_orders, sample_orders
 from .transposition import (
     build_graph,
@@ -125,10 +126,13 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = _resolve_shape(args)
-    lines = []
-    for order in enumerate_index_orders(shape, cap=args.cap):
-        lines.append(" ".join(str(v) for v in order))
-    _emit(args, "\n".join(lines) + "\n" if lines else "")
+    # The cap is checked here, before --out is opened, so a refusal leaves no file.
+    orders = enumerate_index_orders(shape, cap=args.cap)
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            write_index_orders(fh, orders)
+    else:
+        write_index_orders(sys.stdout, orders)
     return 0
 
 
@@ -143,9 +147,7 @@ def cmd_sample(args) -> int:
     orders = list(sample_orders(shape, cfg, args.samples))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            for order in orders:
-                fh.write(" ".join(str(v) for v in order))
-                fh.write("\n")
+            write_index_orders(fh, orders)
     stats = jump_stats_from_orders(shape, orders)
     payload = {
         "version": __version__,
@@ -436,6 +438,11 @@ def main(argv=None) -> int:
     except GridextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of streamed output left early (`gridext enumerate | head`).
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,12 @@ number of linear extensions that complete a down-set D is
     g(D) = sum over pits v of g(D + v),      g(whole grid) = 1,
 
 where a pit is a minimal element of the complement.  The answer is g(empty).
-States are visited level by level (by ideal cardinality), so the backward
-accumulation never misses a successor.  The state space is the full down-set
-lattice; a configurable cap refuses shapes where it would not fit in memory.
+The pits of a state come from GridShape.pit_mask, which finds all of them at
+once with one shift-and-AND per chain on the bitmask; both passes read them
+in increasing index order.  States are visited level by level (by ideal
+cardinality), so the backward accumulation never misses a successor.  The
+state space is the full down-set lattice; a configurable cap refuses shapes
+where it would not fit in memory.
 
 A DP state is the down-set's bitmask interpreted as a Python int; the int is
 bit-for-bit the little-endian byte string of the bitset under the canonical
@@ -111,7 +114,7 @@ class DownSet:
 
     def pit_indices(self) -> tuple[int, ...]:
         """Canonical indices of the pits: minimal elements of the complement."""
-        return tuple(pit_bits(self.shape, self.bits))
+        return tuple(_iter_bits(self.shape.pit_mask(self.bits)))
 
     def pits(self) -> tuple[Point, ...]:
         return tuple(self.shape.point_at(v) for v in self.pit_indices())
@@ -124,27 +127,11 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
-def pit_bits(shape: GridShape, bits: int):
-    """Yield pit indices of the down-set `bits`, in increasing index order.
-
-    A pit is a point outside the set all of whose lower covers are inside;
-    trusts `bits` to encode a valid down-set.
-    """
-    masks = shape.lower_cover_masks
-    rest = ~bits & ((1 << shape.size) - 1)
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        if not (masks[v] & ~bits):
-            yield v
-        rest ^= low
-
-
 @lru_cache(maxsize=32)
 def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     size = shape.size
     full = (1 << size) - 1
-    masks = shape.lower_cover_masks
+    pit_mask = shape.pit_mask
 
     # Forward pass: discover all down-sets, grouped by cardinality.
     levels: list[set[int]] = [set() for _ in range(size + 1)]
@@ -153,12 +140,10 @@ def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     for k in range(size):
         nxt = levels[k + 1]
         for bits in levels[k]:
-            rest = ~bits & full
+            rest = pit_mask(bits)
             while rest:
                 low = rest & -rest
-                v = low.bit_length() - 1
-                if not (masks[v] & ~bits):
-                    nxt.add(bits | low)
+                nxt.add(bits | low)
                 rest ^= low
         states += len(nxt)
         if states > cap:
@@ -173,12 +158,10 @@ def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     for k in range(size - 1, -1, -1):
         for bits in levels[k]:
             acc = 0
-            rest = ~bits & full
+            rest = pit_mask(bits)
             while rest:
                 low = rest & -rest
-                v = low.bit_length() - 1
-                if not (masks[v] & ~bits):
-                    acc += g[bits | low]
+                acc += g[bits | low]
                 rest ^= low
             g[bits] = acc
     return MappingProxyType(g)

@@ -156,7 +156,12 @@ class GridShape:
 
     @cached_property
     def lower_cover_masks(self) -> tuple[int, ...]:
-        """Bitmask of lower covers per point; bit v set iff v is covered."""
+        """Bitmask of lower covers per point; bit v set iff v is covered.
+
+        Also the package's comparability rule for consecutive points: in a
+        valid extension, b right after a is comparable to a exactly when b
+        covers a, i.e. when lower_cover_masks[b] >> a & 1.
+        """
         out = []
         for downs in self.lower_covers:
             mask = 0
@@ -165,10 +170,30 @@ class GridShape:
             out.append(mask)
         return tuple(out)
 
-    def index_leq(self, i: int, j: int) -> bool:
-        """Componentwise order test on canonical indices (no validation)."""
-        ci, cj = self.coords_table[i], self.coords_table[j]
-        return all(a <= b for a, b in zip(ci, cj))
+    @cached_property
+    def _pit_terms(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        # (full mask, ((stride_j, bottom_face_j) for each chain of length > 1)),
+        # where bottom_face_j has bit v set iff point v has x_j = 1.
+        terms = tuple(
+            (s, sum(1 << v for v, coords in enumerate(self.coords_table) if coords[j] == 1))
+            for j, (a, s) in enumerate(zip(self.lengths, self.strides))
+            if a > 1
+        )
+        return (1 << self.size) - 1, terms
+
+    def pit_mask(self, bits: int) -> int:
+        """Bitmask of the pits (minimal points outside) of the down-set `bits`.
+
+        Point v outside the set is a pit iff v - stride_j is inside for every
+        chain j with x_j > 1.  `bits << stride_j` moves each such lower cover
+        onto v, and the bottom face x_j = 1 (no lower cover along j) is let
+        through.  Trusts `bits` to encode a down-set.
+        """
+        full, terms = self._pit_terms
+        mask = ~bits & full
+        for stride, face in terms:
+            mask &= bits << stride | face
+        return mask
 
     def __str__(self) -> str:
         return "x".join(str(a) for a in self.lengths)

@@ -2,10 +2,12 @@
 
 A linear extension lists every point of the grid exactly once, never placing
 a point before one below it.  Time k (1-based) is a jump when the elements at
-positions k and k+1 are not a cover pair; on a grid consecutive elements are
-always comparable-by-cover or incomparable, so jumps are exactly the
-incomparable consecutive pairs.  A pit at time k is a minimal element of the
-part of the grid not yet placed after k steps.
+positions k and k+1 are incomparable.  Consecutive elements of an extension
+are comparable only when the later one covers the earlier (a point strictly
+between them would have to be placed between them), so the test is one bit:
+lower_cover_masks[b] >> a & 1 (see the grid module).  A pit at time k is a
+minimal element of the part of the grid not yet placed after k steps; all
+pits of a prefix are read at once from GridShape.pit_mask.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.
@@ -35,6 +37,7 @@ __all__ = [
     "last_of_rank",
     "read_extensions_file",
     "write_extensions_file",
+    "write_index_orders",
 ]
 
 
@@ -138,24 +141,11 @@ class PitsSequence:
 def jump_times(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     """Jump times of a raw index sequence (trusted to be a valid extension).
 
-    Time k in [1, size-1] is a jump iff points k and k+1 are not a cover
-    pair, which on a valid extension means they are incomparable.
+    Time k in [1, size-1] is a jump iff point k+1 does not cover point k,
+    which on a valid extension means the two are incomparable.
     """
-    coords = shape.coords_table
-    out = []
-    for k in range(1, len(indices)):
-        p = coords[indices[k - 1]]
-        q = coords[indices[k]]
-        total = 0
-        for x, y in zip(p, q):
-            d = y - x
-            if d < 0:
-                total = -1
-                break
-            total += d
-        if total != 1:
-            out.append(k)
-    return tuple(out)
+    masks = shape.lower_cover_masks
+    return tuple(k for k in range(1, len(indices)) if not masks[indices[k]] >> indices[k - 1] & 1)
 
 
 def jumps(ext: LinearExtension) -> JumpProfile:
@@ -166,21 +156,15 @@ def jumps(ext: LinearExtension) -> JumpProfile:
 def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     """Pit counts after each placement of a raw index sequence (trusted).
 
-    Maintained incrementally: placing v can only create pits among the
-    points covering v, so the total work is O(size * chains).
+    Each count is the popcount of the prefix's pit mask, so the total work
+    is O(size * chains) word operations.
     """
-    masks = shape.lower_cover_masks
-    ups = shape.upper_covers
-    pits = {v for v, m in enumerate(masks) if m == 0}
+    pit_mask = shape.pit_mask
     placed = 0
     out = []
     for v in indices:
-        pits.discard(v)
         placed |= 1 << v
-        for u in ups[v]:
-            if not (masks[u] & ~placed):
-                pits.add(u)
-        out.append(len(pits))
+        out.append(pit_mask(placed).bit_count())
     return tuple(out)
 
 
@@ -250,15 +234,21 @@ def last_of_rank(shape: GridShape, s: int) -> Point:
     return Point(shape, tuple(coords))
 
 
+def write_index_orders(fh, orders: Iterable[Sequence[int]]) -> int:
+    """Stream index orders to an open text file in the extension file format.
+
+    The one writer behind every extension file; returns the number written.
+    """
+    count = 0
+    for count, order in enumerate(orders, start=1):
+        fh.write(" ".join(map(str, order)) + "\n")
+    return count
+
+
 def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
     """Write extensions one per line; returns the number written."""
-    count = 0
     with open(path, "w", encoding="ascii") as fh:
-        for ext in extensions:
-            fh.write(ext.to_line())
-            fh.write("\n")
-            count += 1
-    return count
+        return write_index_orders(fh, (ext.indices for ext in extensions))
 
 
 def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:

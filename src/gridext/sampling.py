@@ -159,33 +159,27 @@ class ExactSampler:
         self.seed = int(seed)
         self._g = completion_counts(shape, state_cap)
         self._stream = WordStream(seed)
-        self._ups = shape.upper_covers
-        self._masks = shape.lower_cover_masks
 
     def sample_indices(self) -> tuple[int, ...]:
         """One uniform extension as a raw index tuple."""
         g = self._g
-        ups = self._ups
-        masks = self._masks
+        pit_mask = self.shape.pit_mask
+        below = self._stream.below
         placed = 0
-        pits = [v for v, m in enumerate(masks) if m == 0]
         out = []
         for _ in range(self.shape.size):
-            r = self._stream.below(g[placed])
-            chosen = -1
-            for v in pits:
-                w = g[placed | 1 << v]
+            r = below(g[placed])
+            rest = pit_mask(placed)
+            while True:
+                assert rest, "weights of the pits must sum to g(D)"
+                low = rest & -rest
+                w = g[placed | low]
                 if r < w:
-                    chosen = v
                     break
                 r -= w
-            assert chosen >= 0, "weights of the pits must sum to g(D)"
-            placed |= 1 << chosen
-            fresh = [u for u in ups[chosen] if not (masks[u] & ~placed)]
-            pits.remove(chosen)
-            if fresh:
-                pits = sorted(pits + fresh)
-            out.append(chosen)
+                rest ^= low
+            placed |= low
+            out.append(low.bit_length() - 1)
         return tuple(out)
 
     def sample(self) -> LinearExtension:
@@ -200,10 +194,6 @@ class ExactSampler:
 def sample_exact(shape: GridShape, seed: int, state_cap: int | None = None) -> LinearExtension:
     """First sample of a fresh exact sampler with the given seed."""
     return ExactSampler(shape, seed, state_cap).sample()
-
-
-def _incomparable(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    return not (all(x <= y for x, y in zip(p, q)) or all(y <= x for x, y in zip(p, q)))
 
 
 def sample_mcmc(
@@ -222,7 +212,7 @@ def sample_mcmc(
     order = list(start.indices) if start is not None else list(rank_lex_indices(shape))
     size = shape.size
     if size > 1 and cfg.mcmc_steps > 0:
-        coords = shape.coords_table
+        masks = shape.lower_cover_masks
         stream = WordStream(cfg.seed)
         laziness = cfg.laziness
         for _ in range(cfg.mcmc_steps):
@@ -230,15 +220,9 @@ def sample_mcmc(
             if stream.unit() < laziness:
                 continue
             a, b = order[k - 1], order[k]
-            if _incomparable(coords[a], coords[b]):
+            if not masks[b] >> a & 1:
                 order[k - 1], order[k] = b, a
     return LinearExtension(shape, tuple(order))
-
-
-def _incomparability_matrix(shape: GridShape) -> np.ndarray:
-    coords = np.array(shape.coords_table, dtype=np.int64)
-    leq = np.all(coords[:, None, :] <= coords[None, :, :], axis=2)
-    return ~(leq | leq.T)
 
 
 def mcmc_ensemble(
@@ -272,7 +256,10 @@ def mcmc_ensemble(
             raise DomainError(f"starts must have shape ({chains}, {size}), got {arr.shape}")
     if chains == 0 or steps == 0 or size <= 1:
         return arr
-    incomparable = _incomparability_matrix(shape)
+    # swappable[a, b]: b right after a may swap with it, i.e. b does not cover a.
+    swappable = np.ones((size, size), dtype=bool)
+    for b, downs in enumerate(shape.lower_covers):
+        swappable[list(downs), b] = False
     rng = np.random.default_rng(seed)
     rows = np.arange(chains)
     for _ in range(steps):
@@ -280,7 +267,7 @@ def mcmc_ensemble(
         coins = rng.random(chains)
         a = arr[rows, ks - 1]
         b = arr[rows, ks]
-        move = (coins >= laziness) & incomparable[a, b]
+        move = (coins >= laziness) & swappable[a, b]
         r = rows[move]
         kk = ks[move]
         arr[r, kk - 1] = b[move]

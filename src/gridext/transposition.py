@@ -38,26 +38,25 @@ DEFAULT_BACKTRACK_CAP = 10**7
 
 
 def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
-    # Depth-first over pit choices; keeping the candidate list sorted makes
-    # the output lexicographic in the index sequences.
+    # Depth-first over pit choices; taking the pits in increasing index
+    # order makes the output lexicographic in the index sequences.
     size = shape.size
-    masks = shape.lower_cover_masks
-    ups = shape.upper_covers
+    pit_mask = shape.pit_mask
     prefix: list[int] = []
 
-    def rec(placed: int, pits: list[int]) -> Iterator[tuple[int, ...]]:
+    def rec(placed: int) -> Iterator[tuple[int, ...]]:
         if len(prefix) == size:
             yield tuple(prefix)
             return
-        for i, v in enumerate(pits):
-            now = placed | 1 << v
-            fresh = [u for u in ups[v] if not (masks[u] & ~now)]
-            prefix.append(v)
-            yield from rec(now, sorted(pits[:i] + pits[i + 1 :] + fresh))
+        rest = pit_mask(placed)
+        while rest:
+            low = rest & -rest
+            prefix.append(low.bit_length() - 1)
+            yield from rec(placed | low)
             prefix.pop()
+            rest ^= low
 
-    start = [v for v, m in enumerate(masks) if m == 0]
-    yield from rec(0, start)
+    yield from rec(0)
 
 
 def enumerate_index_orders(
@@ -164,27 +163,22 @@ def build_graph(
 ) -> TranspositionGraph:
     """Build the full swap graph by exhaustive enumeration.
 
-    Edges are discovered by scanning each vertex's incomparable consecutive
-    pairs and looking the swapped sequence up in a vertex table, so each
-    edge must be found exactly twice (once per endpoint); that handshake is
+    Edges are discovered by swapping each vertex's pair at every jump time
+    and looking the swapped sequence up in a vertex table, so each edge
+    must be found exactly twice (once per endpoint); that handshake is
     asserted.
     """
     orders = list(enumerate_index_orders(shape, cap, state_cap))
     position = {o: i for i, o in enumerate(orders)}
-    coords = shape.coords_table
-    size = shape.size
     edges: list[tuple[int, int]] = []
     degrees = [0] * len(orders)
 
     for i, o in enumerate(orders):
-        for k in range(size - 1):
-            a, b = o[k], o[k + 1]
-            ca, cb = coords[a], coords[b]
-            if all(x <= y for x, y in zip(ca, cb)) or all(y <= x for x, y in zip(ca, cb)):
-                continue
-            swapped = o[:k] + (b, a) + o[k + 2 :]
+        times = jump_times(shape, o)
+        degrees[i] = len(times)
+        for k in times:
+            swapped = o[: k - 1] + (o[k], o[k - 1]) + o[k + 1 :]
             j = position[swapped]  # a legal swap always lands on a vertex
-            degrees[i] += 1
             if i < j:
                 edges.append((i, j))
 

@@ -3,8 +3,7 @@ import time
 import pytest
 
 from gridext import GridShape, build_graph, enumerate_index_orders
-
-EXTREME_MN = ((2, 2), (3, 2), (2, 3), (4, 2))
+from gridext.verify import EXTREMES_MN
 
 
 @pytest.fixture(scope="session")
@@ -36,5 +35,5 @@ def square3_orders(square3):
 def extreme_graphs():
     """Swap graphs for the four exhaustively-checked shapes, plus build time."""
     t0 = time.perf_counter()
-    graphs = {mn: build_graph(GridShape.equilateral(*mn)) for mn in EXTREME_MN}
+    graphs = {mn: build_graph(GridShape.equilateral(*mn)) for mn in EXTREMES_MN}
     return graphs, time.perf_counter() - t0

@@ -42,10 +42,7 @@ from gridext import (
     width_power_upper_bound,
 )
 from gridext.cli import main as cli_main
-
-SANDWICH_MN = ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3))
-MIXED_LENGTHS = ((2, 3), (2, 5), (3, 4), (2, 2, 3), (2, 6))
-EXTREME_MN = ((2, 2), (3, 2), (2, 3), (4, 2))
+from gridext.verify import EXTREMES_MN, MIXED_SHAPES, SANDWICH_MN
 
 
 def _finish(num, ok, detail):
@@ -102,7 +99,7 @@ def test_criterion_02_normalized_roots_in_window():
 
 def test_criterion_03_integer_sandwich():
     shapes = [GridShape.equilateral(m, n) for m, n in SANDWICH_MN]
-    shapes += [GridShape(ls) for ls in MIXED_LENGTHS]
+    shapes += [GridShape(ls) for ls in MIXED_SHAPES]
     bad = []
     for s in shapes:
         lo = factorial_product_lower_bound(s)
@@ -114,7 +111,7 @@ def test_criterion_03_integer_sandwich():
         3,
         not bad,
         f"factorial-product <= count <= width-power on {len(shapes)} shapes "
-        f"({len(MIXED_LENGTHS)} with unequal chains)" + (f"; violations {bad}" if bad else ""),
+        f"({len(MIXED_SHAPES)} with unequal chains)" + (f"; violations {bad}" if bad else ""),
     )
 
 
@@ -137,7 +134,7 @@ def test_criterion_04_degree_extremes(extreme_graphs):
         4,
         ok,
         f"swap-graph degree extremes m^n-3 / m^(n-1)-1 and rank-lex maximality on "
-        f"{EXTREME_MN} in {elapsed:.2f}s < 120s" + (f"; {bad}" if bad else ""),
+        f"{EXTREMES_MN} in {elapsed:.2f}s < 120s" + (f"; {bad}" if bad else ""),
     )
 
 
@@ -155,7 +152,7 @@ def test_criterion_05_boundary_times_never_jump(extreme_graphs):
     _finish(
         5,
         bad == 0,
-        f"no jumps at time 1 or size-1 across {checked} extensions of {EXTREME_MN}",
+        f"no jumps at time 1 or size-1 across {checked} extensions of {EXTREMES_MN}",
     )
 
 

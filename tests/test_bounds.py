@@ -33,6 +33,10 @@ class TestDeficitRate:
         with pytest.raises(DomainError):
             entropy_deficit_rate(1)
 
+    @given(st.integers(2, 2**53))
+    def test_equals_float_quotient(self, n):
+        assert entropy_deficit_rate(n) == (1 + math.log2(n)) / (n - 1)
+
 
 class TestLogCountBound:
     def test_vacuous_at_small_m(self):
@@ -113,6 +117,25 @@ class TestAstronomicM:
     def test_pits_threshold(self):
         assert pits_threshold(2**768, 3, 1.0) == math.inf
         assert pits_threshold(2**2000, 2, 1.0) == math.inf
+
+
+class TestAstronomicN:
+    """n past the double range: 0.0 or +-inf, never OverflowError."""
+
+    N = 2**1100
+
+    def test_deficit_rate(self):
+        assert entropy_deficit_rate(self.N) == 0.0
+        # n - 1 past the double range but the quotient still a normal double
+        assert entropy_deficit_rate(2**1025) == pytest.approx(1026 / 2**1025, rel=1e-12)
+
+    def test_log_count(self):
+        r = log_count_lower_bound(3, self.N)
+        assert r.value == math.inf and not r.vacuous
+
+    def test_avg_degree(self):
+        r = avg_degree_lower_bound(3, self.N)
+        assert r.value == -math.inf and r.vacuous
 
 
 class TestPits:

@@ -88,6 +88,23 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--shape", "3x3", "--cap", "5")
         assert code == 3
 
+    def test_cap_creates_no_out_file(self, capsys, tmp_path):
+        target = tmp_path / "ext.txt"
+        code, _, err = run(capsys, "enumerate", "--shape", "3x3", "--cap", "5", "--out", str(target))
+        assert code == 3 and "enumeration cap" in err
+        assert not target.exists()
+
+    def test_reader_leaving_early_exits_quietly(self):
+        # 24024 lines, far more than a pipe buffer holds, so the writer sees the pipe close
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gridext", "enumerate", "--shape", "4x4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env(),
+        )
+        assert proc.stdout.readline() == b" ".join(str(v).encode() for v in range(16)) + b"\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (0, b"")
+
 
 class TestSample:
     def test_exact_stats(self, capsys):
@@ -244,6 +261,14 @@ class TestBounds:
         assert reports["avg_degree_lower_bound"]["vacuous"] is False
         assert reports["almost_regular_fraction"]["value"] == pytest.approx(0.5)
 
+    def test_astronomic_n(self, capsys):
+        code, out, err = run(capsys, "bounds", "--m", "3", "--n", str(2**1100), "--R", "2")
+        assert (code, err) == (0, "")
+        reports = {r["name"]: r for r in json.loads(out)}
+        assert reports["log_count_lower_bound"]["value"] == float("inf")
+        assert reports["avg_degree_lower_bound"]["value"] == float("-inf")
+        assert reports["avg_degree_lower_bound"]["vacuous"] is True
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "bounds", "--m", "3", "--n", "2", "--format", "csv")
         rows = parse_csv(out)
@@ -314,12 +339,16 @@ class TestTopLevel:
         assert code == 2
 
 
+def fresh_env():
+    """Environment for a new interpreter that imports gridext from this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(code):
     """Run `code` in a new interpreter that imports gridext from this tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

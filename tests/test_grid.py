@@ -31,6 +31,18 @@ def shape_and_indices(draw, k=2):
     return (shape, *idx)
 
 
+@st.composite
+def shape_and_downset(draw):
+    """A shape plus a random down-set: the down-closure of a few drawn tops."""
+    shape = draw(shapes_st)
+    tops = draw(st.lists(st.integers(0, shape.size - 1), max_size=4))
+    coords = shape.coords_table
+    members = {
+        v for v in range(shape.size) if any(all(x <= y for x, y in zip(coords[v], coords[t])) for t in tops)
+    }
+    return shape, members
+
+
 def brute_whitney(shape):
     counts = Counter(
         1 + sum(c - 1 for c in coords)
@@ -141,7 +153,20 @@ class TestOrder:
         x, y = shape.point_at(i), shape.point_at(j)
         expected = all(a <= b for a, b in zip(x.coords, y.coords))
         assert leq(x, y) == expected
-        assert shape.index_leq(i, j) == expected
+
+    @given(shape_and_downset())
+    def test_pit_mask_matches_coordinates(self, sd):
+        # a pit is a point outside the down-set with every point below it inside
+        shape, members = sd
+        coords = shape.coords_table
+        expected = {
+            v
+            for v in range(shape.size)
+            if v not in members
+            and all(u in members for u in range(shape.size) if u != v and all(x <= y for x, y in zip(coords[u], coords[v])))
+        }
+        mask = shape.pit_mask(sum(1 << v for v in members))
+        assert {v for v in range(shape.size) if mask >> v & 1} == expected
 
     def test_up_degree(self):
         s = GridShape((3, 3))

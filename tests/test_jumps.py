@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridext import (
     DomainError,
@@ -87,10 +88,31 @@ class TestJumps:
         for idxs in square3_orders[::7]:
             ext = LinearExtension(square3, idxs)
             manual = sum(
-                0 if square3.index_leq(a, b) and _is_cover(square3, a, b) else 1
+                0 if _is_cover(square3, a, b) else 1
                 for a, b in itertools.pairwise(idxs)
             )
             assert jumps(ext).degree == manual
+
+    @given(st.data())
+    def test_jumps_are_incomparable_pairs(self, data):
+        lengths = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        shape = GridShape(tuple(lengths))
+        coords = shape.coords_table
+
+        def below(u, v):
+            return all(x <= y for x, y in zip(coords[u], coords[v]))
+
+        # a random extension: repeatedly place one drawn minimal point of the rest
+        order, rest = [], set(range(shape.size))
+        while rest:
+            minimal = sorted(v for v in rest if not any(u != v and below(u, v) for u in rest))
+            v = data.draw(st.sampled_from(minimal))
+            order.append(v)
+            rest.remove(v)
+        expected = tuple(
+            k for k in range(1, len(order)) if not (below(order[k - 1], order[k]) or below(order[k], order[k - 1]))
+        )
+        assert jump_times(shape, order) == expected
 
 
 def _is_cover(shape, a, b):
