@@ -152,7 +152,7 @@ def pits_threshold(m: int, n: int, R: float) -> float:
     """2^{-R} (m e / 2)^{n-1}: the low-pits cutoff at depth parameter R."""
     m, n = _require_mn(m, n)
     R = float(R)
-    if R <= 0:
+    if not R > 0:  # also rejects NaN
         raise DomainError(f"need R > 0, got R={R}")
     try:
         return 2.0**-R * (m * math.e / 2.0) ** (n - 1)
@@ -170,7 +170,7 @@ def pits_fraction_bound(n: int, R: float) -> BoundReport:
     if n < 2:
         raise DomainError(f"need n >= 2, got n={n}")
     R = float(R)
-    if R <= 0:
+    if not R > 0:  # also rejects NaN
         raise DomainError(f"need R > 0, got R={R}")
     value = (1 + math.log2(n)) / R
     return BoundReport(
@@ -187,7 +187,7 @@ def markov_tail_probability(delta: float) -> BoundReport:
     Plain first-moment tail bound; vacuous at delta = 1 (probability 1).
     """
     delta = float(delta)
-    if delta < 1:
+    if not delta >= 1:  # also rejects NaN
         raise DomainError(f"need delta >= 1, got delta={delta}")
     value = 1.0 / delta
     return BoundReport(

@@ -304,7 +304,7 @@ def cmd_conjecture_scan(args) -> int:
         size = shape.size
         count = count_extensions(shape, args.cap)
         if count <= EXACT_SCAN_LIMIT:
-            mean = float(exhaustive_mean_degree(shape, cap=EXACT_SCAN_LIMIT))
+            mean = float(exhaustive_mean_degree(shape, args.cap))
             stderr = 0.0
             method = "exhaustive"
             used = count

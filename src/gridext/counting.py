@@ -11,7 +11,10 @@ once with one shift-and-AND per chain on the bitmask; both passes read them
 in increasing index order.  States are visited level by level (by ideal
 cardinality), so the backward accumulation never misses a successor.  The
 state space is the full down-set lattice; a configurable cap refuses shapes
-where it would not fit in memory.
+where it would not fit in memory, checked first against a closed-form
+lower bound on the lattice size.  forward_counts adds f(D), the number of
+orders of D itself: a uniform extension passes through D with probability
+f(D) g(D) / g(empty), so exact expectations are sums over the lattice.
 
 A DP state is the down-set's bitmask interpreted as a Python int; the int is
 bit-for-bit the little-endian byte string of the bitset under the canonical
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape, Point, whitney_numbers
@@ -35,6 +38,7 @@ __all__ = [
     "DEFAULT_STATE_CAP",
     "DownSet",
     "completion_counts",
+    "forward_counts",
     "count_extensions",
     "hook_length_count",
     "factorial_product_lower_bound",
@@ -127,8 +131,33 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
+def _down_set_count(lengths: Iterable[int], cap: int) -> int:
+    """Down-sets of the face spanned by the three longest chains, by
+    MacMahon's box formula (exact for up to three chains of length > 1, a
+    lower bound beyond).  Stops early, still above `cap`, once it passes
+    `cap`; every factor is at least 3/2, so that takes O(log cap) steps.
+    """
+    a, b, c = sorted((1, 1, 1, *lengths))[-3:]
+    num = den = 1
+    for i in range(1, a + 1):
+        for j in range(1, b + 1):
+            num *= i + j + c - 1
+            den *= i + j - 1
+            if num > cap * den:
+                return max(cap + 1, num // den)
+    return num // den
+
+
 @lru_cache(maxsize=32)
 def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
+    # Refuse before allocating; size + 1 counts the prefixes of one extension.
+    bound = max(_down_set_count(shape.lengths, cap), shape.size + 1)
+    if bound > cap:
+        raise ResourceCapError(
+            f"down-set lattice of {shape} exceeds the state cap of {cap} "
+            f"(at least {bound} ideals); raise the cap to proceed",
+            cap=cap,
+        )
     size = shape.size
     full = (1 << size) - 1
     pit_mask = shape.pit_mask
@@ -153,7 +182,8 @@ def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
                 cap=cap,
             )
 
-    # Backward pass: number of completions of each down-set.
+    # Backward pass: number of completions of each down-set.  The table is
+    # thus stored by decreasing size, which forward_counts relies on.
     g: dict[int, int] = {full: 1}
     for k in range(size - 1, -1, -1):
         for bits in levels[k]:
@@ -175,6 +205,22 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     ResourceCapError if the lattice exceeds `cap` states (default 10^7).
     """
     return _completion_counts(shape, DEFAULT_STATE_CAP if cap is None else int(cap))
+
+
+def forward_counts(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, int, int]]:
+    """Yield (bits, f, pits) for each state of the completion_counts table
+    in increasing size: f counts the orders of `bits`, pits is its pit mask.
+    f is held only for the frontier, at most two levels.
+    """
+    f = {0: 1}
+    for bits in reversed(completion_counts(shape, cap)):
+        here = f.pop(bits)
+        pits = rest = shape.pit_mask(bits)
+        yield bits, here, pits
+        while rest:
+            low = rest & -rest
+            f[bits | low] = f.get(bits | low, 0) + here
+            rest ^= low
 
 
 def count_extensions(shape: GridShape, cap: int | None = None) -> int:

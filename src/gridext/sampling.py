@@ -11,6 +11,9 @@ Two samplers are provided:
   distribution is uniform; no mixing-time guarantee is asserted, callers
   choose the step count and the code reports empirical distances only.
 
+Exact low-pits fractions are sums over the down-set lattice (see the
+counting module); the exact entropy profile enumerates, as an oracle.
+
 Determinism contract (external, bit-exact):
 
 - The exact sampler and the scalar walk consume one stream of 64-bit words
@@ -44,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts, count_extensions
+from .counting import completion_counts, count_extensions, forward_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
@@ -54,7 +57,6 @@ __all__ = [
     "SamplerConfig",
     "WordStream",
     "ExactSampler",
-    "sample_exact",
     "sample_mcmc",
     "mcmc_ensemble",
     "JumpStats",
@@ -63,9 +65,7 @@ __all__ = [
     "empirical_jump_stats",
     "EntropyProfile",
     "entropy_profile_exact",
-    "pits_deficit_fraction",
     "pits_deficit_stats",
-    "exact_pits_deficit_fraction",
     "exact_pits_deficit_fractions",
     "ChiSquareResult",
     "chi_square_uniformity",
@@ -189,11 +189,6 @@ class ExactSampler:
         if count < 0:
             raise DomainError(f"need count >= 0, got {count}")
         return [self.sample() for _ in range(count)]
-
-
-def sample_exact(shape: GridShape, seed: int, state_cap: int | None = None) -> LinearExtension:
-    """First sample of a fresh exact sampler with the given seed."""
-    return ExactSampler(shape, seed, state_cap).sample()
 
 
 def sample_mcmc(
@@ -450,42 +445,28 @@ def pits_deficit_stats(
     return _mean_stderr(total, total_sq, n)
 
 
-def pits_deficit_fraction(shape: GridShape, cfg: SamplerConfig, samples: int, R: float) -> float:
-    """Monte-Carlo estimate of the expected low-pits time fraction."""
-    return pits_deficit_stats(shape, cfg, samples, R)[0]
-
-
 def exact_pits_deficit_fractions(
     shape: GridShape,
     Rs: Sequence[float],
     cap: int | None = None,
-    state_cap: int | None = None,
 ) -> dict[float, Fraction]:
-    """Exhaustive expected low-pits fractions for several R at once.
+    """Exact expected low-pits fractions for several R at once.
 
-    Enumerates every extension once and evaluates all thresholds against
-    its pits sequence; exact rational output (denominator count * size).
+    Sums f(D) g(D), the number of extensions whose first |D| points form D,
+    over the nonempty down-sets D with few pits; no extension is listed.
+    Exact rational output (denominator count * size); `cap` is the DP
+    state cap.
     """
     thresholds = {float(R): _deficit_threshold(shape, R) for R in Rs}
-    size = shape.size
-    deficits = {R: 0 for R in thresholds}
-    seen = 0
-    for order in enumerate_index_orders(shape, cap=cap, state_cap=state_cap):
-        counts = pits_counts(shape, order)
-        for R, threshold in thresholds.items():
-            deficits[R] += sum(1 for c in counts if c < threshold)
-        seen += 1
-    return {R: Fraction(d, seen * size) for R, d in deficits.items()}
-
-
-def exact_pits_deficit_fraction(
-    shape: GridShape,
-    R: float,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> Fraction:
-    """Exhaustive expected low-pits fraction for one R."""
-    return exact_pits_deficit_fractions(shape, [R], cap, state_cap)[float(R)]
+    g = completion_counts(shape, cap)
+    by_pits: Counter[int] = Counter()  # (extension, time) pairs by pit count
+    for bits, f, pits in forward_counts(shape, cap):
+        if bits:
+            by_pits[pits.bit_count()] += f * g[bits]
+    return {
+        R: Fraction(sum(w for c, w in by_pits.items() if c < t), g[0] * shape.size)
+        for R, t in thresholds.items()
+    }
 
 
 @dataclass(frozen=True)

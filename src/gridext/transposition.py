@@ -4,7 +4,8 @@ Vertices are all linear extensions of one grid; two are adjacent when they
 differ by swapping a consecutive incomparable pair.  The degree of a vertex
 therefore equals the number of jumps of that extension, and edges can be
 found by scanning each extension's jump times and looking up the swapped
-sequence.
+sequence.  Their mean, the mean jump count, is read from the down-set
+lattice instead (exhaustive_mean_degree), so it needs no enumeration.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .counting import DEFAULT_STATE_CAP, count_extensions
+from .counting import completion_counts, count_extensions, forward_counts
 from .errors import ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times
@@ -127,18 +128,28 @@ def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
     return count
 
 
-def exhaustive_mean_degree(
-    shape: GridShape,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> Fraction:
-    """Exact average jump count over all extensions, as a fraction."""
+def exhaustive_mean_degree(shape: GridShape, cap: int | None = None) -> Fraction:
+    """Exact average jump count over all extensions, as a fraction.
+
+    After a prefix D, the next pair (v, u) is a jump exactly when u was
+    already a pit of D, so all extensions together have
+    2 * sum_D f(D) * sum_{v < u pits of D} g(D + v + u) jumps (see
+    forward_counts).  `cap` is the DP state cap.
+    """
+    g = completion_counts(shape, cap)
     total = 0
-    seen = 0
-    for idx in enumerate_index_orders(shape, cap, state_cap):
-        total += len(jump_times(shape, idx))
-        seen += 1
-    return Fraction(total, seen)
+    for bits, f, pits in forward_counts(shape, cap):
+        pairs = 0
+        while pits:
+            low = pits & -pits
+            pits ^= low
+            rest = pits
+            while rest:
+                other = rest & -rest
+                pairs += g[bits | low | other]
+                rest ^= other
+        total += f * pairs
+    return Fraction(2 * total, g[0])
 
 
 @dataclass(frozen=True)

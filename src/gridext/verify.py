@@ -267,7 +267,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
     for m, n in EXTREMES_MN:
         shape = GridShape.equilateral(m, n)
         report = avg_degree_lower_bound(m, n)
-        mean_deg = exhaustive_mean_degree(shape, cfg.enum_cap, cfg.state_cap)
+        mean_deg = exhaustive_mean_degree(shape, cfg.state_cap)
         holds = float(mean_deg) >= report.value - 1e-9
         checks.append(
             _check(
@@ -319,7 +319,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
 
     for m, n in DEFICIT_MN:
         shape = GridShape.equilateral(m, n)
-        fractions = exact_pits_deficit_fractions(shape, DEFICIT_RS, cfg.enum_cap, cfg.state_cap)
+        fractions = exact_pits_deficit_fractions(shape, DEFICIT_RS, cfg.state_cap)
         for R in DEFICIT_RS:
             bound = pits_fraction_bound(n, R)
             measured = fractions[R]
@@ -518,7 +518,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
         )
     )
 
-    exact_frac = exact_pits_deficit_fractions(shape, [2.0], cfg.enum_cap, cfg.state_cap)[2.0]
+    exact_frac = exact_pits_deficit_fractions(shape, [2.0], cfg.state_cap)[2.0]
     mc_mean, mc_se = pits_deficit_stats(
         shape, SamplerConfig(method="exact", seed=cfg.seed), cfg.deficit_samples, 2.0
     )

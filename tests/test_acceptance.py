@@ -42,7 +42,7 @@ from gridext import (
     width_power_upper_bound,
 )
 from gridext.cli import main as cli_main
-from gridext.verify import EXTREMES_MN, MIXED_SHAPES, SANDWICH_MN
+from gridext.verify import DEFICIT_MN, DEFICIT_RS, ENTROPY_MN, EXTREMES_MN, MIXED_SHAPES, SANDWICH_MN
 
 
 def _finish(num, ok, detail):
@@ -158,7 +158,7 @@ def test_criterion_05_boundary_times_never_jump(extreme_graphs):
 
 def test_criterion_06_entropy_chain_rule():
     worst = 0.0
-    for m, n in ((2, 2), (3, 2), (2, 3)):
+    for m, n in ENTROPY_MN:
         s = GridShape.equilateral(m, n)
         total = entropy_profile_exact(s).total_bits
         target = math.log2(count_extensions(s))
@@ -197,9 +197,9 @@ def test_criterion_07_sampler_uniformity(square3, square3_orders):
 def test_criterion_08_pits_deficit_bound():
     rows = []
     ok = True
-    for m, n in ((3, 2), (4, 2)):
+    for m, n in DEFICIT_MN:
         shape = GridShape.equilateral(m, n)
-        fracs = exact_pits_deficit_fractions(shape, [1.0, 2.0, 4.0])
+        fracs = exact_pits_deficit_fractions(shape, DEFICIT_RS)
         for R, frac in sorted(fracs.items()):
             bound = Fraction(1 + 1, 1) / Fraction(R)  # (1 + lg 2)/R with n = 2 chains
             assert pits_fraction_bound(n, R).value == float(bound)

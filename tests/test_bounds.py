@@ -13,7 +13,7 @@ from gridext import (
     bound_reports,
     count_extensions,
     entropy_deficit_rate,
-    exact_pits_deficit_fraction,
+    exact_pits_deficit_fractions,
     exhaustive_mean_degree,
     factorial_convexity_holds,
     log_count_lower_bound,
@@ -159,7 +159,7 @@ class TestPits:
 
     def test_exhaustive_deficit_below_bound(self, square3):
         for R in (1.0, 2.0, 4.0):
-            frac = exact_pits_deficit_fraction(square3, R)
+            frac = exact_pits_deficit_fractions(square3, [R])[R]
             bound = pits_fraction_bound(2, R)
             assert float(frac) <= bound.value + 1e-12
 
@@ -174,6 +174,15 @@ class TestMarkov:
     def test_domain(self):
         with pytest.raises(DomainError):
             markov_tail_probability(0.5)
+
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so a guard written as `delta < 1` let it through.
+        with pytest.raises(DomainError):
+            markov_tail_probability(math.nan)
+        with pytest.raises(DomainError):
+            pits_threshold(3, 2, math.nan)
+        with pytest.raises(DomainError):
+            pits_fraction_bound(2, math.nan)
 
 
 class TestConvexity:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,14 @@ class TestCount:
         code, _, err = run(capsys, "count", "--shape", "3x3x3", "--cap", "10")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("shape", ["99999999999999999999x2", "6x6x6"])
+    def test_cap_refuses_at_once(self, capsys, shape):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", "--shape", shape)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: down-set lattice") and "Traceback" not in err
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestEnumerate:
@@ -268,6 +277,12 @@ class TestBounds:
         assert reports["log_count_lower_bound"]["value"] == float("inf")
         assert reports["avg_degree_lower_bound"]["value"] == float("-inf")
         assert reports["avg_degree_lower_bound"]["vacuous"] is True
+
+    @pytest.mark.parametrize("flag", ["--R", "--delta"])
+    def test_nan_rejected(self, capsys, flag):
+        code, out, err = run(capsys, "bounds", "--m", "3", "--n", "2", flag, "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: need")
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "bounds", "--m", "3", "--n", "2", "--format", "csv")

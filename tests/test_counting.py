@@ -17,10 +17,12 @@ from gridext import (
     count_root_window,
     enumerate_index_orders,
     factorial_product_lower_bound,
+    forward_counts,
     hook_length_count,
     normalized_count_root,
     width_power_upper_bound,
 )
+from gridext.counting import _down_set_count
 
 
 class TestDownSet:
@@ -115,6 +117,37 @@ class TestCounts:
             count_extensions(GridShape.equilateral(3, 3), cap=10)
         assert exc.value.cap == 10
         assert "10" in str(exc.value)
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=3).filter(lambda ls: math.prod(ls) <= 60))
+    @settings(deadline=None)
+    def test_down_set_formula_matches_lattice(self, lengths):
+        shape = GridShape(lengths)
+        assert _down_set_count(lengths, 10**12) == len(completion_counts(shape))
+
+    def test_down_set_formula_values(self):
+        assert _down_set_count((3, 3, 3), 10**30) == 980
+        assert _down_set_count((4, 4, 4), 10**30) == 232848
+        assert _down_set_count((6, 6, 6), 10**30) == 1_478_619_421_136
+        # Past the cap it stops early with a lower bound that still exceeds it.
+        assert 10**7 < _down_set_count((6, 6, 6), 10**7) <= 1_478_619_421_136
+
+    @pytest.mark.parametrize("lengths", [(6, 6, 6), (10**20, 2), (10**20, 10**20, 10**20), (2, 2, 10**6, 2), (2,) * 24])
+    def test_cap_refuses_before_building(self, lengths):
+        with pytest.raises(ResourceCapError) as exc:
+            count_extensions(GridShape(lengths))
+        assert exc.value.cap == 10**7
+
+    def test_forward_counts(self, square3):
+        g = completion_counts(square3)
+        seen = {}
+        for bits, f, pits in forward_counts(square3):
+            assert bits not in seen and pits == square3.pit_mask(bits)
+            seen[bits] = f
+        assert seen.keys() == g.keys()
+        assert seen[0] == 1 and seen[(1 << 9) - 1] == 42
+        # Every extension passes through exactly one down-set of each size.
+        for k in range(10):
+            assert sum(f * g[b] for b, f in seen.items() if b.bit_count() == k) == 42
 
 
 class TestBounds:

@@ -56,6 +56,8 @@ CASES = {
     "bounds-text": (["bounds", "--m", "3", "--n", "4", "--R", "1.5", "--format", "text"], ()),
     "verify-counting": (["verify", "--suite", "counting"], ()),
     "verify-entropy": (["verify", "--suite", "entropy", "--format", "json"], ()),
+    "verify-bounds-text": (["verify", "--suite", "bounds"], ()),
+    "verify-bounds-json": (["verify", "--suite", "bounds", "--format", "json"], ()),
     "scan-csv": (["conjecture-scan", "--max-size", "16", "--samples", "50"], ()),
     "scan-json": (["conjecture-scan", "--max-size", "16", "--samples", "50", "--seed", "5", "--format", "json"], ()),
 }

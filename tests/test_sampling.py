@@ -20,7 +20,6 @@ from gridext import (
     empirical_jump_stats,
     entropy_profile_exact,
     enumerate_index_orders,
-    exact_pits_deficit_fraction,
     exact_pits_deficit_fractions,
     exhaustive_mean_degree,
     jump_stats_from_orders,
@@ -28,7 +27,6 @@ from gridext import (
     pits_deficit_stats,
     pits_threshold,
     rank_lex_indices,
-    sample_exact,
     sample_mcmc,
     sample_orders,
     tv_distance_from_uniform,
@@ -98,10 +96,6 @@ class TestExactSampler:
         assert a == b
         c = ExactSampler(square3, 100).sample_many(20)
         assert a != c
-
-    def test_sample_exact_single(self, square3):
-        ext = sample_exact(square3, 5)
-        assert ext == ExactSampler(square3, 5).sample()
 
     def test_samples_are_valid(self, cube2):
         sampler = ExactSampler(cube2, 17)
@@ -272,13 +266,13 @@ class TestPitsDeficit:
     def test_exact_3x3(self, square3):
         # R = 4: threshold (3e/2)/16 ~ 0.2549, only pit counts of 0 qualify;
         # each extension has exactly one zero (the last time), so 1/9 each.
-        frac = exact_pits_deficit_fraction(square3, 4.0)
+        frac = exact_pits_deficit_fractions(square3, [4.0])[4.0]
         assert frac == Fraction(1, 9)
 
     def test_exact_batch_matches_single(self, square3):
         batch = exact_pits_deficit_fractions(square3, [1.0, 2.0, 4.0])
         for R in (1.0, 2.0, 4.0):
-            assert batch[R] == exact_pits_deficit_fraction(square3, R)
+            assert batch[R] == exact_pits_deficit_fractions(square3, [R])[R]
 
     def test_monotone_in_R(self, square4):
         batch = exact_pits_deficit_fractions(square4, [1.0, 2.0, 4.0])
@@ -292,10 +286,10 @@ class TestPitsDeficit:
 
     def test_requires_equilateral(self):
         with pytest.raises(DomainError):
-            exact_pits_deficit_fraction(GridShape((2, 3)), 1.0)
+            exact_pits_deficit_fractions(GridShape((2, 3)), [1.0])
 
     def test_monte_carlo_matches_exact(self, square3):
-        exact = float(exact_pits_deficit_fraction(square3, 2.0))
+        exact = float(exact_pits_deficit_fractions(square3, [2.0])[2.0])
         cfg = SamplerConfig(method="exact", seed=27)
         mean, se = pits_deficit_stats(square3, cfg, 3000, 2.0)
         assert abs(mean - exact) < 5 * se + 1e-12

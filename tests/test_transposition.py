@@ -1,11 +1,14 @@
 """Enumeration, swap graphs, exhaustive degree statistics."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridext import (
     DomainError,
+    ExactSampler,
     GridShape,
     LinearExtension,
     ResourceCapError,
@@ -14,11 +17,20 @@ from gridext import (
     count_extensions,
     enumerate_extensions,
     enumerate_index_orders,
+    exact_pits_deficit_fractions,
     exhaustive_mean_degree,
     graph_stats,
+    jump_times,
     jumps,
+    pits_counts,
+    pits_threshold,
     to_dot,
 )
+
+# Shapes of at most 10 points, chains of length 1 included.
+small_shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
+    lambda lengths: math.prod(lengths) <= 10
+).map(GridShape)
 
 
 class TestEnumeration:
@@ -94,6 +106,32 @@ class TestGraph:
     def test_mean_degree(self, square3):
         assert exhaustive_mean_degree(square3) == Fraction(4)
         assert exhaustive_mean_degree(GridShape((2, 2))) == Fraction(1)
+
+    @given(small_shapes, st.floats(0.05, 8.0))
+    @settings(deadline=None)
+    def test_lattice_sums_match_enumeration(self, shape, R):
+        # Oracle: list every extension and average over the list.
+        orders = list(enumerate_index_orders(shape))
+        jumps_total = sum(len(jump_times(shape, o)) for o in orders)
+        assert exhaustive_mean_degree(shape) == Fraction(jumps_total, len(orders))
+        if shape.is_equilateral and shape.num_chains >= 2 and shape.lengths[0] >= 2:
+            threshold = pits_threshold(shape.lengths[0], shape.num_chains, R)
+            low = sum(1 for o in orders for c in pits_counts(shape, o) if c < threshold)
+            got = exact_pits_deficit_fractions(shape, [R])[R]
+            assert got == Fraction(low, len(orders) * shape.size)
+
+    def test_mean_degree_beyond_enumeration(self):
+        # 2^4 has 1680384 extensions, above the enumeration cap, which the
+        # lattice sum no longer touches; 20000 exact draws must agree.
+        shape = GridShape.equilateral(2, 4)
+        assert count_extensions(shape) > 10**6
+        exact = exhaustive_mean_degree(shape)
+        sampler = ExactSampler(shape, 2024)
+        degrees = [len(jump_times(shape, sampler.sample_indices())) for _ in range(20_000)]
+        n = len(degrees)
+        mean = sum(degrees) / n
+        se = math.sqrt(sum((d - mean) ** 2 for d in degrees) / (n - 1) / n)
+        assert abs(mean - float(exact)) <= 6 * se
 
     def test_edges_are_single_swaps(self, extreme_graphs):
         graphs, _ = extreme_graphs
