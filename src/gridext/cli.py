@@ -144,7 +144,7 @@ def cmd_sample(args) -> int:
         mcmc_steps=args.mcmc_steps,
         laziness=args.laziness,
     )
-    orders = list(sample_orders(shape, cfg, args.samples))
+    orders = list(sample_orders(shape, cfg, args.samples, args.cap))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             write_index_orders(fh, orders)
@@ -310,7 +310,7 @@ def cmd_conjecture_scan(args) -> int:
             used = count
         else:
             cfg = SamplerConfig(method="exact", seed=args.seed)
-            stats = jump_stats_from_orders(shape, sample_orders(shape, cfg, args.samples))
+            stats = jump_stats_from_orders(shape, sample_orders(shape, cfg, args.samples, args.cap))
             mean = stats.mean_degree
             stderr = stats.degree_stderr
             method = "sampled"

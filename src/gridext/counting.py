@@ -6,15 +6,17 @@ number of linear extensions that complete a down-set D is
     g(D) = sum over pits v of g(D + v),      g(whole grid) = 1,
 
 where a pit is a minimal element of the complement.  The answer is g(empty).
-The pits of a state come from GridShape.pit_mask, which finds all of them at
-once with one shift-and-AND per chain on the bitmask; both passes read them
-in increasing index order.  States are visited level by level (by ideal
-cardinality), so the backward accumulation never misses a successor.  The
-state space is the full down-set lattice; a configurable cap refuses shapes
-where it would not fit in memory, checked first against a closed-form
-lower bound on the lattice size.  forward_counts adds f(D), the number of
-orders of D itself: a uniform extension passes through D with probability
-f(D) g(D) / g(empty), so exact expectations are sums over the lattice.
+The table is built in one top-down pass, level by level (by ideal
+cardinality) from the whole grid: each state pushes its count onto the
+states one maximal point smaller, found all at once by GridShape.top_mask
+with one shift-and-AND per chain on the bitmask, so g(D) is complete
+before D is expanded.  One table is kept per shape.  The state space is
+the full down-set lattice; a configurable cap refuses shapes where it would
+not fit in memory, checked first against closed-form lower bounds on the
+lattice size.  forward_counts adds f(D), the number of orders of D itself,
+reading pits from GridShape.pit_mask: a uniform extension passes through D
+with probability f(D) g(D) / g(empty), so exact expectations are sums over
+the lattice.
 
 A DP state is the down-set's bitmask interpreted as a Python int; the int is
 bit-for-bit the little-endian byte string of the bitset under the canonical
@@ -32,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ResourceCapError
-from .grid import GridShape, Point, whitney_numbers
+from .grid import GridShape, Point, max_antichain_size, whitney_numbers
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -148,63 +150,77 @@ def _down_set_count(lengths: Iterable[int], cap: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=32)
-def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
-    # Refuse before allocating; size + 1 counts the prefixes of one extension.
-    bound = max(_down_set_count(shape.lengths, cap), shape.size + 1)
+def _lattice_lower_bound(shape: GridShape, cap: int) -> int:
+    """Down-sets at least: the box count, the size + 1 prefixes of one
+    extension, then 2^width (each subset of a widest rank level generates
+    its own down-set), computed last so astronomic shapes stop at once.
+    The size term is clipped at cap + 1, so a size of any length prints.
+    """
+    bound = max(_down_set_count(shape.lengths, cap), min(shape.size, cap) + 1)
     if bound > cap:
-        raise ResourceCapError(
-            f"down-set lattice of {shape} exceeds the state cap of {cap} "
-            f"(at least {bound} ideals); raise the cap to proceed",
-            cap=cap,
-        )
-    size = shape.size
-    full = (1 << size) - 1
-    pit_mask = shape.pit_mask
+        return bound
+    return max(bound, 1 << min(max_antichain_size(shape), cap.bit_length()))
 
-    # Forward pass: discover all down-sets, grouped by cardinality.
-    levels: list[set[int]] = [set() for _ in range(size + 1)]
-    levels[0].add(0)
-    states = 1
-    for k in range(size):
-        nxt = levels[k + 1]
-        for bits in levels[k]:
-            rest = pit_mask(bits)
+
+class _AnyCap(int):
+    # A state cap that compares equal to every other, so the table cache
+    # below keys on the shape alone; the cap only decides whether to build.
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+def _refuse(shape: GridShape, cap: int, states: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"down-set lattice of {shape} exceeds the state cap of {cap} "
+        f"(at least {states} ideals); raise the cap to proceed",
+        cap=int(cap),
+    )
+
+
+@lru_cache(maxsize=32)
+def _completion_counts(shape: GridShape, cap: _AnyCap) -> Mapping[int, int]:
+    bound = _lattice_lower_bound(shape, cap)
+    if bound > cap:
+        raise _refuse(shape, cap, bound)
+    top_mask = shape.top_mask
+
+    # Each state E pushes g(E) onto E - v for every maximal point v of E.
+    # The pits of D are the maximal points of the states D + v, so g(D) is
+    # complete before D is expanded, and the table comes out stored by
+    # decreasing size, which forward_counts relies on.
+    g: dict[int, int] = {(1 << shape.size) - 1: 1}
+    level = g.copy()
+    while level:
+        below: dict[int, int] = {}
+        for bits, here in level.items():
+            rest = top_mask(bits)
             while rest:
                 low = rest & -rest
-                nxt.add(bits | low)
+                below[bits ^ low] = below.get(bits ^ low, 0) + here
                 rest ^= low
-        states += len(nxt)
-        if states > cap:
-            raise ResourceCapError(
-                f"down-set lattice of {shape} exceeds the state cap of {cap} "
-                f"(more than {states} ideals); raise the cap to proceed",
-                cap=cap,
-            )
-
-    # Backward pass: number of completions of each down-set.  The table is
-    # thus stored by decreasing size, which forward_counts relies on.
-    g: dict[int, int] = {full: 1}
-    for k in range(size - 1, -1, -1):
-        for bits in levels[k]:
-            acc = 0
-            rest = pit_mask(bits)
-            while rest:
-                low = rest & -rest
-                acc += g[bits | low]
-                rest ^= low
-            g[bits] = acc
+        g.update(below)
+        if len(g) > cap:
+            raise _refuse(shape, cap, len(g))
+        level = below
     return MappingProxyType(g)
 
 
 def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, int]:
     """Read-only map: down-set bitmask -> number of extensions completing it.
 
-    The table for a shape is built once and shared across calls (results are
+    One table per shape is built and shared across calls (results are
     identical to a private memo, so sharing is sound).  Raises
-    ResourceCapError if the lattice exceeds `cap` states (default 10^7).
+    ResourceCapError if the lattice exceeds `cap` states (default 10^7),
+    whether the table is cached already or not.
     """
-    return _completion_counts(shape, DEFAULT_STATE_CAP if cap is None else int(cap))
+    cap = DEFAULT_STATE_CAP if cap is None else int(cap)
+    table = _completion_counts(shape, _AnyCap(cap))
+    if len(table) > cap:
+        raise _refuse(shape, cap, len(table))
+    return table
 
 
 def forward_counts(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, int, int]]:

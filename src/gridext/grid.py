@@ -171,15 +171,16 @@ class GridShape:
         return tuple(out)
 
     @cached_property
-    def _pit_terms(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        # (full mask, ((stride_j, bottom_face_j) for each chain of length > 1)),
-        # where bottom_face_j has bit v set iff point v has x_j = 1.
-        terms = tuple(
-            (s, sum(1 << v for v, coords in enumerate(self.coords_table) if coords[j] == 1))
-            for j, (a, s) in enumerate(zip(self.lengths, self.strides))
-            if a > 1
-        )
-        return (1 << self.size) - 1, terms
+    def _chain_faces(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+        # (full mask, ((stride_j, bottom_j, below_top_j) per chain of length
+        # > 1)): bit v of bottom_j is set iff x_j = 1, of below_top_j iff x_j < a_j.
+        full = (1 << self.size) - 1
+        terms = []
+        for j, (a, s) in enumerate(zip(self.lengths, self.strides)):
+            if a > 1:
+                bottom = sum(1 << v for v, coords in enumerate(self.coords_table) if coords[j] == 1)
+                terms.append((s, bottom, (full ^ bottom) >> s))
+        return full, tuple(terms)
 
     def pit_mask(self, bits: int) -> int:
         """Bitmask of the pits (minimal points outside) of the down-set `bits`.
@@ -189,10 +190,23 @@ class GridShape:
         onto v, and the bottom face x_j = 1 (no lower cover along j) is let
         through.  Trusts `bits` to encode a down-set.
         """
-        full, terms = self._pit_terms
+        full, terms = self._chain_faces
         mask = ~bits & full
-        for stride, face in terms:
-            mask &= bits << stride | face
+        for stride, bottom, _ in terms:
+            mask &= bits << stride | bottom
+        return mask
+
+    def top_mask(self, bits: int) -> int:
+        """Bitmask of the maximal points of the down-set `bits`; pit_mask's dual.
+
+        Point v inside the set is maximal iff v + stride_j is outside for
+        every chain j with x_j < a_j; below_top_j drops the top face, where
+        `bits >> stride_j` would move an unrelated point onto v.
+        """
+        _, terms = self._chain_faces
+        mask = bits
+        for stride, _, below_top in terms:
+            mask &= ~(bits >> stride & below_top)
         return mask
 
     def __str__(self) -> str:

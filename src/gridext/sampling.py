@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts, count_extensions, forward_counts
+from .counting import DEFAULT_STATE_CAP, completion_counts, count_extensions, forward_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
@@ -62,7 +62,6 @@ __all__ = [
     "JumpStats",
     "sample_orders",
     "jump_stats_from_orders",
-    "empirical_jump_stats",
     "EntropyProfile",
     "entropy_profile_exact",
     "pits_deficit_stats",
@@ -270,19 +269,33 @@ def mcmc_ensemble(
     return arr
 
 
-def sample_orders(shape: GridShape, cfg: SamplerConfig, samples: int) -> Iterator[tuple[int, ...]]:
+def sample_orders(
+    shape: GridShape,
+    cfg: SamplerConfig,
+    samples: int,
+    cap: int | None = None,
+) -> Iterator[tuple[int, ...]]:
     """Draw `samples` extensions as raw index tuples per the config.
 
-    The exact method streams from one ExactSampler; the walk method runs
-    one vectorized ensemble of `samples` chains.
+    The exact method streams from one ExactSampler, with `cap` as its DP
+    state cap.  The walk method runs one vectorized ensemble of `samples`
+    chains; its swap table has size^2 entries, so it refuses shapes where
+    that exceeds `cap` (default 10^7) before building any per-point table.
     """
     if samples <= 0:
         raise DomainError(f"need samples >= 1, got {samples}")
     if cfg.method == "exact":
-        sampler = ExactSampler(shape, cfg.seed)
+        sampler = ExactSampler(shape, cfg.seed, cap)
         for _ in range(samples):
             yield sampler.sample_indices()
     else:
+        cap = DEFAULT_STATE_CAP if cap is None else int(cap)
+        if shape.size**2 > cap:
+            raise ResourceCapError(
+                f"the swap walk on {shape} needs a size^2 table, above the cap of {cap}; "
+                "raise the cap to proceed",
+                cap=cap,
+            )
         finals = mcmc_ensemble(shape, cfg.mcmc_steps, samples, cfg.seed, cfg.laziness)
         for row in finals.tolist():
             yield tuple(row)
@@ -348,11 +361,6 @@ def jump_stats_from_orders(shape: GridShape, orders: Iterable[Sequence[int]]) ->
         mean_pits_profile=tuple(profile),
         pits_profile_stderr=tuple(profile_se),
     )
-
-
-def empirical_jump_stats(shape: GridShape, cfg: SamplerConfig, samples: int) -> JumpStats:
-    """Estimate the mean jump count and pits profile from `samples` draws."""
-    return jump_stats_from_orders(shape, sample_orders(shape, cfg, samples))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "TranspositionGraph",
     "GraphStats",
     "enumerate_index_orders",
-    "enumerate_extensions",
     "backtracking_count",
     "exhaustive_mean_degree",
     "build_graph",
@@ -79,16 +78,6 @@ def enumerate_index_orders(
             cap=cap,
         )
     return _orders(shape)
-
-
-def enumerate_extensions(
-    shape: GridShape,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> Iterator[LinearExtension]:
-    """Yield every linear extension exactly once, deterministically ordered."""
-    for idx in enumerate_index_orders(shape, cap, state_cap):
-        yield LinearExtension(shape, idx)
 
 
 def backtracking_count(shape: GridShape, cap: int | None = None) -> int:

@@ -1,9 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from gridext import GridShape, build_graph, enumerate_index_orders
 from gridext.verify import EXTREMES_MN
+
+# CI runs with --hypothesis-profile=ci: the same examples on every run, so a
+# property that fails there fails the same way locally with that flag.
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 """End-to-end command line checks via main(argv)."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridext import __version__
 from gridext.cli import main
@@ -86,6 +89,15 @@ class TestCount:
         assert err.startswith("error: down-set lattice") and "Traceback" not in err
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("cap", ["200000", "1000000"])
+    def test_seven_chains_refused_by_width(self, capsys, cap):
+        # Each subset of the 35-point middle rank generates its own down-set: 2^35 > cap.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", "--shape", "2x2x2x2x2x2x2", "--cap", cap)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: down-set lattice") and "Traceback" not in err
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestEnumerate:
     def test_diamond(self, capsys):
@@ -160,14 +172,31 @@ class TestSample:
         assert data["config"]["method"] == "mcmc"
         assert data["config"]["mcmc_steps"] == 40
 
+    @pytest.mark.parametrize("method", ["exact", "mcmc"])
+    def test_cap_refuses_before_out_file(self, capsys, tmp_path, method):
+        target = tmp_path / "draws.txt"
+        code, out, err = run(
+            capsys,
+            "sample", "--shape", "4x4x4", "--method", method, "--cap", "1000", "--samples", "1",
+            "--out", str(target),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "cap of 1000" in err and "Traceback" not in err
+        assert not target.exists()
+
+    def test_walk_on_astronomic_shape(self, capsys):
+        code, out, err = run(capsys, "sample", "--method", "mcmc", "--shape", "99999999999999999999x2")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 @pytest.fixture()
 def extension_file(tmp_path):
     """Five [3]^2 extensions in canonical coordinate syntax."""
-    from gridext import GridShape, enumerate_extensions, write_extensions_file
+    from gridext import GridShape, LinearExtension, enumerate_index_orders, write_extensions_file
 
     s = GridShape((3, 3))
-    exts = list(enumerate_extensions(s))[:5]
+    exts = [LinearExtension(s, o) for o in list(enumerate_index_orders(s))[:5]]
     path = tmp_path / "exts.txt"
     write_extensions_file(path, exts)
     return path
@@ -337,6 +366,44 @@ class TestConjectureScan:
         data = json.loads(out)
         assert data["version"] == __version__
         assert data["rows"][0]["m"] == 2 and data["rows"][0]["n"] == 2
+
+
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
+huge_shapes = st.one_of(
+    # At least 10^7 points, more than any state cap used here: refused before building.
+    st.tuples(st.integers(10**7, 10**30), st.lists(st.integers(1, 5), max_size=3)).map(lambda t: [t[0], *t[1]]),
+    # Seven or more chains of length 2: the middle rank alone gives 2^35 down-sets.
+    st.integers(7, 40).map(lambda k: [2] * k),
+)
+shape_parts = st.one_of(st.integers(-3, 4).map(str), st.text(alphabet=" -+_.,aeX*", max_size=3))
+shape_tokens = st.one_of(
+    small_shapes.map(lambda ls: "x".join(map(str, ls))),
+    huge_shapes.map(lambda ls: "x".join(map(str, ls))),
+    # At most three parts, so a well-formed token has at most 4x4x4 = 64 points.
+    st.lists(shape_parts, min_size=1, max_size=3).map("x".join),
+    # Too many digits for int(), and a size with too many digits for str().
+    st.sampled_from(["", "x", "3xx3", "0x2", "-2", "9" * 5000, "2" + "x2" * 15000]),
+)
+
+
+class TestArgvFuzz:
+    @given(
+        command=st.sampled_from(["count", "sample", "enumerate", "graph"]),
+        shape=shape_tokens,
+        cap=st.integers(-5, 3000),
+        extra=st.sampled_from([[], ["--method", "mcmc", "--mcmc-steps", "30"], ["--format", "csv"]]),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_exits_cleanly(self, command, shape, cap, extra):
+        if extra[:1] == ["--method"] and command != "sample":
+            extra = []
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, f"--shape={shape}", "--cap", str(cap), *extra])
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue()
 
 
 class TestTopLevel:

@@ -22,7 +22,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count
+from gridext.counting import _down_set_count, _lattice_lower_bound
 
 
 class TestDownSet:
@@ -136,6 +136,28 @@ class TestCounts:
         with pytest.raises(ResourceCapError) as exc:
             count_extensions(GridShape(lengths))
         assert exc.value.cap == 10**7
+
+    @given(st.lists(st.integers(1, 3), min_size=4, max_size=6).filter(lambda ls: math.prod(ls) <= 48))
+    @settings(deadline=None)
+    def test_lattice_lower_bound_holds_beyond_three_chains(self, lengths):
+        shape = GridShape(lengths)
+        assert _lattice_lower_bound(shape, 10**12) <= len(completion_counts(shape))
+
+    @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4)])
+    def test_table_stored_by_decreasing_size(self, lengths):
+        sizes = [bits.bit_count() for bits in completion_counts(GridShape(lengths))]
+        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+        assert sizes[0] == math.prod(lengths) and sizes[-1] == 0
+
+    def test_one_table_per_shape(self):
+        shape = GridShape((2, 3, 3))
+        table = completion_counts(shape)
+        for cap in (len(table), len(table) + 1, 10**9):
+            assert completion_counts(GridShape((2, 3, 3)), cap) is table
+        with pytest.raises(ResourceCapError) as exc:
+            completion_counts(shape, len(table) - 1)
+        assert exc.value.cap == len(table) - 1
+        assert completion_counts(shape) is table
 
     def test_forward_counts(self, square3):
         g = completion_counts(square3)

@@ -168,6 +168,19 @@ class TestOrder:
         mask = shape.pit_mask(sum(1 << v for v in members))
         assert {v for v in range(shape.size) if mask >> v & 1} == expected
 
+    @given(shape_and_downset())
+    def test_top_mask_matches_coordinates(self, sd):
+        # a maximal point is a member with no other member above it
+        shape, members = sd
+        coords = shape.coords_table
+        expected = {
+            v
+            for v in members
+            if not any(u != v and all(x <= y for x, y in zip(coords[v], coords[u])) for u in members)
+        }
+        mask = shape.top_mask(sum(1 << v for v in members))
+        assert {v for v in range(shape.size) if mask >> v & 1} == expected
+
     def test_up_degree(self):
         s = GridShape((3, 3))
         assert up_degree(s.point((1, 1))) == 2

@@ -17,7 +17,6 @@ from gridext import (
     WordStream,
     chi_square_uniformity,
     count_extensions,
-    empirical_jump_stats,
     entropy_profile_exact,
     enumerate_index_orders,
     exact_pits_deficit_fractions,
@@ -218,7 +217,7 @@ class TestJumpStats:
 
     def test_monte_carlo_close(self, square3):
         cfg = SamplerConfig(method="exact", seed=4242)
-        stats = empirical_jump_stats(square3, cfg, 3000)
+        stats = jump_stats_from_orders(square3, sample_orders(square3, cfg, 3000))
         exact = float(exhaustive_mean_degree(square3))
         assert abs(stats.mean_degree - exact) < 5 * stats.degree_stderr + 1e-12
 

@@ -15,7 +15,6 @@ from gridext import (
     backtracking_count,
     build_graph,
     count_extensions,
-    enumerate_extensions,
     enumerate_index_orders,
     exact_pits_deficit_fractions,
     exhaustive_mean_degree,
@@ -47,8 +46,8 @@ class TestEnumeration:
         for idxs in square3_orders:
             LinearExtension(square3, idxs)
 
-    def test_extensions_wrapper(self, diamond):
-        exts = list(enumerate_extensions(diamond))
+    def test_orders_as_extensions(self, diamond):
+        exts = [LinearExtension(diamond, o) for o in enumerate_index_orders(diamond)]
         assert all(isinstance(e, LinearExtension) for e in exts)
         assert len(exts) == 2
 
