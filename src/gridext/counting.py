@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -162,16 +161,6 @@ def _lattice_lower_bound(shape: GridShape, cap: int) -> int:
     return max(bound, 1 << min(max_antichain_size(shape), cap.bit_length()))
 
 
-class _AnyCap(int):
-    # A state cap that compares equal to every other, so the table cache
-    # below keys on the shape alone; the cap only decides whether to build.
-    def __eq__(self, other):
-        return True
-
-    def __hash__(self):
-        return 0
-
-
 def _refuse(shape: GridShape, cap: int, states: int) -> ResourceCapError:
     return ResourceCapError(
         f"down-set lattice of {shape} exceeds the state cap of {cap} "
@@ -180,8 +169,12 @@ def _refuse(shape: GridShape, cap: int, states: int) -> ResourceCapError:
     )
 
 
-@lru_cache(maxsize=32)
-def _completion_counts(shape: GridShape, cap: _AnyCap) -> Mapping[int, int]:
+# One completion-count table per shape, the 32 most recently used, oldest first.
+_tables: dict[GridShape, Mapping[int, int]] = {}
+_TABLES_KEPT = 32
+
+
+def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     bound = _lattice_lower_bound(shape, cap)
     if bound > cap:
         raise _refuse(shape, cap, bound)
@@ -217,7 +210,12 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     whether the table is cached already or not.
     """
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
-    table = _completion_counts(shape, _AnyCap(cap))
+    table = _tables.pop(shape, None)
+    if table is None:
+        table = _completion_counts(shape, cap)
+    _tables[shape] = table
+    if len(_tables) > _TABLES_KEPT:
+        del _tables[next(iter(_tables))]
     if len(table) > cap:
         raise _refuse(shape, cap, len(table))
     return table

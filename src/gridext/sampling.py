@@ -39,6 +39,7 @@ For parallel use, derive stream i from SeedSequence((seed, i)).
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import DEFAULT_STATE_CAP, completion_counts, count_extensions, forward_counts
+from .counting import completion_counts, count_extensions, forward_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
@@ -199,10 +200,12 @@ def sample_mcmc(
 
     Starts from the points sorted by (rank, coordinates) unless `start` is
     given.  Exactly uniform only in the step limit; the caller owns the
-    step budget.
+    step budget.  A shape whose size a C ssize_t cannot index raises
+    ResourceCapError.
     """
     if start is not None and start.shape != shape:
         raise DomainError(f"start extension lives on {start.shape}, not {shape}")
+    _check_walk_size(shape, sys.maxsize)
     order = list(start.indices) if start is not None else list(rank_lex_indices(shape))
     size = shape.size
     if size > 1 and cfg.mcmc_steps > 0:
@@ -219,6 +222,20 @@ def sample_mcmc(
     return LinearExtension(shape, tuple(order))
 
 
+# mcmc_ensemble's dense swap table takes size^2 bytes: past 2^20 points
+# that is more than 1 TiB, so such shapes are refused rather than built.
+_ENSEMBLE_MAX_SIZE = 1 << 20
+
+
+def _check_walk_size(shape: GridShape, limit: int) -> None:
+    # Runs before any per-point table of the shape is built.
+    if shape.size > limit:
+        raise ResourceCapError(
+            f"the swap walk refuses {shape}: its tables cannot be built above {limit} points",
+            cap=limit,
+        )
+
+
 def mcmc_ensemble(
     shape: GridShape,
     steps: int,
@@ -232,7 +249,9 @@ def mcmc_ensemble(
     Returns an int64 array of final states, one row per chain.  All chains
     start at the rank-sorted extension unless `starts` (a (chains, size)
     array of trusted valid extensions) is given.  Uses the documented
-    Generator draw pattern, so results are reproducible per seed.
+    Generator draw pattern, so results are reproducible per seed.  Shapes
+    of more than 2^20 points raise ResourceCapError before any table is
+    built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -241,6 +260,7 @@ def mcmc_ensemble(
     if not 0.0 <= laziness <= 1.0:
         raise DomainError(f"laziness must be in [0, 1], got {laziness}")
     _check_seed(seed)
+    _check_walk_size(shape, _ENSEMBLE_MAX_SIZE)
     size = shape.size
     if starts is None:
         arr = np.tile(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, 1))
@@ -279,8 +299,7 @@ def sample_orders(
 
     The exact method streams from one ExactSampler, with `cap` as its DP
     state cap.  The walk method runs one vectorized ensemble of `samples`
-    chains; its swap table has size^2 entries, so it refuses shapes where
-    that exceeds `cap` (default 10^7) before building any per-point table.
+    chains.
     """
     if samples <= 0:
         raise DomainError(f"need samples >= 1, got {samples}")
@@ -289,13 +308,6 @@ def sample_orders(
         for _ in range(samples):
             yield sampler.sample_indices()
     else:
-        cap = DEFAULT_STATE_CAP if cap is None else int(cap)
-        if shape.size**2 > cap:
-            raise ResourceCapError(
-                f"the swap walk on {shape} needs a size^2 table, above the cap of {cap}; "
-                "raise the cap to proceed",
-                cap=cap,
-            )
         finals = mcmc_ensemble(shape, cfg.mcmc_steps, samples, cfg.seed, cfg.laziness)
         for row in finals.tolist():
             yield tuple(row)

@@ -172,13 +172,11 @@ class TestSample:
         assert data["config"]["method"] == "mcmc"
         assert data["config"]["mcmc_steps"] == 40
 
-    @pytest.mark.parametrize("method", ["exact", "mcmc"])
-    def test_cap_refuses_before_out_file(self, capsys, tmp_path, method):
+    def test_cap_refuses_before_out_file(self, capsys, tmp_path):
         target = tmp_path / "draws.txt"
         code, out, err = run(
             capsys,
-            "sample", "--shape", "4x4x4", "--method", method, "--cap", "1000", "--samples", "1",
-            "--out", str(target),
+            "sample", "--shape", "4x4x4", "--cap", "1000", "--samples", "1", "--out", str(target),
         )
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "cap of 1000" in err and "Traceback" not in err
@@ -188,6 +186,16 @@ class TestSample:
         code, out, err = run(capsys, "sample", "--method", "mcmc", "--shape", "99999999999999999999x2")
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_walk_ignores_cap(self, capsys):
+        # 3600 points: beyond the exact DP, within the walk's swap table.
+        code, out, err = run(
+            capsys,
+            "sample", "--shape", "60x60", "--method", "mcmc", "--samples", "2",
+            "--mcmc-steps", "50", "--cap", "1000",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["samples"] == 2
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ from gridext import (
     ExactSampler,
     GridShape,
     LinearExtension,
+    ResourceCapError,
     SamplerConfig,
     WordStream,
     chi_square_uniformity,
@@ -173,6 +174,15 @@ class TestMcmc:
     def test_full_laziness_never_moves(self, square3):
         finals = mcmc_ensemble(square3, 50, 8, seed=2, laziness=1.0)
         assert np.array_equal(finals, np.tile(rank_lex_indices(square3), (8, 1)))
+
+    def test_walks_refuse_before_building_tables(self):
+        # Both shapes are refused before a per-point table is built, so this is instant.
+        astronomic = GridShape((10**20, 2))
+        with pytest.raises(ResourceCapError):
+            sample_mcmc(astronomic, SamplerConfig(method="mcmc", seed=1, mcmc_steps=1))
+        for shape in (astronomic, GridShape((2**20 + 1,))):
+            with pytest.raises(ResourceCapError):
+                mcmc_ensemble(shape, 1, 1, seed=0)
 
     def test_stationarity_one_step(self, diamond):
         # one lazy step applied to an exact uniform batch stays near uniform
