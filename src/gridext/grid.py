@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DomainError, ShapeMismatchError
 
 __all__ = [
@@ -169,6 +171,29 @@ class GridShape:
                 mask |= 1 << d
             out.append(mask)
         return tuple(out)
+
+    @cached_property
+    def cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 arrays (up, step) for testing covers on whole arrays.
+
+        b covers a iff up[b] & step[b - a + size] != 0.  Bit j of up[b] is
+        set when b has a lower cover along the j-th chain of length > 1, and
+        step[d + size] holds bit j when d is that chain's stride.  Those
+        strides are distinct, so a difference names at most one chain.
+        Both arrays have O(size) entries, unlike a table of point pairs.
+        """
+        size = self.size
+        index = np.arange(size, dtype=np.int64)
+        up = np.zeros(size, dtype=np.int64)
+        step = np.zeros(2 * size, dtype=np.int64)
+        bit = 1
+        for a, s in zip(self.lengths, self.strides):
+            if a > 1:
+                up[index // s % a > 0] |= bit
+                step[size + s] = bit
+                bit <<= 1
+        up.flags.writeable = step.flags.writeable = False
+        return up, step
 
     @cached_property
     def _chain_faces(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:

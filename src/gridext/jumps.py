@@ -4,10 +4,12 @@ A linear extension lists every point of the grid exactly once, never placing
 a point before one below it.  Time k (1-based) is a jump when the elements at
 positions k and k+1 are incomparable.  Consecutive elements of an extension
 are comparable only when the later one covers the earlier (a point strictly
-between them would have to be placed between them), so the test is one bit:
-lower_cover_masks[b] >> a & 1 (see the grid module).  A pit at time k is a
-minimal element of the part of the grid not yet placed after k steps; all
-pits of a prefix are read at once from GridShape.pit_mask.
+between them would have to be placed between them), so the test is one
+lookup: a in shape.lower_covers[b] (GridShape.cover_arrays gives the same
+test on whole arrays).  A pit at time k is a minimal element of the part of
+the grid not yet placed after k steps; GridShape.pit_mask reads all pits of
+a prefix at once, and pits_counts keeps their number up to date along an
+order.  Both statistics cost O(size * chains) per order.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.
@@ -144,8 +146,8 @@ def jump_times(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     Time k in [1, size-1] is a jump iff point k+1 does not cover point k,
     which on a valid extension means the two are incomparable.
     """
-    masks = shape.lower_cover_masks
-    return tuple(k for k in range(1, len(indices)) if not masks[indices[k]] >> indices[k - 1] & 1)
+    lower = shape.lower_covers
+    return tuple(k for k in range(1, len(indices)) if indices[k - 1] not in lower[indices[k]])
 
 
 def jumps(ext: LinearExtension) -> JumpProfile:
@@ -156,15 +158,23 @@ def jumps(ext: LinearExtension) -> JumpProfile:
 def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     """Pit counts after each placement of a raw index sequence (trusted).
 
-    Each count is the popcount of the prefix's pit mask, so the total work
-    is O(size * chains) word operations.
+    Keeps, per point, the number of its lower covers not yet placed.  The
+    placed point was a pit; each of its upper covers whose number reaches
+    0 becomes one.  The counts equal the popcounts of the prefixes' pit
+    masks, at O(size * chains) work per order.
     """
-    pit_mask = shape.pit_mask
-    placed = 0
+    ups = shape.upper_covers
+    waiting = list(map(len, shape.lower_covers))
+    pits = waiting.count(0)
     out = []
     for v in indices:
-        placed |= 1 << v
-        out.append(pit_mask(placed).bit_count())
+        pits -= 1
+        for u in ups[v]:
+            left = waiting[u] - 1
+            waiting[u] = left
+            if not left:
+                pits += 1
+        out.append(pits)
     return tuple(out)
 
 

@@ -31,7 +31,11 @@ Determinism contract (external, bit-exact):
   positions k, k+1 if incomparable.
 - The vectorized walk ensemble draws from numpy Generator(PCG64(seed)):
   per step one integers(1, size, size=chains) batch, then one
-  random(chains) batch; chain c holds when its coin is < laziness.
+  random(chains) batch; chain c holds when its coin is < laziness.  It has
+  two paths, chosen by shape alone: a state-indexed walk over the swap
+  table when the extensions are few, and an array walk with the cover test
+  otherwise.  Both consume this draw pattern and make the same moves, so
+  their output is byte-identical.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
@@ -52,7 +56,7 @@ from .counting import completion_counts, count_extensions, forward_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
-from .transposition import enumerate_index_orders
+from .transposition import enumerate_index_orders, order_ids, swap_table
 
 __all__ = [
     "SamplerConfig",
@@ -209,7 +213,7 @@ def sample_mcmc(
     order = list(start.indices) if start is not None else list(rank_lex_indices(shape))
     size = shape.size
     if size > 1 and cfg.mcmc_steps > 0:
-        masks = shape.lower_cover_masks
+        lower = shape.lower_covers
         stream = WordStream(cfg.seed)
         laziness = cfg.laziness
         for _ in range(cfg.mcmc_steps):
@@ -217,14 +221,21 @@ def sample_mcmc(
             if stream.unit() < laziness:
                 continue
             a, b = order[k - 1], order[k]
-            if not masks[b] >> a & 1:
+            if a not in lower[b]:
                 order[k - 1], order[k] = b, a
     return LinearExtension(shape, tuple(order))
 
 
-# mcmc_ensemble's dense swap table takes size^2 bytes: past 2^20 points
-# that is more than 1 TiB, so such shapes are refused rather than built.
-_ENSEMBLE_MAX_SIZE = 1 << 20
+# The ensemble refuses shapes above this many points by shape alone: its
+# start state and the statistics on its output read per-point Python tables
+# (coordinates, covers) of several hundred bytes a point; `sample --method
+# mcmc` on 2^17 points peaks near 200 MB.
+_ENSEMBLE_MAX_SIZE = 1 << 17
+# Largest chains x size int64 state array the ensemble allocates, in bytes.
+_ENSEMBLE_MAX_BYTES = 1 << 28
+# The ensemble walks the swap table when count x size fits in this many
+# entries; past it the table costs more to build than a walk saves.
+_SWAP_TABLE_ENTRIES = 1 << 16
 
 
 def _check_walk_size(shape: GridShape, limit: int) -> None:
@@ -234,6 +245,20 @@ def _check_walk_size(shape: GridShape, limit: int) -> None:
             f"the swap walk refuses {shape}: its tables cannot be built above {limit} points",
             cap=limit,
         )
+
+
+def _fits_swap_table(shape: GridShape) -> bool:
+    # Past 2^8 points only a single chain, whose walk never moves, is within
+    # the bound; refusing it by size keeps the DP's size-bit states small.
+    # A shape within the bound has at most (size + 1) * count, so at most
+    # twice the bound, down-sets; a larger lattice is refused before the DP.
+    if shape.size**2 > _SWAP_TABLE_ENTRIES:
+        return False
+    try:
+        count = count_extensions(shape, cap=2 * _SWAP_TABLE_ENTRIES)
+    except ResourceCapError:
+        return False
+    return count * shape.size <= _SWAP_TABLE_ENTRIES
 
 
 def mcmc_ensemble(
@@ -249,9 +274,15 @@ def mcmc_ensemble(
     Returns an int64 array of final states, one row per chain.  All chains
     start at the rank-sorted extension unless `starts` (a (chains, size)
     array of trusted valid extensions) is given.  Uses the documented
-    Generator draw pattern, so results are reproducible per seed.  Shapes
-    of more than 2^20 points raise ResourceCapError before any table is
-    built.
+    Generator draw pattern, so results are reproducible per seed.
+
+    When count x size and size^2 are at most 2^16, the states are row
+    numbers into every extension, and a step is one gather from the swap
+    table (transposition.swap_table).  Otherwise each step reads the two
+    swapped entries and tests the cover with GridShape.cover_arrays.  Both
+    paths make the same moves.  Shapes of more than 2^17 points, and state
+    arrays of more than 2^28 bytes, raise ResourceCapError before any
+    table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -262,26 +293,37 @@ def mcmc_ensemble(
     _check_seed(seed)
     _check_walk_size(shape, _ENSEMBLE_MAX_SIZE)
     size = shape.size
+    if 8 * chains * size > _ENSEMBLE_MAX_BYTES:
+        raise ResourceCapError(
+            f"the swap walk refuses {chains} chains on {shape}: their states would take "
+            f"{8 * chains * size} bytes, above {_ENSEMBLE_MAX_BYTES}",
+            cap=_ENSEMBLE_MAX_BYTES,
+        )
     if starts is None:
-        arr = np.tile(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, 1))
-    else:
-        arr = np.array(starts, dtype=np.int64)
-        if arr.shape != (chains, size):
-            raise DomainError(f"starts must have shape ({chains}, {size}), got {arr.shape}")
+        starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, size))
+    elif np.shape(starts) != (chains, size):
+        raise DomainError(f"starts must have shape ({chains}, {size}), got {np.shape(starts)}")
     if chains == 0 or steps == 0 or size <= 1:
-        return arr
-    # swappable[a, b]: b right after a may swap with it, i.e. b does not cover a.
-    swappable = np.ones((size, size), dtype=bool)
-    for b, downs in enumerate(shape.lower_covers):
-        swappable[list(downs), b] = False
+        return np.array(starts, dtype=np.int64)
     rng = np.random.default_rng(seed)
+    if _fits_swap_table(shape):
+        orders = np.array(list(enumerate_index_orders(shape)), dtype=np.int64)
+        table = swap_table(shape, orders).ravel()
+        state = order_ids(orders, starts)
+        for _ in range(steps):
+            ks = rng.integers(1, size, size=chains)
+            coins = rng.random(chains)
+            state = np.where(coins >= laziness, table[state * size + ks], state)
+        return orders[state]
+    arr = np.array(starts, dtype=np.int64)
+    up, step = shape.cover_arrays
     rows = np.arange(chains)
     for _ in range(steps):
         ks = rng.integers(1, size, size=chains)
         coins = rng.random(chains)
         a = arr[rows, ks - 1]
         b = arr[rows, ks]
-        move = (coins >= laziness) & swappable[a, b]
+        move = (coins >= laziness) & (up[b] & step[b - a + size] == 0)
         r = rows[move]
         kk = ks[move]
         arr[r, kk - 1] = b[move]
@@ -309,8 +351,8 @@ def sample_orders(
             yield sampler.sample_indices()
     else:
         finals = mcmc_ensemble(shape, cfg.mcmc_steps, samples, cfg.seed, cfg.laziness)
-        for row in finals.tolist():
-            yield tuple(row)
+        for row in finals:  # row by row: no list of all rows beside the tuples
+            yield tuple(row.tolist())
 
 
 @dataclass(frozen=True)
@@ -402,15 +444,11 @@ def entropy_profile_exact(
     averages the entropy of the next-point distribution over groups.  This
     route is independent of the counting DP, so comparing the profile's sum
     against lg(count) cross-checks the two engines.  Refuses shapes with
-    more than `cap` extensions (default 10^5).
+    more than `cap` extensions (default 10^5), before the DP is built when
+    the lattice alone shows it (see enumerate_index_orders).
     """
     cap = 10**5 if cap is None else int(cap)
-    total = count_extensions(shape, cap=state_cap)
-    if total > cap:
-        raise ResourceCapError(
-            f"shape {shape} has {total} extensions, above the entropy enumeration cap of {cap}",
-            cap=cap,
-        )
+    orders = enumerate_index_orders(shape, cap=cap, state_cap=state_cap)
     size = shape.size
     if size == 1:
         return EntropyProfile(())
@@ -418,7 +456,9 @@ def entropy_profile_exact(
     # D and continue with v.  Grouping by the set, not the ordered prefix,
     # matches the conditional entropy being computed.
     next_by_prefix: list[defaultdict] = [defaultdict(Counter) for _ in range(size)]
-    for order in enumerate_index_orders(shape, cap=cap, state_cap=state_cap):
+    total = 0
+    for order in orders:
+        total += 1
         placed = 1 << order[0]
         for k in range(1, size):
             next_by_prefix[k][placed][order[k]] += 1

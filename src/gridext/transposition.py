@@ -2,10 +2,12 @@
 
 Vertices are all linear extensions of one grid; two are adjacent when they
 differ by swapping a consecutive incomparable pair.  The degree of a vertex
-therefore equals the number of jumps of that extension, and edges can be
-found by scanning each extension's jump times and looking up the swapped
-sequence.  Their mean, the mean jump count, is read from the down-set
-lattice instead (exhaustive_mean_degree), so it needs no enumeration.
+therefore equals the number of jumps of that extension.  The graph is the
+swap table T of swap_table: row s lists, for each position k, the vertex
+reached by the swap at k, or s itself when that pair is comparable.  The
+swap walk on an enumerable shape steps through the same table.  The mean
+degree, the mean jump count, is read from the down-set lattice instead
+(exhaustive_mean_degree), so it needs no enumeration.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from .counting import completion_counts, count_extensions, forward_counts
+import numpy as np
+
+from .counting import DEFAULT_STATE_CAP, completion_counts, count_extensions, forward_counts
 from .errors import ResourceCapError
 from .grid import GridShape
-from .jumps import LinearExtension, jump_times
+from .jumps import LinearExtension
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -26,6 +30,8 @@ __all__ = [
     "TranspositionGraph",
     "GraphStats",
     "enumerate_index_orders",
+    "swap_table",
+    "order_ids",
     "backtracking_count",
     "exhaustive_mean_degree",
     "build_graph",
@@ -68,9 +74,15 @@ def enumerate_index_orders(
 
     This is the bit-exact stream behind the extension file format.  Refuses
     to start when the exact count (from the counting engine, cheap at these
-    scales) exceeds `cap` (default 10^6).
+    scales) exceeds `cap` (default 10^6).  Every down-set is a prefix of one
+    of the extensions, so a shape within the cap has at most (size + 1) *
+    cap down-sets.  Unless `state_cap` is given, that (at most the default
+    state cap) is the DP's state cap, so a larger lattice is refused before
+    the DP is built.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    if state_cap is None:
+        state_cap = min((shape.size + 1) * max(cap, 0), DEFAULT_STATE_CAP)
     total = count_extensions(shape, cap=state_cap)
     if total > cap:
         raise ResourceCapError(
@@ -80,40 +92,90 @@ def enumerate_index_orders(
     return _orders(shape)
 
 
+def _lex_keys(rows: np.ndarray) -> np.ndarray:
+    # Big-endian entries compare bytewise in numeric order, so each row
+    # becomes one opaque key, and keys sort as the rows do lexicographically.
+    rows = np.ascontiguousarray(rows, dtype=">u4")
+    return rows.view(f"V{4 * rows.shape[1]}").ravel()
+
+
+def order_ids(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row numbers in `orders` of each of `rows`, which must all occur there.
+
+    `orders` holds extensions in lexicographic order, one per row, as
+    enumerate_index_orders lists them; the lookup is a binary search.
+    """
+    return np.searchsorted(_lex_keys(orders), _lex_keys(rows))
+
+
+def swap_table(shape: GridShape, orders: np.ndarray) -> np.ndarray:
+    """The swap graph as an int32 table over `orders`, every extension of
+    `shape` in enumeration order, one per row.
+
+    T[s, k] for 1 <= k < size is the row reached from row s by swapping its
+    entries k - 1 and k, or s itself when they are comparable (b covers a,
+    read from GridShape.cover_arrays); T[s, 0] = s.  A legal swap always
+    lands on an extension, so order_ids finds every swapped row.
+    """
+    count, size = orders.shape
+    table = np.repeat(np.arange(count, dtype=np.int32)[:, None], size, axis=1)
+    up, step = shape.cover_arrays
+    keys = _lex_keys(orders)
+    chunk = max(1, (1 << 14) // size)  # rows per pass, to bound the temporaries
+    for lo in range(0, count, chunk):
+        block = orders[lo : lo + chunk]
+        a, b = block[:, :-1], block[:, 1:]
+        rows, ks = np.nonzero(up[b] & step[b - a + size] == 0)
+        ks += 1
+        swapped = block[rows]
+        i = np.arange(len(rows))
+        swapped[i, ks - 1] = block[rows, ks]
+        swapped[i, ks] = block[rows, ks - 1]
+        table[rows + lo, ks] = np.searchsorted(keys, _lex_keys(swapped))
+    return table
+
+
 def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
     """Count extensions by exhausting the pit-choice tree, no memoization.
 
-    Deliberately shares no state or recursion with the down-set DP so the
-    two counts are independent; the flip side is exponential time, so this
-    is an oracle for small shapes only.  Raises ResourceCapError beyond
-    `cap` leaves (default 10^7).
+    Deliberately shares no state with the down-set DP, nor its pit masks,
+    so the two counts are independent; the flip side is exponential time,
+    so this is an oracle for small shapes only.  An explicit stack holds
+    (placed, pits, depth) per open branch; with two points left, the
+    branch completes in as many ways as it has pits.  Raises
+    ResourceCapError beyond `cap` leaves (default 10^7).
     """
     cap = DEFAULT_BACKTRACK_CAP if cap is None else int(cap)
     size = shape.size
-    masks = shape.lower_cover_masks
-    ups = shape.upper_covers
-    count = 0
-
-    def rec(depth: int, placed: int, pits: tuple[int, ...]) -> None:
-        nonlocal count
-        if depth == size:
-            count += 1
-            if count > cap:
-                raise ResourceCapError(
-                    f"shape {shape} has more than {cap} extensions (backtracking cap)",
-                    cap=cap,
-                )
-            return
-        depth += 1
-        for i, v in enumerate(pits):
-            now = placed | 1 << v
-            nxt = pits[:i] + pits[i + 1 :]
-            for u in ups[v]:
-                if not (masks[u] & ~now):
-                    nxt += (u,)
-            rec(depth, now, nxt)
-
-    rec(0, 0, tuple(v for v, m in enumerate(masks) if m == 0))
+    if size <= 2:  # a single chain: one extension
+        count = 1
+    else:
+        masks = shape.lower_cover_masks
+        # Per point v: (bit, lower-cover mask) of each point covering v.
+        ups = [tuple((1 << u, masks[u]) for u in covers) for covers in shape.upper_covers]
+        last = size - 2
+        count = 0
+        stack = [(0, sum(1 << v for v, m in enumerate(masks) if m == 0), 0)]
+        while stack:
+            placed, pits, depth = stack.pop()
+            if depth == last:
+                count += pits.bit_count()
+                if count > cap:
+                    break
+                continue
+            depth += 1
+            rest = pits
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                now = placed | low
+                nxt = pits ^ low
+                for bit, mask in ups[low.bit_length() - 1]:
+                    if mask & now == mask:
+                        nxt |= bit
+                stack.append((now, nxt, depth))
+    if count > cap:
+        raise ResourceCapError(f"shape {shape} has more than {cap} extensions (backtracking cap)", cap=cap)
     return count
 
 
@@ -163,28 +225,31 @@ def build_graph(
 ) -> TranspositionGraph:
     """Build the full swap graph by exhaustive enumeration.
 
-    Edges are discovered by swapping each vertex's pair at every jump time
-    and looking the swapped sequence up in a vertex table, so each edge
-    must be found exactly twice (once per endpoint); that handshake is
-    asserted.
+    Edges and degrees are read from the swap table: row i's edges are the
+    entries T[i, k] > i, in increasing k, and its degree counts the entries
+    T[i, k] != i.  Each edge must be found exactly twice (once per
+    endpoint); that handshake is asserted.
     """
     orders = list(enumerate_index_orders(shape, cap, state_cap))
-    position = {o: i for i, o in enumerate(orders)}
-    edges: list[tuple[int, int]] = []
-    degrees = [0] * len(orders)
-
-    for i, o in enumerate(orders):
-        times = jump_times(shape, o)
-        degrees[i] = len(times)
-        for k in times:
-            swapped = o[: k - 1] + (o[k], o[k - 1]) + o[k + 1 :]
-            j = position[swapped]  # a legal swap always lands on a vertex
-            if i < j:
-                edges.append((i, j))
-
+    edges, degrees = _edges_and_degrees(swap_table(shape, np.array(orders, dtype=np.int32)))
     assert sum(degrees) == 2 * len(edges), "every edge must be discovered from both endpoints"
     vertices = tuple(LinearExtension(shape, o) for o in orders)
-    return TranspositionGraph(shape, vertices, tuple(edges), tuple(degrees))
+    return TranspositionGraph(shape, vertices, edges, degrees)
+
+
+def _edges_and_degrees(table: np.ndarray) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    # Column 0 holds each row's own id.  Edges are read a block of rows at
+    # a time, and every edge refers to one shared int per vertex, so the
+    # edge list costs no more than the ids it holds.
+    ids = list(range(len(table)))
+    edges: list[tuple[int, int]] = []
+    for lo in range(0, len(table), 4096):
+        block = table[lo : lo + 4096]
+        rows, ks = np.nonzero(block > block[:, :1])
+        ends = map(ids.__getitem__, block[rows, ks].tolist())
+        edges.extend(zip(map(ids.__getitem__, (rows + lo).tolist()), ends))
+    degrees = (table != table[:, :1]).sum(1).tolist()
+    return tuple(edges), tuple(degrees)
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,31 @@ class TestArgvFuzz:
             assert err.getvalue()
 
 
+class TestWalkOnLargeShapes:
+    # 2^17 = 131072 points: too many for a table of point pairs, few enough
+    # for the walk's O(size) cover arrays and the linear-size statistics.
+    SHAPE = "x".join(["2"] * 17)
+
+    def test_walk_runs_end_to_end(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["sample", "--method", "mcmc", "--shape", self.SHAPE, "--mcmc-steps", "30"])
+        assert (code, err.getvalue()) == (0, "")
+        data = json.loads(out.getvalue())
+        assert data["config"]["samples"] == 1
+        assert len(data["mean_pits_profile"]) == 2**17
+
+    def test_state_array_over_the_limit_exits_3(self):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                ["sample", "--method", "mcmc", "--shape", self.SHAPE, "--mcmc-steps", "30", "--samples", "1000000"]
+            )
+        assert code == 3
+        assert "Traceback" not in err.getvalue() and "bytes" in err.getvalue()
+        assert out.getvalue() == ""
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

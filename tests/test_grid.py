@@ -154,6 +154,13 @@ class TestOrder:
         expected = all(a <= b for a, b in zip(x.coords, y.coords))
         assert leq(x, y) == expected
 
+    @given(shape_and_indices(k=2))
+    def test_cover_arrays_match_coordinates(self, sij):
+        shape, a, b = sij
+        up, step = shape.cover_arrays
+        got = bool(up[b] & step[b - a + shape.size])
+        assert got == covers(shape.point_at(b), shape.point_at(a)) == (a in shape.lower_covers[b])
+
     @given(shape_and_downset())
     def test_pit_mask_matches_coordinates(self, sd):
         # a pit is a point outside the down-set with every point below it inside

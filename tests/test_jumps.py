@@ -1,12 +1,14 @@
 """Linear extensions: validation, jump times, pit counts, rank-order walks."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gridext import (
     DomainError,
+    ExactSampler,
     GridShape,
     InvalidExtensionError,
     LinearExtension,
@@ -136,6 +138,19 @@ class TestPits:
         ext = LinearExtension(square3, idxs)
         for k in range(1, 10):
             assert seq[k - 1] == len(ext.prefix(k).pit_indices())
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_incremental_counts_match_pit_masks(self, lengths, seed):
+        shape = GridShape(lengths)
+        order = ExactSampler(shape, seed).sample_indices()
+        expected, placed = [], 0
+        for v in order:
+            placed |= 1 << v
+            expected.append(shape.pit_mask(placed).bit_count())
+        assert pits_counts(shape, order) == tuple(expected)
 
     def test_pits_sequence_wrapper(self, diamond):
         ext = LinearExtension(diamond, (0, 2, 1, 3))

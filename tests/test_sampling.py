@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridext import (
     DomainError,
@@ -31,6 +32,37 @@ from gridext import (
     sample_orders,
     tv_distance_from_uniform,
 )
+from gridext.sampling import _fits_swap_table
+
+
+def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
+    """Oracle for mcmc_ensemble: the array walk with a dense size x size
+    table of swappable pairs, O(size^2) memory, so small shapes only."""
+    size = shape.size
+    start = np.array(rank_lex_indices(shape), dtype=np.int64)
+    arr = np.tile(start, (chains, 1)) if starts is None else np.array(starts, dtype=np.int64)
+    if chains == 0 or steps == 0 or size <= 1:
+        return arr
+    swappable = np.ones((size, size), dtype=bool)  # [a, b]: b right after a may swap with it
+    for b, downs in enumerate(shape.lower_covers):
+        swappable[list(downs), b] = False
+    rng = np.random.default_rng(seed)
+    rows = np.arange(chains)
+    for _ in range(steps):
+        ks = rng.integers(1, size, size=chains)
+        coins = rng.random(chains)
+        a, b = arr[rows, ks - 1], arr[rows, ks]
+        move = (coins >= laziness) & swappable[a, b]
+        arr[rows[move], ks[move] - 1] = b[move]
+        arr[rows[move], ks[move]] = a[move]
+    return arr
+
+
+# Shapes on both sides of the swap-table bound, chains of length 1 included.
+walk_shapes = st.one_of(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24),
+    st.sampled_from([(4, 4), (2, 2, 2, 2), (1, 4, 4), (4, 4, 4), (2,) * 5]),
+).map(GridShape)
 
 
 class TestWordStream:
@@ -183,6 +215,37 @@ class TestMcmc:
         for shape in (astronomic, GridShape((2**20 + 1,))):
             with pytest.raises(ResourceCapError):
                 mcmc_ensemble(shape, 1, 1, seed=0)
+
+    def test_swap_table_path_by_shape(self):
+        # count x size <= 2^16 and size <= 2^8 walk the swap table; the rest tests covers.
+        for lengths in [(1,), (256,), (2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
+            assert _fits_swap_table(GridShape(lengths))
+        for lengths in [(257,), (2, 9), (4, 4), (2, 2, 2, 2), (4, 4, 4), (2,) * 5, (2,) * 17]:
+            assert not _fits_swap_table(GridShape(lengths))
+
+    @given(
+        walk_shapes,
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 40),
+        st.integers(0, 30),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.booleans(),
+    )
+    @settings(deadline=None)
+    def test_ensemble_matches_dense_table_oracle(self, shape, seed, steps, chains, laziness, from_draws):
+        starts = None
+        if from_draws:
+            sampler = ExactSampler(shape, seed)
+            starts = np.array([sampler.sample_indices() for _ in range(chains)], dtype=np.int64)
+            starts = starts.reshape(chains, shape.size)
+        got = mcmc_ensemble(shape, steps, chains, seed, laziness, starts=starts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, dense_table_ensemble(shape, steps, chains, seed, laziness, starts))
+
+    def test_state_array_refused_before_allocation(self):
+        shape = GridShape((2,) * 17)  # 131072 points: walks, but not with 10^6 chains
+        with pytest.raises(ResourceCapError):
+            mcmc_ensemble(shape, 1, 10**6, seed=0)
 
     def test_stationarity_one_step(self, diamond):
         # one lazy step applied to an exact uniform batch stays near uniform

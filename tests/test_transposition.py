@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from gridext import (
     backtracking_count,
     build_graph,
     count_extensions,
+    entropy_profile_exact,
     enumerate_index_orders,
     exact_pits_deficit_fractions,
     exhaustive_mean_degree,
@@ -25,6 +27,8 @@ from gridext import (
     pits_threshold,
     to_dot,
 )
+from gridext import counting
+from gridext.transposition import order_ids, swap_table
 
 # Shapes of at most 10 points, chains of length 1 included.
 small_shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
@@ -59,6 +63,27 @@ class TestEnumeration:
         for lengths in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (4, 2), (2, 2, 2, 2)]:
             s = GridShape(lengths)
             assert backtracking_count(s) == count_extensions(s)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 12))
+    @settings(deadline=None)
+    def test_backtracking_property(self, lengths):
+        shape = GridShape(lengths)
+        assert backtracking_count(shape) == count_extensions(shape)
+
+    def test_backtracking_one_and_two_points(self):
+        for lengths in [(1,), (2,), (1, 1), (1, 2), (2, 1, 1)]:
+            assert backtracking_count(GridShape(lengths)) == 1
+        with pytest.raises(ResourceCapError):
+            backtracking_count(GridShape((2,)), cap=0)
+
+    @pytest.mark.parametrize("command", [enumerate_index_orders, build_graph, entropy_profile_exact])
+    def test_cap_refuses_before_the_dp(self, command):
+        # 4x4x4 has 232848 down-sets, far more than (64 + 1) * 10: no table is built.
+        cube = GridShape.equilateral(4, 3)
+        counting._tables.pop(cube, None)
+        with pytest.raises(ResourceCapError):
+            command(cube, cap=10)
+        assert cube not in counting._tables
 
     def test_backtracking_cap(self):
         with pytest.raises(ResourceCapError):
@@ -96,6 +121,20 @@ class TestGraph:
         for g in graphs.values():
             for v, deg in zip(g.vertices, g.degree_sequence):
                 assert deg == jumps(v).degree
+
+    @given(small_shapes)
+    @settings(deadline=None)
+    def test_swap_table_matches_swapping(self, shape):
+        # Oracle: swap each jump pair of each extension and look the result up.
+        orders = list(enumerate_index_orders(shape))
+        position = {o: i for i, o in enumerate(orders)}
+        expected = [[i] * shape.size for i in range(len(orders))]
+        for i, o in enumerate(orders):
+            for k in jump_times(shape, o):
+                expected[i][k] = position[o[: k - 1] + (o[k], o[k - 1]) + o[k + 1 :]]
+        array = np.array(orders, dtype=np.int64)
+        assert swap_table(shape, array).tolist() == expected
+        assert order_ids(array, array[::-1]).tolist() == list(range(len(orders)))[::-1]
 
     def test_handshake(self, extreme_graphs):
         graphs, _ = extreme_graphs
