@@ -79,7 +79,6 @@ from .sampling import (
     jump_stats_from_orders,
     mcmc_ensemble,
     pits_deficit_stats,
-    sample_mcmc,
     sample_orders,
     tv_distance_from_uniform,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "SamplerConfig",
     "WordStream",
     "ExactSampler",
-    "sample_mcmc",
     "mcmc_ensemble",
     "sample_orders",
     "JumpStats",

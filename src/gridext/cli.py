@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -136,6 +137,14 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _written(fh, orders):
+    # Passes the orders on once written to fh, 1024 at a time: no list of all
+    # orders, and one writer call per block, which costs less than one per order.
+    while block := list(itertools.islice(orders, 1024)):
+        write_index_orders(fh, block)
+        yield from block
+
+
 def cmd_sample(args) -> int:
     shape = _resolve_shape(args)
     cfg = SamplerConfig(
@@ -144,11 +153,14 @@ def cmd_sample(args) -> int:
         mcmc_steps=args.mcmc_steps,
         laziness=args.laziness,
     )
-    orders = list(sample_orders(shape, cfg, args.samples, args.cap))
+    orders = sample_orders(shape, cfg, args.samples, args.cap)
+    # The first draw comes before --out is opened, so a refusal leaves no file.
+    orders = itertools.chain([next(orders)], orders)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            write_index_orders(fh, orders)
-    stats = jump_stats_from_orders(shape, orders)
+            stats = jump_stats_from_orders(shape, _written(fh, orders))
+    else:
+        stats = jump_stats_from_orders(shape, orders)
     payload = {
         "version": __version__,
         "config": {

@@ -68,19 +68,17 @@ class DownSet:
         bits = int(self.bits)
         if not 0 <= bits < (1 << self.shape.size):
             raise DomainError(f"bitmask {bits:#x} out of range for shape {self.shape} (size {self.shape.size})")
-        masks = self.shape.lower_cover_masks
-        rest = bits
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            missing = masks[v] & ~bits
-            if missing:
-                u = (missing & -missing).bit_length() - 1
-                raise DomainError(
-                    f"not downward closed: contains {self.shape.coords_table[v]} "
-                    f"but not its lower cover {self.shape.coords_table[u]}"
-                )
-            rest ^= low
+        # A character per point, "1" for members: no size-bit int per point.
+        members = format(bits, f"0{self.shape.size}b")[::-1]
+        lower = self.shape.lower_covers
+        for v, flag in enumerate(members):
+            if flag == "1":
+                for u in lower[v]:  # increasing index: the first one missing is the lowest
+                    if members[u] == "0":
+                        raise DomainError(
+                            f"not downward closed: contains {self.shape.coords_table[v]} "
+                            f"but not its lower cover {self.shape.coords_table[u]}"
+                        )
         object.__setattr__(self, "bits", bits)
 
     @classmethod

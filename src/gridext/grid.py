@@ -150,7 +150,7 @@ class GridShape:
 
     @cached_property
     def lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        """lower_covers[i] lists indices of points covered by point i."""
+        """lower_covers[i] lists indices of points covered by point i, in increasing order."""
         out = []
         for i, coords in enumerate(self.coords_table):
             out.append(tuple(i - s for x, s in zip(coords, self.strides) if x > 1))
@@ -160,9 +160,10 @@ class GridShape:
     def lower_cover_masks(self) -> tuple[int, ...]:
         """Bitmask of lower covers per point; bit v set iff v is covered.
 
-        Also the package's comparability rule for consecutive points: in a
-        valid extension, b right after a is comparable to a exactly when b
-        covers a, i.e. when lower_cover_masks[b] >> a & 1.
+        One size-bit int per point, O(size^2) bits in all: of the package,
+        only the backtracking oracle reads it.  The cover test for
+        consecutive points is `a in lower_covers[b]`, and the validators
+        loop over lower_covers.
         """
         out = []
         for downs in self.lower_covers:

@@ -48,22 +48,20 @@ def _validate_order(shape: GridShape, indices: tuple[int, ...]) -> None:
     if len(indices) != size:
         raise InvalidExtensionError(f"expected {size} points for shape {shape}, got {len(indices)}")
     coords = shape.coords_table
-    masks = shape.lower_cover_masks
-    placed = 0
+    lower = shape.lower_covers
+    placed = bytearray(size)  # a flag per point: O(size * chains) work, no size-bit ints
     for pos, v in enumerate(indices, start=1):
         if not 0 <= v < size:
             raise InvalidExtensionError(f"index {v} at time {pos} out of range 0..{size - 1}", position=pos)
-        bit = 1 << v
-        if placed & bit:
+        if placed[v]:
             raise InvalidExtensionError(f"point {coords[v]} repeated at time {pos}", position=pos)
-        missing = masks[v] & ~placed
-        if missing:
-            u = (missing & -missing).bit_length() - 1
-            raise InvalidExtensionError(
-                f"point {coords[v]} at time {pos} precedes its lower cover {coords[u]}",
-                position=pos,
-            )
-        placed |= bit
+        for u in lower[v]:  # increasing index: the first one missing is the lowest
+            if not placed[u]:
+                raise InvalidExtensionError(
+                    f"point {coords[v]} at time {pos} precedes its lower cover {coords[u]}",
+                    position=pos,
+                )
+        placed[v] = 1
 
 
 @dataclass(frozen=True)

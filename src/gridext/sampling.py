@@ -16,26 +16,22 @@ counting module); the exact entropy profile enumerates, as an oracle.
 
 Determinism contract (external, bit-exact):
 
-- The exact sampler and the scalar walk consume one stream of 64-bit words
-  from numpy's PCG64 bit generator seeded with SeedSequence(seed); word i is
-  the i-th output of random_raw.
+- The exact sampler consumes one stream of 64-bit words from numpy's PCG64
+  bit generator seeded with SeedSequence(seed); word i is the i-th output
+  of random_raw.
 - randbelow(n): let k = n.bit_length(); assemble ceil(k/64) consecutive
   words big-endian (earlier word more significant) and keep the top k bits
-  of that block; reject values >= n and redraw.  A unit float in [0, 1) is
-  one word >> 11, times 2^-53.
+  of that block; reject values >= n and redraw.
 - Exact sampler step: draw r = randbelow(g(D)) and scan the pits of D in
   increasing canonical index, subtracting each pit's completion count from
   r until it fits.
-- Scalar walk step: draw the position k = 1 + randbelow(size - 1), then the
-  laziness coin as one unit float; hold when coin < laziness, else swap
-  positions k, k+1 if incomparable.
-- The vectorized walk ensemble draws from numpy Generator(PCG64(seed)):
-  per step one integers(1, size, size=chains) batch, then one
-  random(chains) batch; chain c holds when its coin is < laziness.  It has
-  two paths, chosen by shape alone: a state-indexed walk over the swap
-  table when the extensions are few, and an array walk with the cover test
-  otherwise.  Both consume this draw pattern and make the same moves, so
-  their output is byte-identical.
+- The walk ensemble, the package's only swap walk, draws from numpy
+  Generator(PCG64(seed)): per step one integers(1, size, size=chains)
+  batch, then one random(chains) batch; chain c holds when its coin is
+  < laziness.  It has two paths, chosen by shape alone: a state-indexed
+  walk over the swap table when the extensions are few, and an array walk
+  with the cover test otherwise.  Both consume this draw pattern and make
+  the same moves, so their output is byte-identical.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
@@ -43,7 +39,6 @@ For parallel use, derive stream i from SeedSequence((seed, i)).
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +57,6 @@ __all__ = [
     "SamplerConfig",
     "WordStream",
     "ExactSampler",
-    "sample_mcmc",
     "mcmc_ensemble",
     "JumpStats",
     "sample_orders",
@@ -104,24 +98,26 @@ class SamplerConfig:
         object.__setattr__(self, "laziness", float(self.laziness))
 
 
+# Words fetched from the bit generator per refill; buffering never changes the stream.
+_WORD_BUFFER = 4096
+
+
 class WordStream:
     """Buffered 64-bit word stream with the documented seed-to-stream mapping.
 
-    Buffering never changes the stream: word i is always the i-th
-    random_raw output of PCG64(SeedSequence(seed)).
+    Word i is always the i-th random_raw output of PCG64(SeedSequence(seed)).
     """
 
-    def __init__(self, seed: int, buffer_size: int = 4096):
+    def __init__(self, seed: int):
         _check_seed(seed)
         self._bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
-        self._buffer_size = int(buffer_size)
         self._buf = None
         self._pos = 0
 
     def word(self) -> int:
         """Next raw 64-bit word."""
         if self._buf is None or self._pos >= len(self._buf):
-            self._buf = self._bitgen.random_raw(self._buffer_size)
+            self._buf = self._bitgen.random_raw(_WORD_BUFFER)
             self._pos = 0
         w = int(self._buf[self._pos])
         self._pos += 1
@@ -143,10 +139,6 @@ class WordStream:
             v >>= shift
             if v < n:
                 return v
-
-    def unit(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.word() >> 11) * 2.0**-53
 
 
 class ExactSampler:
@@ -195,37 +187,6 @@ class ExactSampler:
         return [self.sample() for _ in range(count)]
 
 
-def sample_mcmc(
-    shape: GridShape,
-    cfg: SamplerConfig,
-    start: LinearExtension | None = None,
-) -> LinearExtension:
-    """Run the lazy swap walk for cfg.mcmc_steps and return the final state.
-
-    Starts from the points sorted by (rank, coordinates) unless `start` is
-    given.  Exactly uniform only in the step limit; the caller owns the
-    step budget.  A shape whose size a C ssize_t cannot index raises
-    ResourceCapError.
-    """
-    if start is not None and start.shape != shape:
-        raise DomainError(f"start extension lives on {start.shape}, not {shape}")
-    _check_walk_size(shape, sys.maxsize)
-    order = list(start.indices) if start is not None else list(rank_lex_indices(shape))
-    size = shape.size
-    if size > 1 and cfg.mcmc_steps > 0:
-        lower = shape.lower_covers
-        stream = WordStream(cfg.seed)
-        laziness = cfg.laziness
-        for _ in range(cfg.mcmc_steps):
-            k = 1 + stream.below(size - 1)
-            if stream.unit() < laziness:
-                continue
-            a, b = order[k - 1], order[k]
-            if a not in lower[b]:
-                order[k - 1], order[k] = b, a
-    return LinearExtension(shape, tuple(order))
-
-
 # The ensemble refuses shapes above this many points by shape alone: its
 # start state and the statistics on its output read per-point Python tables
 # (coordinates, covers) of several hundred bytes a point; `sample --method
@@ -236,15 +197,6 @@ _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
 # entries; past it the table costs more to build than a walk saves.
 _SWAP_TABLE_ENTRIES = 1 << 16
-
-
-def _check_walk_size(shape: GridShape, limit: int) -> None:
-    # Runs before any per-point table of the shape is built.
-    if shape.size > limit:
-        raise ResourceCapError(
-            f"the swap walk refuses {shape}: its tables cannot be built above {limit} points",
-            cap=limit,
-        )
 
 
 def _fits_swap_table(shape: GridShape) -> bool:
@@ -291,8 +243,12 @@ def mcmc_ensemble(
     if not 0.0 <= laziness <= 1.0:
         raise DomainError(f"laziness must be in [0, 1], got {laziness}")
     _check_seed(seed)
-    _check_walk_size(shape, _ENSEMBLE_MAX_SIZE)
-    size = shape.size
+    size = shape.size  # both refusals come before any per-point table is built
+    if size > _ENSEMBLE_MAX_SIZE:
+        raise ResourceCapError(
+            f"the swap walk refuses {shape}: its tables cannot be built above {_ENSEMBLE_MAX_SIZE} points",
+            cap=_ENSEMBLE_MAX_SIZE,
+        )
     if 8 * chains * size > _ENSEMBLE_MAX_BYTES:
         raise ResourceCapError(
             f"the swap walk refuses {chains} chains on {shape}: their states would take "

@@ -17,7 +17,6 @@ import numpy as np
 from gridext import (
     ExactSampler,
     GridShape,
-    LinearExtension,
     almost_regular_fraction,
     avg_degree_lower_bound,
     backtracking_count,
@@ -34,15 +33,22 @@ from gridext import (
     jumps,
     log_count_lower_bound,
     markov_tail_probability,
-    mcmc_ensemble,
     normalized_count_root,
     pits_fraction_bound,
     rank_lex_extension,
-    tv_distance_from_uniform,
     width_power_upper_bound,
 )
 from gridext.cli import main as cli_main
-from gridext.verify import DEFICIT_MN, DEFICIT_RS, ENTROPY_MN, EXTREMES_MN, MIXED_SHAPES, SANDWICH_MN
+from gridext.verify import (
+    DEFICIT_MN,
+    DEFICIT_RS,
+    ENTROPY_MN,
+    EXTREMES_MN,
+    MIXED_SHAPES,
+    SANDWICH_MN,
+    VerifyConfig,
+    suite_sampling,
+)
 
 
 def _finish(num, ok, detail):
@@ -171,26 +177,33 @@ def test_criterion_06_entropy_chain_rule():
     )
 
 
-def test_criterion_07_sampler_uniformity(square3, square3_orders):
+def test_criterion_07_sampler_uniformity():
+    # suite_sampling runs the 1e5 exact draws and the 1e5 chains x 1e4 steps walk.
+    cfg = VerifyConfig(seed=42, chi_samples=100_000, tv_runs=100_000, tv_steps=10_000)
     t0 = time.perf_counter()
-    sampler = ExactSampler(square3, 42)
-    counts = Counter(sampler.sample_indices() for _ in range(100_000))
-    support_ok = set(counts) <= set(square3_orders)
-    chi = chi_square_uniformity([counts.get(o, 0) for o in square3_orders])
-
-    finals = mcmc_ensemble(square3, steps=10_000, chains=100_000, seed=42)
-    walk_counts = Counter(tuple(r) for r in finals.tolist())
-    for o in walk_counts:
-        LinearExtension(square3, o)  # every visited state is a valid extension
-    tv = tv_distance_from_uniform(walk_counts.values(), len(square3_orders))
-
+    report = suite_sampling(cfg)
     elapsed = time.perf_counter() - t0
-    ok = support_ok and chi.pvalue > 0.01 and tv < 0.05 and elapsed < 300.0
+    checks = {c.name: c for c in report.checks}
+    required = {
+        "exact sampler support": "0",  # every draw is an enumerated extension
+        "exact sampler uniformity": "p > 0.01",
+        "walk sampler support": "0",  # every walk final is a valid extension
+        "walk sampler distance": "< 0.05",
+    }
+    missing = [
+        name for name, expected in required.items()
+        if name not in checks or checks[name].expected != expected
+    ]
+    failed = [c.name for c in report.checks if not c.passed]
+    ok = not missing and not failed and elapsed < 300.0
     _finish(
         7,
         ok,
-        f"exact sampler chi-square p={chi.pvalue:.4f} > 0.01 (1e5 draws on the full support), "
-        f"walk TV={tv:.5f} < 0.05 (1e5 chains x 1e4 steps) in {elapsed:.1f}s < 300s",
+        f"exact sampler chi-square {checks['exact sampler uniformity'].observed} (1e5 draws on the full support), "
+        f"walk TV={checks['walk sampler distance'].observed} < 0.05 (1e5 chains x 1e4 steps), "
+        f"{len(report.checks) - len(failed)}/{len(report.checks)} sampling checks passed in {elapsed:.1f}s < 300s"
+        + (f"; missing {missing}" if missing else "")
+        + (f"; failed {failed}" if failed else ""),
     )
 
 

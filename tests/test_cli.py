@@ -182,6 +182,15 @@ class TestSample:
         assert err.startswith("error:") and "cap of 1000" in err and "Traceback" not in err
         assert not target.exists()
 
+    def test_walk_refuses_before_out_file(self, capsys, tmp_path):
+        target = tmp_path / "draws.txt"
+        code, out, err = run(
+            capsys, "sample", "--method", "mcmc", "--shape", "99999999999999999999x2", "--out", str(target)
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not target.exists()
+
     def test_walk_on_astronomic_shape(self, capsys):
         code, out, err = run(capsys, "sample", "--method", "mcmc", "--shape", "99999999999999999999x2")
         assert (code, out) == (3, "")

@@ -49,6 +49,17 @@ class TestDownSet:
         with pytest.raises(DomainError):
             DownSet(diamond, 0b1000)  # top without its lower covers
 
+    @pytest.mark.parametrize(
+        "lengths, bits, cover",
+        [((2, 2), 0b1000, "(2, 2) but not its lower cover (1, 2)"),
+         ((3, 3), 0b10011, "(2, 2) but not its lower cover (2, 1)"),
+         ((3, 3), 1 << 8 | 1 << 3, "(2, 1) but not its lower cover (1, 1)")],
+    )
+    def test_message_names_the_lowest_member_and_cover(self, lengths, bits, cover):
+        with pytest.raises(DomainError) as exc:
+            DownSet(GridShape(lengths), bits)
+        assert str(exc.value) == f"not downward closed: contains {cover}"
+
     def test_add_non_pit_rejected(self, diamond):
         with pytest.raises(DomainError):
             DownSet.empty(diamond).add(diamond.point_at(3))

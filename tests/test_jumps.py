@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from gridext import (
     DomainError,
+    DownSet,
     ExactSampler,
     GridShape,
     InvalidExtensionError,
@@ -45,6 +46,28 @@ class TestValidation:
             LinearExtension(diamond, (0, 1, 2))
         with pytest.raises(InvalidExtensionError):
             LinearExtension(diamond, (0, 1, 2, 4))
+
+    @pytest.mark.parametrize(
+        "lengths, indices, message",
+        [
+            ((2, 2), (1, 0, 2, 3), "point (1, 2) at time 1 precedes its lower cover (1, 1)"),
+            ((3, 3), (4, 0, 1, 2, 3, 5, 6, 7, 8), "point (2, 2) at time 1 precedes its lower cover (1, 2)"),
+            ((3, 3), (0, 1, 4, 3, 2, 5, 6, 7, 8), "point (2, 2) at time 3 precedes its lower cover (2, 1)"),
+            ((2, 2), (0, 0, 1, 2), "point (1, 1) repeated at time 2"),
+            ((2, 2), (0, 1, 2, 4), "index 4 at time 4 out of range 0..3"),
+        ],
+    )
+    def test_messages_name_the_lowest_missing_cover(self, lengths, indices, message):
+        with pytest.raises(InvalidExtensionError) as exc:
+            LinearExtension(GridShape(lengths), indices)
+        assert str(exc.value) == message
+
+    def test_validation_builds_no_cover_masks(self):
+        # lower_cover_masks holds a size-bit int per point: 2^15 points would cost about 80 MB.
+        shape = GridShape((2,) * 15)
+        LinearExtension(shape, rank_lex_indices(shape))
+        DownSet.full(shape)
+        assert "lower_cover_masks" not in shape.__dict__
 
     def test_from_points_and_lines(self, diamond):
         pts = [diamond.point(c) for c in [(1, 1), (1, 2), (2, 1), (2, 2)]]
