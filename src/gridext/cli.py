@@ -127,6 +127,7 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = _resolve_shape(args)
+    _resolve_format(args, "text", ("text",))
     # The cap is checked here, before --out is opened, so a refusal leaves no file.
     orders = enumerate_index_orders(shape, cap=args.cap)
     if args.out:
@@ -147,6 +148,7 @@ def _written(fh, orders):
 
 def cmd_sample(args) -> int:
     shape = _resolve_shape(args)
+    _resolve_format(args, "json", ("json",))
     cfg = SamplerConfig(
         method=args.method,
         seed=args.seed,

@@ -260,10 +260,18 @@ def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
 
 
 def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
-    """Read and validate an extension file against a shape."""
+    """Read and validate an extension file against a shape.
+
+    The file is ASCII; a line holding any other byte is rejected by number.
+    """
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    # surrogateescape decodes each non-ASCII byte b to the lone surrogate
+    # U+DC00 + b, so the line it sits on can be named.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise InvalidExtensionError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
             line = line.strip()
             if not line:
                 continue

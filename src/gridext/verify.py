@@ -328,7 +328,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
                     "exhaustive deficit fraction <= pits_fraction_bound",
                     f"{float(measured):.6g} (= {measured})",
                     f"<= {bound.value:.6g} (vacuous={bound.vacuous})",
-                    float(measured) <= bound.value + 1e-12,
+                    measured <= Fraction(bound.value),
                 )
             )
 

@@ -1,5 +1,11 @@
 """Acceptance gate: ten numbered criteria, one printed verdict line each.
 
+Criteria 1-9 and 10(a) read the checks of the verify suites, so each checked
+relation is defined once, in `verify.py`.  Each check a criterion reads must
+have passed, with the criterion's own constant or formula as its expected
+text, and for an equality as its observed text too; so a suite that loosens
+a threshold or a formula fails the gate.
+
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
 they happen; without -s they still print on any failure.  Budgeted
 criteria assert their wall-clock limits explicitly.
@@ -7,37 +13,14 @@ criteria assert their wall-clock limits explicitly.
 
 import csv
 import io
-import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
+import pytest
 
-from gridext import (
-    ExactSampler,
-    GridShape,
-    almost_regular_fraction,
-    avg_degree_lower_bound,
-    backtracking_count,
-    chi_square_uniformity,
-    count_extensions,
-    count_root_window,
-    entropy_profile_exact,
-    enumerate_index_orders,
-    exact_pits_deficit_fractions,
-    factorial_convexity_holds,
-    factorial_product_lower_bound,
-    graph_stats,
-    hook_length_count,
-    jumps,
-    log_count_lower_bound,
-    markov_tail_probability,
-    normalized_count_root,
-    pits_fraction_bound,
-    rank_lex_extension,
-    width_power_upper_bound,
-)
+from gridext import ExactSampler, GridShape, chi_square_uniformity, count_extensions, graph_stats
 from gridext.cli import main as cli_main
 from gridext.verify import (
     DEFICIT_MN,
@@ -47,134 +30,137 @@ from gridext.verify import (
     MIXED_SHAPES,
     SANDWICH_MN,
     VerifyConfig,
+    suite_bounds,
+    suite_counting,
+    suite_entropy,
+    suite_extremes,
     suite_sampling,
 )
 
+# Only the convexity check of the bounds suite reads the seed; this one draws
+# criterion 9's 10000 vectors.
+CONVEXITY_SEED = 20260814
 
-def _finish(num, ok, detail):
+
+def _suite_run(suite, cfg=VerifyConfig()):
+    """A module fixture: the suite's checks by name, and its wall-clock seconds."""
+
+    @pytest.fixture(scope="module")
+    def run():
+        t0 = time.perf_counter()
+        checks = {c.name: c for c in suite(cfg).checks}
+        return checks, time.perf_counter() - t0
+
+    return run
+
+
+counting_run = _suite_run(suite_counting)
+bounds_run = _suite_run(suite_bounds, VerifyConfig(seed=CONVEXITY_SEED))
+extremes_run = _suite_run(suite_extremes)
+entropy_run = _suite_run(suite_entropy)
+
+
+def _read(checks, name, expected, problems, observed=None):
+    """The check `name` if it passed with these expected (and observed) texts.
+
+    Otherwise the problem is appended to `problems` and None returned.
+    """
+    c = checks.get(name)
+    if c is None or not c.passed or c.expected != expected or observed not in (None, c.observed):
+        seen = "missing" if c is None else f"passed={c.passed}, observed {c.observed!r}, expected {c.expected!r}"
+        problems.append(f"{name}: {seen}; criterion wants expected {expected!r}, observed {observed or 'any'!r}")
+        return None
+    return c
+
+
+def _exact_fraction(check):
+    # Low-pits checks report "0.111111 (= 1/9)": the exact fraction follows "= ".
+    return Fraction(re.search(r"\(= ([^)]+)\)", check.observed).group(1))
+
+
+def _finish(num, ok, detail, problems=()):
+    ok = ok and not problems
+    detail += f"; problems {problems}" if problems else ""
     print(f"CRITERION {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_01_exact_counts_with_oracles():
-    t0 = time.perf_counter()
-    s33 = GridShape((3, 3))
-    c33 = count_extensions(s33)
-    ok = c33 == 42 and hook_length_count(s33) == c33
-
-    s23 = GridShape((2, 3))
-    ok = ok and count_extensions(s23) == 5 and hook_length_count(s23) == 5
-
-    cube = GridShape.equilateral(2, 3)
-    c_cube = count_extensions(cube)
-    ok = ok and c_cube == 48 and len(list(enumerate_index_orders(cube))) == c_cube
-
-    tess = GridShape.equilateral(2, 4)
-    c_tess = count_extensions(tess)
-    ok = ok and c_tess == backtracking_count(tess)
-
-    elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 10.0
-    _finish(
-        1,
-        ok,
-        f"[3]^2={c33} (hook agrees), [2]x[3]=5, [2]^3={c_cube} (enumeration agrees), "
-        f"[2]^4={c_tess} (backtracking agrees) in {elapsed:.2f}s < 10s",
+def test_criterion_01_exact_counts_with_oracles(counting_run):
+    checks, elapsed = counting_run
+    problems = []
+    for name, count in (
+        ("3x3 count vs hook oracle", "42"),
+        ("2x3 count vs hook oracle", "5"),
+        ("2x2x2 count vs enumeration", "48"),
+        ("2x2x2x2 count vs backtracking oracle", "1680384"),
+    ):
+        _read(checks, name, count, problems, count)
+    detail = (
+        "[3]^2=42 (hook agrees), [2]x[3]=5 (hook agrees), [2]^3=48 (enumeration agrees), "
+        f"[2]^4=1680384 (backtracking agrees) in {elapsed:.2f}s < 10s"
     )
+    _finish(1, elapsed < 10.0, detail, problems)
 
 
-def test_criterion_02_normalized_roots_in_window():
-    t0 = time.perf_counter()
-    failures = []
+def test_criterion_02_normalized_roots_in_window(bounds_run):
+    checks, elapsed = bounds_run
+    problems = []
     for m, n in SANDWICH_MN:
-        count = count_extensions(GridShape.equilateral(m, n))
-        root = normalized_count_root(m, n, count)
-        lo, hi = count_root_window(n)
-        if not (lo - 1e-9 <= root <= hi + 1e-9):
-            failures.append((m, n, root, lo, hi))
-    elapsed = time.perf_counter() - t0
-    ok = not failures and elapsed < 60.0
-    _finish(
-        2,
-        ok,
-        f"normalized count roots inside the window for all of {SANDWICH_MN} "
-        f"(tol 1e-9) in {elapsed:.2f}s < 60s"
-        + (f"; failures {failures}" if failures else ""),
-    )
+        c = _read(checks, f"normalized count root ({m},{n})", "inside", problems)
+        if c is None:
+            continue
+        # The 1e-9 tolerance is the criterion's own, so it re-reads the numbers.
+        root, lo, hi = map(float, re.fullmatch(r"(\S+) in \[(\S+), (\S+)\]", c.observed).groups())
+        if not lo - 1e-9 <= root <= hi + 1e-9:
+            problems.append(f"({m},{n}) root {root} outside [{lo}, {hi}]")
+    detail = f"normalized count roots inside the window for all of {SANDWICH_MN} (tol 1e-9)"
+    _finish(2, elapsed < 60.0, f"{detail} in {elapsed:.2f}s < 60s", problems)
 
 
-def test_criterion_03_integer_sandwich():
+def test_criterion_03_integer_sandwich(counting_run):
+    checks, _ = counting_run
     shapes = [GridShape.equilateral(m, n) for m, n in SANDWICH_MN]
     shapes += [GridShape(ls) for ls in MIXED_SHAPES]
-    bad = []
+    problems = []
     for s in shapes:
-        lo = factorial_product_lower_bound(s)
-        c = count_extensions(s)
-        hi = width_power_upper_bound(s)
-        if not lo <= c <= hi:
-            bad.append((str(s), lo, c, hi))
-    _finish(
-        3,
-        not bad,
-        f"factorial-product <= count <= width-power on {len(shapes)} shapes "
-        f"({len(MIXED_SHAPES)} with unequal chains)" + (f"; violations {bad}" if bad else ""),
-    )
+        _read(checks, f"{s} bound ordering", "nondecreasing", problems)
+    detail = f"on {len(shapes)} shapes ({len(MIXED_SHAPES)} with unequal chains)"
+    _finish(3, True, f"factorial-product <= count <= width-power {detail}", problems)
 
 
-def test_criterion_04_degree_extremes(extreme_graphs):
-    graphs, build_seconds = extreme_graphs
-    t0 = time.perf_counter()
-    bad = []
-    for (m, n), g in graphs.items():
-        stats = graph_stats(g)
-        lex_deg = jumps(rank_lex_extension(GridShape.equilateral(m, n))).degree
-        if stats.max_degree != m**n - 3:
-            bad.append(f"({m},{n}) max {stats.max_degree} != {m**n - 3}")
-        if stats.min_degree != m ** (n - 1) - 1:
-            bad.append(f"({m},{n}) min {stats.min_degree} != {m ** (n - 1) - 1}")
-        if lex_deg != m**n - 3:
-            bad.append(f"({m},{n}) rank-lex degree {lex_deg}")
-    elapsed = build_seconds + (time.perf_counter() - t0)
-    ok = not bad and elapsed < 120.0
-    _finish(
-        4,
-        ok,
-        f"swap-graph degree extremes m^n-3 / m^(n-1)-1 and rank-lex maximality on "
-        f"{EXTREMES_MN} in {elapsed:.2f}s < 120s" + (f"; {bad}" if bad else ""),
-    )
+def test_criterion_04_degree_extremes(extremes_run):
+    checks, elapsed = extremes_run
+    problems = []
+    for m, n in EXTREMES_MN:
+        s = GridShape.equilateral(m, n)
+        for name, degree in (("max degree", m**n - 3), ("min degree", m ** (n - 1) - 1),
+                             ("rank-lex attains max", m**n - 3)):
+            _read(checks, f"{s} {name}", str(degree), problems, str(degree))
+    detail = f"swap-graph degree extremes m^n-3 / m^(n-1)-1 and rank-lex maximality on {EXTREMES_MN}"
+    _finish(4, elapsed < 120.0, f"{detail} in {elapsed:.2f}s < 120s", problems)
 
 
-def test_criterion_05_boundary_times_never_jump(extreme_graphs):
-    graphs, _ = extreme_graphs
-    checked = 0
-    bad = 0
-    for g in graphs.values():
-        last = g.shape.size - 1
-        for v in g.vertices:
-            ts = jumps(v).jump_times
-            checked += 1
-            if 1 in ts or last in ts:
-                bad += 1
-    _finish(
-        5,
-        bad == 0,
-        f"no jumps at time 1 or size-1 across {checked} extensions of {EXTREMES_MN}",
-    )
+def test_criterion_05_boundary_times_never_jump(extremes_run):
+    checks, _ = extremes_run
+    problems = []
+    shapes = [GridShape.equilateral(m, n) for m, n in EXTREMES_MN]
+    for s in shapes:
+        _read(checks, f"{s} boundary times never jump", "0 offenders", problems, "0 offenders")
+    checked = sum(map(count_extensions, shapes))
+    detail = f"no jumps at time 1 or size-1 across {checked} extensions of {EXTREMES_MN}"
+    _finish(5, True, detail, problems)
 
 
-def test_criterion_06_entropy_chain_rule():
+def test_criterion_06_entropy_chain_rule(entropy_run):
+    checks, _ = entropy_run
+    problems = []
     worst = 0.0
     for m, n in ENTROPY_MN:
-        s = GridShape.equilateral(m, n)
-        total = entropy_profile_exact(s).total_bits
-        target = math.log2(count_extensions(s))
-        worst = max(worst, abs(total - target) / target)
-    _finish(
-        6,
-        worst <= 1e-9,
-        f"conditional entropy profile sums to lg(count) on [2]^2,[3]^2,[2]^3 "
-        f"(worst rel err {worst:.2e} <= 1e-9)",
-    )
+        c = _read(checks, f"{GridShape.equilateral(m, n)} chain rule", "<= 1e-9", problems)
+        if c:
+            worst = max(worst, float(re.search(r"rel err ([^)]+)\)", c.observed).group(1)))
+    detail = "conditional entropy profile sums to lg(count) on [2]^2,[3]^2,[2]^3"
+    _finish(6, worst <= 1e-9, f"{detail} (worst rel err {worst:.2e} <= 1e-9)", problems)
 
 
 def test_criterion_07_sampler_uniformity():
@@ -207,67 +193,56 @@ def test_criterion_07_sampler_uniformity():
     )
 
 
-def test_criterion_08_pits_deficit_bound():
+def test_criterion_08_pits_deficit_bound(bounds_run):
+    checks, _ = bounds_run
     rows = []
-    ok = True
+    problems = []
     for m, n in DEFICIT_MN:
-        shape = GridShape.equilateral(m, n)
-        fracs = exact_pits_deficit_fractions(shape, DEFICIT_RS)
-        for R, frac in sorted(fracs.items()):
+        for R in DEFICIT_RS:
             bound = Fraction(1 + 1, 1) / Fraction(R)  # (1 + lg 2)/R with n = 2 chains
-            assert pits_fraction_bound(n, R).value == float(bound)
-            holds = frac <= bound
-            ok = ok and holds
+            name = f"low-pits fraction ({m},{n}) R={R:g}"
+            c = _read(checks, name, f"<= {float(bound):.6g} (vacuous={bound >= 1})", problems)
+            if c is None:
+                continue
+            frac = _exact_fraction(c)
+            if not frac <= bound:
+                problems.append(f"{name}: {frac} > {bound}")
             rows.append(f"({m},{n}) R={R:g}: {frac} <= {bound}")
-    _finish(8, ok, "exhaustive low-pits fractions within (1+lg n)/R: " + "; ".join(rows))
+    _finish(8, True, "exhaustive low-pits fractions within (1+lg n)/R: " + "; ".join(rows), problems)
 
 
-def test_criterion_09_factorial_convexity():
-    rng = np.random.default_rng(20260814)
-    bad = 0
-    for _ in range(10_000):
-        length = int(rng.integers(1, 11))
-        vec = rng.integers(1, 21, size=length).tolist()
-        if not factorial_convexity_holds(vec):
-            bad += 1
-    _finish(
-        9,
-        bad == 0,
-        f"factorial log-convexity held on {10_000 - bad}/10000 random vectors "
-        "(len <= 10, entries <= 20)",
-    )
+def test_criterion_09_factorial_convexity(bounds_run):
+    checks, _ = bounds_run
+    problems = []
+    _read(checks, "factorial log-convexity on random vectors", "10000/10000", problems, "10000/10000")
+    detail = f"(seed {CONVEXITY_SEED}, len <= 10, entries <= 20)"
+    _finish(9, True, f"factorial log-convexity held on 10000/10000 random vectors {detail}", problems)
 
 
-def test_criterion_10_vacuity_and_scan(extreme_graphs, tmp_path):
+def test_criterion_10_vacuity_and_scan(bounds_run, entropy_run, extreme_graphs, tmp_path):
+    checks, _ = bounds_run
     problems = []
 
-    # (a) vacuity flags: desk-scale asymptotics flagged, huge inputs informative
+    # (a) vacuity flags: desk-scale asymptotics flagged, huge inputs informative.
+    # The bounds suite checks each flag; these are the criterion's own values.
     for m, n in SANDWICH_MN:
-        r = log_count_lower_bound(m, n)
-        if r.vacuous != (r.value <= 0):
-            problems.append(f"log_count flag ({m},{n})")
-        if not r.vacuous:
-            count = count_extensions(GridShape.equilateral(m, n))
-            if math.log2(count) < r.value - 1e-9:
-                problems.append(f"log_count violated ({m},{n})")
-    if not log_count_lower_bound(3, 2).vacuous:
-        problems.append("log_count (3,2) should be vacuous")
-    if log_count_lower_bound(2**10, 2).vacuous:
-        problems.append("log_count (2^10,2) should be informative")
-    if not avg_degree_lower_bound(4, 2).vacuous:
-        problems.append("avg_degree (4,2) should be vacuous")
-    huge = avg_degree_lower_bound(2**192, 2)
-    if huge.vacuous or not math.isclose(huge.value, 0.5 * float(2**384), rel_tol=1e-12):
-        problems.append("avg_degree (2^192,2)")
-    if not almost_regular_fraction(3, 2).vacuous:
-        problems.append("almost_regular (3,2) should be vacuous")
-    reg = almost_regular_fraction(2**768, 2)
-    if reg.vacuous or not math.isclose(reg.value, 0.5, rel_tol=1e-12):
-        problems.append("almost_regular (2^768,2)")
-    if not markov_tail_probability(1.0).vacuous or markov_tail_probability(4.0).vacuous:
-        problems.append("markov tail flags")
-    if not pits_fraction_bound(2, 1.0).vacuous or pits_fraction_bound(2, 4.0).vacuous:
-        problems.append("pits fraction flags")
+        name = f"count entropy lower bound ({m},{n})"
+        c = _read(checks, name, "flag matches sign; bound satisfied", problems)
+        if c and (m, n) == (3, 2) and "(vacuous=True)" not in c.observed:
+            problems.append("log_count (3,2) should be vacuous")
+    # (n-1) m^n (lg m - (1 + lg n)/(n-1)) at m = 2^10, and m^n / 2 at m = 2^192; n = 2
+    log_count_big = f"{2**20 * (10 - 2.0):.12g} (vacuous=False)"
+    avg_degree_huge = f"{0.5 * float(2**384):.12g} (vacuous=False)"
+    for name, expected, observed in (
+        ("count entropy lower bound (2^10,2)", log_count_big, log_count_big),
+        ("average degree bound (4,2)", "bound satisfied, vacuous=True", None),
+        ("average degree bound (2^192,2)", avg_degree_huge, avg_degree_huge),
+        ("almost-regular fraction flags", "0.5 (False); >= 1 (True)", None),
+        ("tail probability flags", "1.0 (True); 0.25 (False)", "1.0 (vacuous=True); 0.25 (vacuous=False)"),
+        ("low-pits fraction (3,2) R=1", "<= 2 (vacuous=True)", None),
+        ("low-pits fraction (3,2) R=4", "<= 0.5 (vacuous=False)", None),
+    ):
+        _read(checks, name, expected, problems, observed)
 
     # (b) mean-degree scan: exhaustive rows must reproduce the swap graphs;
     # the size trend is reported as an observation, deliberately unasserted
@@ -300,22 +275,15 @@ def test_criterion_10_vacuity_and_scan(extreme_graphs, tmp_path):
         f"size {s} ({m}): mean {d:.3f}, mean/size {q:.4f}" for s, m, d, q in trend
     )
 
-    # (c) ingredient re-checks tied to criteria 6-8
-    if entropy_profile_exact(GridShape((2, 2))).total_bits != 1.0:
-        problems.append("entropy ingredient (criterion 6)")
+    # (c) ingredient re-checks tied to criteria 6-8; criterion 8's, the (3,2)
+    # R=4 low-pits fraction <= 1/2, is the last check read in (a)
+    _read(entropy_run[0], "diamond profile", "(1.0, 0.0, 0.0)", problems, "(1.0, 0.0, 0.0)")
     quick_sampler = ExactSampler(GridShape((2, 2)), 4242)
     quick = Counter(quick_sampler.sample_indices() for _ in range(2000))
     cells = [quick.get((0, 1, 2, 3), 0), quick.get((0, 2, 1, 3), 0)]
     if sum(cells) != 2000 or chi_square_uniformity(cells).pvalue <= 0.001:
         problems.append("uniformity ingredient (criterion 7)")
-    frac = exact_pits_deficit_fractions(GridShape((3, 3)), [4.0])[4.0]
-    if not frac <= Fraction(1, 2):
-        problems.append("pits deficit ingredient (criterion 8)")
 
     print(f"CRITERION 10 OBSERVATION (not asserted): mean-degree/size trend: {trend_text}")
-    _finish(
-        10,
-        not problems,
-        "vacuity flags correct, scan reproduces exhaustive graph means, "
-        "criteria 6-8 ingredients re-verified" + (f"; problems {problems}" if problems else ""),
-    )
+    detail = "vacuity flags correct, scan reproduces exhaustive graph means"
+    _finish(10, True, f"{detail}, criteria 6-8 ingredients re-verified", problems)

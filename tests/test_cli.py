@@ -115,6 +115,15 @@ class TestEnumerate:
         assert code == 3 and "enumeration cap" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_only_text_format(self, capsys, tmp_path, fmt):
+        target = tmp_path / "ext.txt"
+        code, out, err = run(capsys, "enumerate", "--shape", "2x2", "--format", fmt, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: format '{fmt}' not supported here; choose from text\n"
+        assert not target.exists()
+        assert run(capsys, "enumerate", "--shape", "2x2", "--format", "text")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
+
     def test_reader_leaving_early_exits_quietly(self):
         # 24024 lines, far more than a pipe buffer holds, so the writer sees the pipe close
         proc = subprocess.Popen(
@@ -191,6 +200,16 @@ class TestSample:
         assert err.startswith("error:") and "Traceback" not in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_only_json_format(self, capsys, tmp_path, fmt):
+        target = tmp_path / "draws.txt"
+        code, out, err = run(capsys, "sample", "--shape", "2x2", "--format", fmt, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: format '{fmt}' not supported here; choose from json\n"
+        assert not target.exists()
+        code, out, _ = run(capsys, "sample", "--shape", "2x2", "--format", "json")
+        assert code == 0 and json.loads(out)["config"]["samples"] == 1
+
     def test_walk_on_astronomic_shape(self, capsys):
         code, out, err = run(capsys, "sample", "--method", "mcmc", "--shape", "99999999999999999999x2")
         assert (code, out) == (3, "")
@@ -259,6 +278,13 @@ class TestJumpsAndPits:
         rows = parse_csv(out)
         assert len(rows) == 9
         assert rows[0]["mean_pits"] == "2"  # two pits after the forced bottom
+
+    @pytest.mark.parametrize("command", ["jumps", "pits"])
+    def test_non_ascii_byte_names_its_line(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1 2 3\n0 \xff 1\n")
+        code, out, err = run(capsys, command, "--shape", "2x2", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: non-ASCII byte 0xff\n")
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "jumps", "--shape", "3x3", "--in", str(tmp_path / "nope"))

@@ -231,6 +231,12 @@ class TestFiles:
         back = read_extensions_file(path, square3)
         assert back == exts
 
+    def test_read_rejects_non_ascii_by_line(self, tmp_path, diamond):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1 2 3\n\n0 2 1 3 \xc3\xa9\n")
+        with pytest.raises(InvalidExtensionError, match=r"^line 3: non-ASCII byte 0xc3$"):
+            read_extensions_file(path, diamond)
+
     def test_read_rejects_invalid_order(self, tmp_path, diamond):
         path = tmp_path / "bad.txt"
         path.write_text("0 3 1 2\n")

@@ -150,39 +150,36 @@ class TestExactSampler:
 
 
 class TestMcmc:
-    def test_zero_steps_is_start(self, square3):
-        (final,) = mcmc_ensemble(square3, 0, 1, seed=1).tolist()
-        assert tuple(final) == rank_lex_indices(square3)
+    @pytest.mark.parametrize("chains, seed", [(1, 1), (3, 0)], ids=["one-chain", "ensemble"])
+    def test_zero_steps_is_start(self, square3, chains, seed):
+        finals = mcmc_ensemble(square3, 0, chains, seed=seed)
+        assert np.array_equal(finals, np.tile(rank_lex_indices(square3), (chains, 1)))
 
-    def test_deterministic(self, square3):
-        a, b = (mcmc_ensemble(square3, 500, 1, seed=11) for _ in range(2))
+    @pytest.mark.parametrize(
+        "steps, chains, seed", [(500, 1, 11), (100, 16, 5)], ids=["one-chain", "ensemble"]
+    )
+    def test_deterministic(self, square3, steps, chains, seed):
+        a, b = (mcmc_ensemble(square3, steps, chains, seed=seed) for _ in range(2))
         assert np.array_equal(a, b)
 
-    def test_stays_valid(self, cube2):
-        for seed in range(5):
-            (final,) = mcmc_ensemble(cube2, 300, 1, seed=seed).tolist()
-            LinearExtension(cube2, final)  # constructor validates
+    @pytest.mark.parametrize(
+        "shape, steps, chains, seeds",
+        [("cube2", 300, 1, range(5)), ("square3", 200, 64, [8])],
+        ids=["one-chain", "ensemble"],
+    )
+    def test_stays_valid(self, request, shape, steps, chains, seeds):
+        shape = request.getfixturevalue(shape)
+        for seed in seeds:
+            finals = mcmc_ensemble(shape, steps, chains, seed=seed)
+            assert finals.shape == (chains, shape.size)
+            assert finals.dtype == np.int64
+            for row in finals.tolist():
+                LinearExtension(shape, tuple(row))  # constructor validates
 
     def test_custom_start(self, diamond):
         start = LinearExtension(diamond, (0, 2, 1, 3))
         (final,) = mcmc_ensemble(diamond, 0, 1, seed=3, starts=np.array([start.indices])).tolist()
         assert LinearExtension(diamond, final) == start
-
-    def test_ensemble_shape_and_validity(self, square3):
-        finals = mcmc_ensemble(square3, steps=200, chains=64, seed=8)
-        assert finals.shape == (64, 9)
-        assert finals.dtype == np.int64
-        for row in finals.tolist():
-            LinearExtension(square3, tuple(row))
-
-    def test_ensemble_deterministic(self, square3):
-        a = mcmc_ensemble(square3, 100, 16, seed=5)
-        b = mcmc_ensemble(square3, 100, 16, seed=5)
-        assert np.array_equal(a, b)
-
-    def test_ensemble_zero_steps(self, square3):
-        finals = mcmc_ensemble(square3, 0, 3, seed=0)
-        assert np.array_equal(finals, np.tile(rank_lex_indices(square3), (3, 1)))
 
     def test_ensemble_mixes_on_diamond(self, diamond):
         finals = mcmc_ensemble(diamond, steps=100, chains=2000, seed=21)
