@@ -51,7 +51,7 @@ from .counting import completion_counts, count_extensions, forward_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
-from .transposition import enumerate_index_orders, order_ids, swap_table
+from .transposition import build_graph, enumerate_index_orders, order_ids
 
 __all__ = [
     "SamplerConfig",
@@ -229,8 +229,8 @@ def mcmc_ensemble(
     Generator draw pattern, so results are reproducible per seed.
 
     When count x size and size^2 are at most 2^16, the states are row
-    numbers into every extension, and a step is one gather from the swap
-    table (transposition.swap_table).  Otherwise each step reads the two
+    numbers into the swap graph's orders, and a step is one gather from its
+    swap table (transposition.build_graph).  Otherwise each step reads the two
     swapped entries and tests the cover with GridShape.cover_arrays.  Both
     paths make the same moves.  Shapes of more than 2^17 points, and state
     arrays of more than 2^28 bytes, raise ResourceCapError before any
@@ -263,14 +263,14 @@ def mcmc_ensemble(
         return np.array(starts, dtype=np.int64)
     rng = np.random.default_rng(seed)
     if _fits_swap_table(shape):
-        orders = np.array(list(enumerate_index_orders(shape)), dtype=np.int64)
-        table = swap_table(shape, orders).ravel()
-        state = order_ids(orders, starts)
+        graph = build_graph(shape)
+        table = graph.table.ravel()
+        state = order_ids(graph.orders, starts)
         for _ in range(steps):
             ks = rng.integers(1, size, size=chains)
             coins = rng.random(chains)
             state = np.where(coins >= laziness, table[state * size + ks], state)
-        return orders[state]
+        return graph.orders[state].astype(np.int64)
     arr = np.array(starts, dtype=np.int64)
     up, step = shape.cover_arrays
     rows = np.arange(chains)

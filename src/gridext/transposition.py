@@ -2,17 +2,20 @@
 
 Vertices are all linear extensions of one grid; two are adjacent when they
 differ by swapping a consecutive incomparable pair.  The degree of a vertex
-therefore equals the number of jumps of that extension.  The graph is the
-swap table T of swap_table: row s lists, for each position k, the vertex
-reached by the swap at k, or s itself when that pair is comparable.  The
-swap walk on an enumerable shape steps through the same table.  The mean
-degree, the mean jump count, is read from the down-set lattice instead
-(exhaustive_mean_degree), so it needs no enumeration.
+therefore equals the number of jumps of that extension.  The graph is two
+arrays (TranspositionGraph): `orders`, every extension in enumeration
+order, one per row, and their swap table T (swap_table), whose row s lists
+for each position k the row reached by the swap at k, or s itself when
+that pair is comparable.  Degrees, edges, connectivity and the DOT
+rendering are all read from T, and build_graph asserts that T is an
+involution in each column.  The swap walk on an enumerable shape steps
+through the same table.  The mean degree, the mean jump count, is read
+from the down-set lattice instead (exhaustive_mean_degree), so it needs
+no enumeration.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -22,7 +25,6 @@ import numpy as np
 from .counting import DEFAULT_STATE_CAP, completion_counts, count_extensions, forward_counts
 from .errors import ResourceCapError
 from .grid import GridShape
-from .jumps import LinearExtension
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -203,19 +205,25 @@ def exhaustive_mean_degree(shape: GridShape, cap: int | None = None) -> Fraction
     return Fraction(2 * total, g[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays do not compare to one bool
 class TranspositionGraph:
-    """Adjacent-swap graph on all extensions of one grid.
+    """Adjacent-swap graph on all extensions of one grid, as two arrays.
 
-    Vertex ids are positions in `vertices` (lexicographic order of index
-    sequences); `edges` holds id pairs (i, j) with i < j;
-    `degree_sequence[i]` is the degree of vertex i.
+    Vertex ids are row numbers of `orders`, every extension as an index
+    sequence in lexicographic order; `table` is their swap table (see
+    swap_table).  Row s's edges are its entries T[s, k] > s, in increasing
+    k, so each edge (s, T[s, k]) appears once with s < T[s, k].  Both
+    arrays are read-only.
     """
 
     shape: GridShape
-    vertices: tuple[LinearExtension, ...]
-    edges: tuple[tuple[int, int], ...]
-    degree_sequence: tuple[int, ...]
+    orders: np.ndarray
+    table: np.ndarray
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree of each vertex: its entries T[s, k] != s."""
+        return (self.table != self.table[:, :1]).sum(1)
 
 
 def build_graph(
@@ -223,33 +231,19 @@ def build_graph(
     cap: int | None = None,
     state_cap: int | None = None,
 ) -> TranspositionGraph:
-    """Build the full swap graph by exhaustive enumeration.
+    """Build the full swap graph by exhaustive enumeration: the enumerated
+    orders as one int32 array, and their swap table T.
 
-    Edges and degrees are read from the swap table: row i's edges are the
-    entries T[i, k] > i, in increasing k, and its degree counts the entries
-    T[i, k] != i.  Each edge must be found exactly twice (once per
-    endpoint); that handshake is asserted.
+    A swap undone is the identity, so T must be an involution in each
+    column: T[T[s, k], k] == s.  That check, which also makes every edge
+    found from both ends, is asserted.
     """
-    orders = list(enumerate_index_orders(shape, cap, state_cap))
-    edges, degrees = _edges_and_degrees(swap_table(shape, np.array(orders, dtype=np.int32)))
-    assert sum(degrees) == 2 * len(edges), "every edge must be discovered from both endpoints"
-    vertices = tuple(LinearExtension(shape, o) for o in orders)
-    return TranspositionGraph(shape, vertices, edges, degrees)
-
-
-def _edges_and_degrees(table: np.ndarray) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    # Column 0 holds each row's own id.  Edges are read a block of rows at
-    # a time, and every edge refers to one shared int per vertex, so the
-    # edge list costs no more than the ids it holds.
-    ids = list(range(len(table)))
-    edges: list[tuple[int, int]] = []
-    for lo in range(0, len(table), 4096):
-        block = table[lo : lo + 4096]
-        rows, ks = np.nonzero(block > block[:, :1])
-        ends = map(ids.__getitem__, block[rows, ks].tolist())
-        edges.extend(zip(map(ids.__getitem__, (rows + lo).tolist()), ends))
-    degrees = (table != table[:, :1]).sum(1).tolist()
-    return tuple(edges), tuple(degrees)
+    orders = np.array(list(enumerate_index_orders(shape, cap, state_cap)), dtype=np.int32)
+    table = swap_table(shape, orders)
+    back = table[table, np.arange(shape.size)]
+    assert (back == table[:, :1]).all(), "the swap table must be an involution in each column"
+    orders.flags.writeable = table.flags.writeable = False
+    return TranspositionGraph(shape, orders, table)
 
 
 @dataclass(frozen=True)
@@ -264,50 +258,41 @@ class GraphStats:
 
 
 def graph_stats(g: TranspositionGraph) -> GraphStats:
-    """Degree statistics plus connectivity.
+    """Degree statistics plus connectivity, all read from the swap table.
 
-    The average degree is computed both as 2|E|/|V| and as the mean of the
-    degree sequence; the two must agree as exact rationals.
+    Each edge counts once in the degree of either end, so the edge count
+    is half the degree sum.  Connectivity is a breadth-first search from
+    vertex 0 whose frontier advances through whole rows of T.
     """
-    nv = len(g.vertices)
-    by_edges = Fraction(2 * len(g.edges), nv)
-    by_degrees = Fraction(sum(g.degree_sequence), nv)
-    assert by_edges == by_degrees, "handshake: edge count and degree sum disagree"
-
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for i, j in g.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = bytearray(nv)
-    queue = deque([0])
-    seen[0] = 1
-    reached = 1
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = 1
-                reached += 1
-                queue.append(j)
-
-    histogram = dict(sorted(Counter(g.degree_sequence).items()))
+    degrees = g.degrees
+    nv = len(degrees)
+    seen = np.zeros(nv, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        reached = np.unique(g.table[frontier])
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    values, counts = np.unique(degrees, return_counts=True)
+    total = int(degrees.sum())
     return GraphStats(
         vertices=nv,
-        edges=len(g.edges),
-        min_degree=min(g.degree_sequence),
-        max_degree=max(g.degree_sequence),
-        avg_degree=by_edges,
-        degree_histogram=histogram,
-        connected=reached == nv,
+        edges=total // 2,
+        min_degree=int(values[0]),
+        max_degree=int(values[-1]),
+        avg_degree=Fraction(total, nv),
+        degree_histogram=dict(zip(values.tolist(), counts.tolist())),
+        connected=bool(seen.all()),
     )
 
 
 def to_dot(g: TranspositionGraph) -> str:
     """DOT rendering; vertex labels are the extensions' index sequences."""
     lines = ["graph extensions {"]
-    for i, ext in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{ext.to_line()}"];')
-    for i, j in g.edges:
+    for i, row in enumerate(g.orders.tolist()):
+        lines.append(f'  v{i} [label="{" ".join(map(str, row))}"];')
+    rows, ks = np.nonzero(g.table > g.table[:, :1])
+    for i, j in zip(rows.tolist(), g.table[rows, ks].tolist()):
         lines.append(f"  v{i} -- v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

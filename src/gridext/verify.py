@@ -48,7 +48,6 @@ from .sampling import (
     tv_distance_from_uniform,
 )
 from .transposition import (
-    DEFAULT_ENUM_CAP,
     backtracking_count,
     build_graph,
     enumerate_index_orders,
@@ -67,6 +66,12 @@ EXTREMES_MN = ((2, 2), (3, 2), (2, 3), (4, 2))
 ENTROPY_MN = ((2, 2), (3, 2), (2, 3))
 DEFICIT_MN = ((3, 2), (4, 2))
 DEFICIT_RS = (1.0, 2.0, 4.0)
+# Sample sizes of the randomized checks, fixed for every run.
+CHI_SAMPLES = 100_000
+TV_RUNS = 100_000
+TV_STEPS = 10_000
+DEFICIT_SAMPLES = 20_000
+CONVEXITY_VECTORS = 10_000
 
 
 @dataclass(frozen=True)
@@ -75,12 +80,6 @@ class VerifyConfig:
 
     seed: int = 42
     state_cap: int = DEFAULT_STATE_CAP
-    enum_cap: int = DEFAULT_ENUM_CAP
-    chi_samples: int = 100_000
-    tv_runs: int = 100_000
-    tv_steps: int = 10_000
-    deficit_samples: int = 20_000
-    convexity_vectors: int = 10_000
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -157,7 +156,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
 
     cube = GridShape.equilateral(2, 3)
     dp = count_extensions(cube, cfg.state_cap)
-    listed = sum(1 for _ in enumerate_index_orders(cube, cfg.enum_cap, cfg.state_cap))
+    listed = sum(1 for _ in enumerate_index_orders(cube, state_cap=cfg.state_cap))
     checks.append(
         _check(
             f"{cube} count vs enumeration",
@@ -221,7 +220,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
 
     rng = np.random.default_rng(cfg.seed)
     good = 0
-    for _ in range(cfg.convexity_vectors):
+    for _ in range(CONVEXITY_VECTORS):
         length = int(rng.integers(1, 11))
         vec = rng.integers(1, 21, size=length).tolist()
         if factorial_convexity_holds(vec):
@@ -230,9 +229,9 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
         _check(
             "factorial log-convexity on random vectors",
             "factorial_convexity_holds true for every seeded vector",
-            f"{good}/{cfg.convexity_vectors}",
-            f"{cfg.convexity_vectors}/{cfg.convexity_vectors}",
-            good == cfg.convexity_vectors,
+            f"{good}/{CONVEXITY_VECTORS}",
+            f"{CONVEXITY_VECTORS}/{CONVEXITY_VECTORS}",
+            good == CONVEXITY_VECTORS,
         )
     )
 
@@ -339,7 +338,7 @@ def suite_extremes(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     for m, n in EXTREMES_MN:
         shape = GridShape.equilateral(m, n)
-        graph = build_graph(shape, cfg.enum_cap, cfg.state_cap)
+        graph = build_graph(shape, state_cap=cfg.state_cap)
         stats = graph_stats(graph)
         size = shape.size
 
@@ -373,12 +372,14 @@ def suite_extremes(cfg: VerifyConfig) -> SuiteReport:
         )
         bad_boundary = 0
         degree_mismatch = 0
-        for i, vertex in enumerate(graph.vertices):
-            times = jump_times(shape, vertex.indices)
+        jump_total = 0
+        for order, degree in zip(graph.orders.tolist(), graph.degrees.tolist()):
+            times = jump_times(shape, order)
             if 1 in times or (size - 1) in times:
                 bad_boundary += 1
-            if len(times) != graph.degree_sequence[i]:
+            if len(times) != degree:
                 degree_mismatch += 1
+            jump_total += len(times)
         checks.append(
             _check(
                 f"{shape} boundary times never jump",
@@ -406,7 +407,7 @@ def suite_extremes(cfg: VerifyConfig) -> SuiteReport:
                 stats.connected,
             )
         )
-        mean_by_jumps = Fraction(sum(graph.degree_sequence), stats.vertices)
+        mean_by_jumps = Fraction(jump_total, stats.vertices)
         checks.append(
             _check(
                 f"{shape} handshake",
@@ -463,10 +464,10 @@ def suite_entropy(cfg: VerifyConfig) -> SuiteReport:
 def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     shape = GridShape.equilateral(3, 2)
-    support = list(enumerate_index_orders(shape, cfg.enum_cap, cfg.state_cap))
+    support = list(enumerate_index_orders(shape, state_cap=cfg.state_cap))
 
     sampler = ExactSampler(shape, cfg.seed, cfg.state_cap)
-    counts = Counter(sampler.sample_indices() for _ in range(cfg.chi_samples))
+    counts = Counter(sampler.sample_indices() for _ in range(CHI_SAMPLES))
     unexpected = set(counts) - set(support)
     cells = [counts.get(o, 0) for o in support]
     chi = chi_square_uniformity(cells)
@@ -482,14 +483,14 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     checks.append(
         _check(
             "exact sampler uniformity",
-            f"chi-square over {len(support)} cells, {cfg.chi_samples} samples, p > 0.01",
+            f"chi-square over {len(support)} cells, {CHI_SAMPLES} samples, p > 0.01",
             f"stat {chi.statistic:.4f}, p {chi.pvalue:.4f}",
             "p > 0.01",
             chi.pvalue > 0.01,
         )
     )
 
-    finals = mcmc_ensemble(shape, cfg.tv_steps, cfg.tv_runs, cfg.seed)
+    finals = mcmc_ensemble(shape, TV_STEPS, TV_RUNS, cfg.seed)
     walk_counts = Counter(map(tuple, finals.tolist()))
     foreign = set(walk_counts) - set(support)
     checks.append(
@@ -505,7 +506,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     checks.append(
         _check(
             "walk sampler distance",
-            f"TV distance to uniform after {cfg.tv_steps} steps over {cfg.tv_runs} runs < 0.05",
+            f"TV distance to uniform after {TV_STEPS} steps over {TV_RUNS} runs < 0.05",
             f"{tv:.5f}",
             "< 0.05",
             tv < 0.05,
@@ -528,7 +529,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
 
     exact_frac = exact_pits_deficit_fractions(shape, [2.0], cfg.state_cap)[2.0]
     mc_mean, mc_se = pits_deficit_stats(
-        shape, SamplerConfig(method="exact", seed=cfg.seed), cfg.deficit_samples, 2.0
+        shape, SamplerConfig(method="exact", seed=cfg.seed), DEFICIT_SAMPLES, 2.0
     )
     slack = max(4 * mc_se, 1e-9)
     agree = abs(mc_mean - float(exact_frac)) <= slack

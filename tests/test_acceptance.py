@@ -165,9 +165,8 @@ def test_criterion_06_entropy_chain_rule(entropy_run):
 
 def test_criterion_07_sampler_uniformity():
     # suite_sampling runs the 1e5 exact draws and the 1e5 chains x 1e4 steps walk.
-    cfg = VerifyConfig(seed=42, chi_samples=100_000, tv_runs=100_000, tv_steps=10_000)
     t0 = time.perf_counter()
-    report = suite_sampling(cfg)
+    report = suite_sampling(VerifyConfig(seed=42))
     elapsed = time.perf_counter() - t0
     checks = {c.name: c for c in report.checks}
     required = {
@@ -176,10 +175,16 @@ def test_criterion_07_sampler_uniformity():
         "walk sampler support": "0",  # every walk final is a valid extension
         "walk sampler distance": "< 0.05",
     }
+    # The suite's sample sizes are module constants; the relations name them.
+    sizes = {
+        "exact sampler uniformity": "100000 samples",
+        "walk sampler distance": "after 10000 steps over 100000 runs",
+    }
     missing = [
         name for name, expected in required.items()
         if name not in checks or checks[name].expected != expected
     ]
+    missing += [name for name, text in sizes.items() if name not in checks or text not in checks[name].relation]
     failed = [c.name for c in report.checks if not c.passed]
     ok = not missing and not failed and elapsed < 300.0
     _finish(

@@ -363,12 +363,6 @@ class TestBounds:
 
 
 class TestVerify:
-    def test_counting_suite_text(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "counting")
-        assert code == 0
-        assert "PASS" in out and "FAIL" not in out
-        assert __version__ in out
-
     def test_counting_suite_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "counting", "--format", "json")
         assert code == 0

@@ -11,7 +11,6 @@ from gridext import (
     DownSet,
     GridShape,
     ResourceCapError,
-    backtracking_count,
     completion_counts,
     count_extensions,
     count_root_window,
@@ -87,10 +86,6 @@ class TestCounts:
         n = count_extensions(cube2)
         assert n == 48
         assert len(list(enumerate_index_orders(cube2))) == n
-
-    def test_4d_cube_vs_backtracking(self):
-        s = GridShape.equilateral(2, 4)
-        assert count_extensions(s) == backtracking_count(s)
 
     def test_chain(self):
         assert count_extensions(GridShape((7,))) == 1

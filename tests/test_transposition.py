@@ -1,6 +1,7 @@
 """Enumeration, swap graphs, exhaustive degree statistics."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,18 @@ from gridext.transposition import order_ids, swap_table
 small_shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
     lambda lengths: math.prod(lengths) <= 10
 ).map(GridShape)
+
+
+def swap_oracle(shape):
+    """Every extension, and per extension its (k, neighbour id) pairs in
+    increasing k: each jump pair swapped and the result looked up."""
+    orders = list(enumerate_index_orders(shape))
+    position = {o: i for i, o in enumerate(orders)}
+    swaps = [
+        [(k, position[o[: k - 1] + (o[k], o[k - 1]) + o[k + 1 :]]) for k in jump_times(shape, o)]
+        for o in orders
+    ]
+    return orders, swaps
 
 
 class TestEnumeration:
@@ -94,9 +107,10 @@ class TestGraph:
     def test_diamond_graph(self, extreme_graphs):
         graphs, _ = extreme_graphs
         g = graphs[(2, 2)]
-        assert tuple(v.indices for v in g.vertices) == ((0, 1, 2, 3), (0, 2, 1, 3))
-        assert g.edges == ((0, 1),)
-        assert g.degree_sequence == (1, 1)
+        assert g.orders.tolist() == [[0, 1, 2, 3], [0, 2, 1, 3]]
+        assert g.table.tolist() == [[0, 0, 1, 0], [1, 1, 0, 1]]  # one edge, (0, 1), at k = 2
+        assert g.degrees.tolist() == [1, 1]
+        assert not g.orders.flags.writeable and not g.table.flags.writeable
 
     def test_stats_3x3(self, extreme_graphs):
         graphs, _ = extreme_graphs
@@ -119,19 +133,45 @@ class TestGraph:
     def test_degree_equals_jump_count(self, extreme_graphs):
         graphs, _ = extreme_graphs
         for g in graphs.values():
-            for v, deg in zip(g.vertices, g.degree_sequence):
-                assert deg == jumps(v).degree
+            for order, deg in zip(g.orders.tolist(), g.degrees.tolist()):
+                assert deg == jumps(LinearExtension(g.shape, order)).degree
+
+    @given(small_shapes)
+    @settings(deadline=None)
+    def test_graph_matches_adjacency_sets(self, shape):
+        # Oracle: adjacency sets; edges listed from their lower end.
+        orders, swaps = swap_oracle(shape)
+        adjacent = [{j for _, j in row} for row in swaps]
+        edges = [(i, j) for i, row in enumerate(swaps) for _, j in row if j > i]
+        degrees = [len(a) for a in adjacent]
+        seen, queue = {0}, [0]
+        while queue:
+            fresh = adjacent[queue.pop()] - seen
+            seen |= fresh
+            queue.extend(fresh)
+
+        g = build_graph(shape)
+        assert g.orders.tolist() == [list(o) for o in orders]
+        assert g.degrees.tolist() == degrees
+        assert (g.table[g.table, np.arange(shape.size)] == np.arange(len(orders))[:, None]).all()
+        stats = graph_stats(g)
+        assert (stats.vertices, stats.edges) == (len(orders), len(edges))
+        assert (stats.min_degree, stats.max_degree) == (min(degrees), max(degrees))
+        assert stats.avg_degree == Fraction(sum(degrees), len(orders))
+        assert stats.degree_histogram == dict(sorted(Counter(degrees).items()))
+        assert stats.connected == (len(seen) == len(orders))
+        labels = [f'  v{i} [label="{" ".join(map(str, o))}"];' for i, o in enumerate(orders)]
+        lines = ["graph extensions {", *labels, *(f"  v{i} -- v{j};" for i, j in edges), "}"]
+        assert to_dot(g) == "\n".join(lines) + "\n"
 
     @given(small_shapes)
     @settings(deadline=None)
     def test_swap_table_matches_swapping(self, shape):
-        # Oracle: swap each jump pair of each extension and look the result up.
-        orders = list(enumerate_index_orders(shape))
-        position = {o: i for i, o in enumerate(orders)}
+        orders, swaps = swap_oracle(shape)
         expected = [[i] * shape.size for i in range(len(orders))]
-        for i, o in enumerate(orders):
-            for k in jump_times(shape, o):
-                expected[i][k] = position[o[: k - 1] + (o[k], o[k - 1]) + o[k + 1 :]]
+        for i, row in enumerate(swaps):
+            for k, j in row:
+                expected[i][k] = j
         array = np.array(orders, dtype=np.int64)
         assert swap_table(shape, array).tolist() == expected
         assert order_ids(array, array[::-1]).tolist() == list(range(len(orders)))[::-1]
@@ -139,7 +179,7 @@ class TestGraph:
     def test_handshake(self, extreme_graphs):
         graphs, _ = extreme_graphs
         for g in graphs.values():
-            assert sum(g.degree_sequence) == 2 * len(g.edges)
+            assert g.degrees.sum() == 2 * (g.table > g.table[:, :1]).sum()
 
     def test_mean_degree(self, square3):
         assert exhaustive_mean_degree(square3) == Fraction(4)
@@ -174,8 +214,9 @@ class TestGraph:
     def test_edges_are_single_swaps(self, extreme_graphs):
         graphs, _ = extreme_graphs
         g = graphs[(3, 2)]
-        for i, j in g.edges:
-            a, b = g.vertices[i].indices, g.vertices[j].indices
+        rows, ks = np.nonzero(g.table > g.table[:, :1])
+        for i, j in zip(rows, g.table[rows, ks]):
+            a, b = g.orders[i], g.orders[j]
             diff = [t for t in range(9) if a[t] != b[t]]
             assert len(diff) == 2 and diff[1] == diff[0] + 1
             assert a[diff[0]] == b[diff[1]] and a[diff[1]] == b[diff[0]]
