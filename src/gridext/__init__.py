@@ -26,7 +26,6 @@ from .counting import (
     DownSet,
     completion_counts,
     count_extensions,
-    forward_counts,
     count_root_window,
     factorial_product_lower_bound,
     hook_length_count,
@@ -117,7 +116,6 @@ __all__ = [
     "DEFAULT_STATE_CAP",
     "DownSet",
     "completion_counts",
-    "forward_counts",
     "count_extensions",
     "hook_length_count",
     "factorial_product_lower_bound",

@@ -31,10 +31,10 @@ from .jumps import jumps, pits_sequence, read_extensions_file, write_index_order
 from .sampling import SamplerConfig, jump_stats_from_orders, sample_orders
 from .transposition import (
     build_graph,
+    dot_blocks,
     enumerate_index_orders,
     exhaustive_mean_degree,
     graph_stats,
-    to_dot,
 )
 from .verify import VerifyConfig, run_suite
 
@@ -239,7 +239,7 @@ def cmd_graph(args) -> int:
     stats = graph_stats(graph)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(graph))
+            fh.writelines(dot_blocks(graph))
     payload = {
         "version": __version__,
         "shape": list(shape.lengths),
@@ -318,7 +318,7 @@ def cmd_conjecture_scan(args) -> int:
         size = shape.size
         count = count_extensions(shape, args.cap)
         if count <= EXACT_SCAN_LIMIT:
-            mean = float(exhaustive_mean_degree(shape, args.cap))
+            mean = float(exhaustive_mean_degree(shape))
             stderr = 0.0
             method = "exhaustive"
             used = count

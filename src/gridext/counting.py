@@ -13,10 +13,12 @@ with one shift-and-AND per chain on the bitmask, so g(D) is complete
 before D is expanded.  One table is kept per shape.  The state space is
 the full down-set lattice; a configurable cap refuses shapes where it would
 not fit in memory, checked first against closed-form lower bounds on the
-lattice size.  forward_counts adds f(D), the number of orders of D itself,
-reading pits from GridShape.pit_mask: a uniform extension passes through D
-with probability f(D) g(D) / g(empty), so exact expectations are sums over
-the lattice.
+lattice size and then as each state is expanded.  The same table holds
+f(D), the number of orders of D itself: the point reflection
+(GridShape.reflect) reverses the order, so it maps the orders of D onto
+the completions of full ^ reflect(D), and f(D) = g(full ^ reflect(D)).  A
+uniform extension passes through D with probability f(D) g(D) / g(empty),
+so exact expectations are sums over this one table.
 
 A DP state is the down-set's bitmask interpreted as a Python int; the int is
 bit-for-bit the little-endian byte string of the bitset under the canonical
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape, Point, max_antichain_size, whitney_numbers
@@ -39,7 +41,6 @@ __all__ = [
     "DEFAULT_STATE_CAP",
     "DownSet",
     "completion_counts",
-    "forward_counts",
     "count_extensions",
     "hook_length_count",
     "factorial_product_lower_bound",
@@ -180,21 +181,22 @@ def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
 
     # Each state E pushes g(E) onto E - v for every maximal point v of E.
     # The pits of D are the maximal points of the states D + v, so g(D) is
-    # complete before D is expanded, and the table comes out stored by
-    # decreasing size, which forward_counts relies on.
+    # complete before D is expanded.  The cap is checked after each state:
+    # one expansion adds at most one state per maximal point.
     g: dict[int, int] = {(1 << shape.size) - 1: 1}
     level = g.copy()
     while level:
         below: dict[int, int] = {}
+        room = cap - len(g)
         for bits, here in level.items():
             rest = top_mask(bits)
             while rest:
                 low = rest & -rest
                 below[bits ^ low] = below.get(bits ^ low, 0) + here
                 rest ^= low
+            if len(below) > room:
+                raise _refuse(shape, cap, len(g) + len(below))
         g.update(below)
-        if len(g) > cap:
-            raise _refuse(shape, cap, len(g))
         level = below
     return MappingProxyType(g)
 
@@ -217,22 +219,6 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     if len(table) > cap:
         raise _refuse(shape, cap, len(table))
     return table
-
-
-def forward_counts(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, int, int]]:
-    """Yield (bits, f, pits) for each state of the completion_counts table
-    in increasing size: f counts the orders of `bits`, pits is its pit mask.
-    f is held only for the frontier, at most two levels.
-    """
-    f = {0: 1}
-    for bits in reversed(completion_counts(shape, cap)):
-        here = f.pop(bits)
-        pits = rest = shape.pit_mask(bits)
-        yield bits, here, pits
-        while rest:
-            low = rest & -rest
-            f[bits | low] = f.get(bits | low, 0) + here
-            rest ^= low
 
 
 def count_extensions(shape: GridShape, cap: int | None = None) -> int:

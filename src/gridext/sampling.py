@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts, count_extensions, forward_counts
+from .counting import completion_counts, count_extensions
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
@@ -389,11 +389,7 @@ class EntropyProfile:
         return math.fsum(self.h)
 
 
-def entropy_profile_exact(
-    shape: GridShape,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> EntropyProfile:
+def entropy_profile_exact(shape: GridShape, cap: int | None = None) -> EntropyProfile:
     """Exact conditional entropy profile by full enumeration.
 
     Groups all extensions by the down-set of their first k points and
@@ -404,7 +400,7 @@ def entropy_profile_exact(
     the lattice alone shows it (see enumerate_index_orders).
     """
     cap = 10**5 if cap is None else int(cap)
-    orders = enumerate_index_orders(shape, cap=cap, state_cap=state_cap)
+    orders = enumerate_index_orders(shape, cap=cap)
     size = shape.size
     if size == 1:
         return EntropyProfile(())
@@ -470,15 +466,18 @@ def exact_pits_deficit_fractions(
 
     Sums f(D) g(D), the number of extensions whose first |D| points form D,
     over the nonempty down-sets D with few pits; no extension is listed.
-    Exact rational output (denominator count * size); `cap` is the DP
-    state cap.
+    Both factors come from the completion table: f(D) = g(full ^
+    reflect(D)) (see the counting module).  Exact rational output
+    (denominator count * size); `cap` is the DP state cap.
     """
     thresholds = {float(R): _deficit_threshold(shape, R) for R in Rs}
     g = completion_counts(shape, cap)
+    full = (1 << shape.size) - 1
+    reflect, pit_mask = shape.reflect, shape.pit_mask
     by_pits: Counter[int] = Counter()  # (extension, time) pairs by pit count
-    for bits, f, pits in forward_counts(shape, cap):
+    for bits, here in g.items():
         if bits:
-            by_pits[pits.bit_count()] += f * g[bits]
+            by_pits[pit_mask(bits).bit_count()] += g[full ^ reflect(bits)] * here
     return {
         R: Fraction(sum(w for c, w in by_pits.items() if c < t), g[0] * shape.size)
         for R, t in thresholds.items()

@@ -9,9 +9,9 @@ for each position k the row reached by the swap at k, or s itself when
 that pair is comparable.  Degrees, edges, connectivity and the DOT
 rendering are all read from T, and build_graph asserts that T is an
 involution in each column.  The swap walk on an enumerable shape steps
-through the same table.  The mean degree, the mean jump count, is read
-from the down-set lattice instead (exhaustive_mean_degree), so it needs
-no enumeration.
+through the same table.  The mean degree, the mean jump count, needs
+neither the graph nor the down-set lattice: it is size - num_ranks
+(exhaustive_mean_degree), so it evaluates at any size.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import DEFAULT_STATE_CAP, completion_counts, count_extensions, forward_counts
+from .counting import DEFAULT_STATE_CAP, count_extensions
 from .errors import ResourceCapError
 from .grid import GridShape
 
@@ -38,11 +38,13 @@ __all__ = [
     "exhaustive_mean_degree",
     "build_graph",
     "graph_stats",
+    "dot_blocks",
     "to_dot",
 ]
 
 DEFAULT_ENUM_CAP = 10**6
 DEFAULT_BACKTRACK_CAP = 10**7
+_DOT_ROWS = 1 << 12  # vertices per block of DOT output
 
 
 def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
@@ -67,24 +69,18 @@ def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def enumerate_index_orders(
-    shape: GridShape,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> Iterator[tuple[int, ...]]:
+def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """Yield every extension as a raw index tuple, in lexicographic order.
 
     This is the bit-exact stream behind the extension file format.  Refuses
     to start when the exact count (from the counting engine, cheap at these
     scales) exceeds `cap` (default 10^6).  Every down-set is a prefix of one
     of the extensions, so a shape within the cap has at most (size + 1) *
-    cap down-sets.  Unless `state_cap` is given, that (at most the default
-    state cap) is the DP's state cap, so a larger lattice is refused before
-    the DP is built.
+    cap down-sets.  That (at most the default state cap) is the DP's state
+    cap, so a larger lattice is refused before the DP is built.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
-    if state_cap is None:
-        state_cap = min((shape.size + 1) * max(cap, 0), DEFAULT_STATE_CAP)
+    state_cap = min((shape.size + 1) * max(cap, 0), DEFAULT_STATE_CAP)
     total = count_extensions(shape, cap=state_cap)
     if total > cap:
         raise ResourceCapError(
@@ -182,27 +178,22 @@ def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
 
 
 def exhaustive_mean_degree(shape: GridShape, cap: int | None = None) -> Fraction:
-    """Exact average jump count over all extensions, as a fraction.
+    """Exact average jump count over all extensions: size - num_ranks.
 
-    After a prefix D, the next pair (v, u) is a jump exactly when u was
-    already a pit of D, so all extensions together have
-    2 * sum_D f(D) * sum_{v < u pits of D} g(D + v + u) jumps (see
-    forward_counts).  `cap` is the DP state cap.
+    Along an extension x_1, ..., x_size the rank steps r(x_{k+1}) - r(x_k)
+    sum to num_ranks - 1, from the bottom corner to the top.  Two
+    consecutive points are either a cover, a step of exactly +1, or a
+    jump, an incomparable pair.  Swapping a jump's two points gives another
+    extension with a jump at the same time and the opposite step; this
+    swap pairs up all (extension, jump time) pairs, so over all extensions
+    the jump steps sum to 0.  So the covers alone make the climb: on
+    average an extension has num_ranks - 1 covers among its size - 1
+    steps, and size - num_ranks jumps.
+
+    No table is built, so astronomic shapes evaluate at once.  `cap`, once
+    the DP state cap, is unused.
     """
-    g = completion_counts(shape, cap)
-    total = 0
-    for bits, f, pits in forward_counts(shape, cap):
-        pairs = 0
-        while pits:
-            low = pits & -pits
-            pits ^= low
-            rest = pits
-            while rest:
-                other = rest & -rest
-                pairs += g[bits | low | other]
-                rest ^= other
-        total += f * pairs
-    return Fraction(2 * total, g[0])
+    return Fraction(shape.size - shape.num_ranks)
 
 
 @dataclass(frozen=True, eq=False)  # arrays do not compare to one bool
@@ -226,11 +217,7 @@ class TranspositionGraph:
         return (self.table != self.table[:, :1]).sum(1)
 
 
-def build_graph(
-    shape: GridShape,
-    cap: int | None = None,
-    state_cap: int | None = None,
-) -> TranspositionGraph:
+def build_graph(shape: GridShape, cap: int | None = None) -> TranspositionGraph:
     """Build the full swap graph by exhaustive enumeration: the enumerated
     orders as one int32 array, and their swap table T.
 
@@ -238,7 +225,7 @@ def build_graph(
     column: T[T[s, k], k] == s.  That check, which also makes every edge
     found from both ends, is asserted.
     """
-    orders = np.array(list(enumerate_index_orders(shape, cap, state_cap)), dtype=np.int32)
+    orders = np.array(list(enumerate_index_orders(shape, cap)), dtype=np.int32)
     table = swap_table(shape, orders)
     back = table[table, np.arange(shape.size)]
     assert (back == table[:, :1]).all(), "the swap table must be an involution in each column"
@@ -286,13 +273,22 @@ def graph_stats(g: TranspositionGraph) -> GraphStats:
     )
 
 
+def dot_blocks(g: TranspositionGraph) -> Iterator[str]:
+    """The DOT rendering, one block of rows at a time: first the vertices,
+    labelled with the extensions' index sequences, then the edges
+    (s, T[s, k] > s) row by row.  No list of all lines is held.
+    """
+    yield "graph extensions {\n"
+    for lo in range(0, len(g.orders), _DOT_ROWS):
+        block = g.orders[lo : lo + _DOT_ROWS].tolist()
+        yield "".join(f'  v{i} [label="{" ".join(map(str, row))}"];\n' for i, row in enumerate(block, lo))
+    for lo in range(0, len(g.table), _DOT_ROWS):
+        block = g.table[lo : lo + _DOT_ROWS]
+        rows, ks = np.nonzero(block > block[:, :1])
+        yield "".join(f"  v{i} -- v{j};\n" for i, j in zip((rows + lo).tolist(), block[rows, ks].tolist()))
+    yield "}\n"
+
+
 def to_dot(g: TranspositionGraph) -> str:
-    """DOT rendering; vertex labels are the extensions' index sequences."""
-    lines = ["graph extensions {"]
-    for i, row in enumerate(g.orders.tolist()):
-        lines.append(f'  v{i} [label="{" ".join(map(str, row))}"];')
-    rows, ks = np.nonzero(g.table > g.table[:, :1])
-    for i, j in zip(rows.tolist(), g.table[rows, ks].tolist()):
-        lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT rendering as one string (see dot_blocks)."""
+    return "".join(dot_blocks(g))

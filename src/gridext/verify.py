@@ -156,7 +156,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
 
     cube = GridShape.equilateral(2, 3)
     dp = count_extensions(cube, cfg.state_cap)
-    listed = sum(1 for _ in enumerate_index_orders(cube, state_cap=cfg.state_cap))
+    listed = sum(1 for _ in enumerate_index_orders(cube))
     checks.append(
         _check(
             f"{cube} count vs enumeration",
@@ -265,7 +265,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
     for m, n in EXTREMES_MN:
         shape = GridShape.equilateral(m, n)
         report = avg_degree_lower_bound(m, n)
-        mean_deg = exhaustive_mean_degree(shape, cfg.state_cap)
+        mean_deg = exhaustive_mean_degree(shape)
         holds = float(mean_deg) >= report.value - 1e-9
         checks.append(
             _check(
@@ -338,7 +338,7 @@ def suite_extremes(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     for m, n in EXTREMES_MN:
         shape = GridShape.equilateral(m, n)
-        graph = build_graph(shape, state_cap=cfg.state_cap)
+        graph = build_graph(shape)
         stats = graph_stats(graph)
         size = shape.size
 
@@ -424,7 +424,7 @@ def suite_entropy(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     for m, n in ENTROPY_MN:
         shape = GridShape.equilateral(m, n)
-        profile = entropy_profile_exact(shape, cap=10**5, state_cap=cfg.state_cap)
+        profile = entropy_profile_exact(shape)
         count = count_extensions(shape, cfg.state_cap)
         lg_count = math.log(count, 2)
         rel_err = abs(profile.total_bits - lg_count) / max(1.0, abs(lg_count))
@@ -464,7 +464,7 @@ def suite_entropy(cfg: VerifyConfig) -> SuiteReport:
 def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     checks = []
     shape = GridShape.equilateral(3, 2)
-    support = list(enumerate_index_orders(shape, state_cap=cfg.state_cap))
+    support = list(enumerate_index_orders(shape))
 
     sampler = ExactSampler(shape, cfg.seed, cfg.state_cap)
     counts = Counter(sampler.sample_indices() for _ in range(CHI_SAMPLES))

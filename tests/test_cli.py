@@ -363,15 +363,6 @@ class TestBounds:
 
 
 class TestVerify:
-    def test_counting_suite_json(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "counting", "--format", "json")
-        assert code == 0
-        reports = json.loads(out)
-        assert reports[0]["version"] == __version__
-        assert reports[0]["passed"] is True
-        assert reports[0]["config"]["seed"] == 42
-        assert all(c["passed"] for c in reports[0]["checks"])
-
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2

@@ -16,12 +16,32 @@ from gridext import (
     count_root_window,
     enumerate_index_orders,
     factorial_product_lower_bound,
-    forward_counts,
     hook_length_count,
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _lattice_lower_bound
+from gridext.counting import _completion_counts, _down_set_count, _lattice_lower_bound
+from gridext.grid import max_antichain_size
+
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
+
+
+def forward_oracle(shape):
+    """f(D), the number of orders of each down-set D, by one bottom-up pass
+    from the empty set: an oracle independent of the completion table."""
+    f = {0: 1}
+    level = {0: 1}
+    while level:
+        above = {}
+        for bits, here in level.items():
+            rest = shape.pit_mask(bits)
+            while rest:
+                low = rest & -rest
+                above[bits | low] = above.get(bits | low, 0) + here
+                rest ^= low
+        f.update(above)
+        level = above
+    return f
 
 
 class TestDownSet:
@@ -165,17 +185,30 @@ class TestCounts:
         assert exc.value.cap == len(table) - 1
         assert completion_counts(shape) is table
 
-    def test_forward_counts(self, square3):
-        g = completion_counts(square3)
-        seen = {}
-        for bits, f, pits in forward_counts(square3):
-            assert bits not in seen and pits == square3.pit_mask(bits)
-            seen[bits] = f
-        assert seen.keys() == g.keys()
-        assert seen[0] == 1 and seen[(1 << 9) - 1] == 42
+    @given(small_shapes)
+    @settings(deadline=None)
+    def test_reflection_gives_forward_counts(self, lengths):
+        # f(D) = g(full ^ reflect(D)): the reflection reverses the order.
+        shape = GridShape(lengths)
+        g = completion_counts(shape)
+        f = forward_oracle(shape)
+        full = (1 << shape.size) - 1
+        assert f.keys() == g.keys()
+        assert all(g[full ^ shape.reflect(bits)] == here for bits, here in f.items())
         # Every extension passes through exactly one down-set of each size.
-        for k in range(10):
-            assert sum(f * g[b] for b, f in seen.items() if b.bit_count() == k) == 42
+        for k in range(shape.size + 1):
+            assert sum(here * g[b] for b, here in f.items() if b.bit_count() == k) == g[0]
+
+    @pytest.mark.parametrize("lengths, cap", [((2,) * 5, 2000), ((2, 2, 2, 2), 100), ((2, 2, 2, 3), 300)])
+    def test_cap_checked_as_the_level_grows(self, lengths, cap):
+        # Past the pre-check (2^width <= cap), the DP stops within one
+        # expanded state of the cap, not a whole level later.
+        shape = GridShape(lengths)
+        assert 1 << max_antichain_size(shape) <= cap < len(completion_counts(shape))
+        with pytest.raises(ResourceCapError) as exc:
+            _completion_counts(shape, cap)
+        reported = int(str(exc.value).split("at least ")[1].split()[0])
+        assert cap < reported <= cap + shape.num_chains
 
 
 class TestBounds:

@@ -188,6 +188,20 @@ class TestOrder:
         mask = shape.top_mask(sum(1 << v for v in members))
         assert {v for v in range(shape.size) if mask >> v & 1} == expected
 
+    @given(shape_and_downset())
+    def test_reflect_matches_coordinates(self, sd):
+        # x_j -> a_j + 1 - x_j on every point: an involution that maps the
+        # pits of a down-set D onto the tops of the down-set full ^ reflect(D)
+        shape, members = sd
+        coords = shape.coords_table
+        flipped = {shape.index_of(tuple(a + 1 - x for a, x in zip(shape.lengths, coords[v]))) for v in members}
+        bits = sum(1 << v for v in members)
+        image = shape.reflect(bits)
+        assert image == sum(1 << v for v in flipped)
+        assert shape.reflect(image) == bits
+        full = (1 << shape.size) - 1
+        assert shape.top_mask(full ^ image) == shape.reflect(shape.pit_mask(bits))
+
     def test_up_degree(self):
         s = GridShape((3, 3))
         assert up_degree(s.point((1, 1))) == 2

@@ -1,6 +1,7 @@
 """Enumeration, swap graphs, exhaustive degree statistics."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -184,6 +185,31 @@ class TestGraph:
     def test_mean_degree(self, square3):
         assert exhaustive_mean_degree(square3) == Fraction(4)
         assert exhaustive_mean_degree(GridShape((2, 2))) == Fraction(1)
+
+    def test_mean_degree_at_astronomic_size(self):
+        tables = dict(counting._tables)
+        t0 = time.perf_counter()
+        assert exhaustive_mean_degree(GridShape((2**64, 2**64))) == 2**128 - 2**65 + 1
+        assert time.perf_counter() - t0 < 0.1
+        assert counting._tables == tables
+
+    @pytest.mark.parametrize("lengths", [(5, 5), (3, 3, 3), (2,) * 5, (8, 8)])
+    def test_mean_degree_matches_pit_pair_sum(self, lengths):
+        # Oracle: after a prefix D, the next pair (v, u) is a jump exactly
+        # when u was already a pit of D, so all extensions together have
+        # 2 * sum_D f(D) * sum_{v < u pits of D} g(D + v + u) jumps.
+        shape = GridShape(lengths)
+        g = counting.completion_counts(shape)
+        full = (1 << shape.size) - 1
+        total = 0
+        for bits in g:
+            pits, rest = [], shape.pit_mask(bits)
+            while rest:
+                pits.append(rest & -rest)
+                rest ^= pits[-1]
+            pairs = sum(g[bits | a | b] for i, a in enumerate(pits) for b in pits[i + 1 :])
+            total += g[full ^ shape.reflect(bits)] * pairs
+        assert exhaustive_mean_degree(shape) == Fraction(2 * total, g[0])
 
     @given(small_shapes, st.floats(0.05, 8.0))
     @settings(deadline=None)
