@@ -23,7 +23,6 @@ from .bounds import (
 )
 from .counting import (
     DEFAULT_STATE_CAP,
-    DownSet,
     completion_counts,
     count_extensions,
     count_root_window,
@@ -37,30 +36,16 @@ from .errors import (
     GridextError,
     InvalidExtensionError,
     ResourceCapError,
-    ShapeMismatchError,
 )
 from .grid import (
     GridShape,
-    Point,
-    RankLevel,
-    covers,
-    leq,
     max_antichain_size,
-    rank_levels,
-    up_degree,
     whitney_numbers,
 )
 from .jumps import (
-    JumpProfile,
     LinearExtension,
-    PitsSequence,
-    first_of_rank,
     jump_times,
-    jumps,
-    last_of_rank,
     pits_counts,
-    pits_sequence,
-    rank_lex_extension,
     rank_lex_indices,
     read_extensions_file,
     write_extensions_file,
@@ -99,22 +84,14 @@ __all__ = [
     # errors
     "GridextError",
     "DomainError",
-    "ShapeMismatchError",
     "InvalidExtensionError",
     "ResourceCapError",
     # grid
     "GridShape",
-    "Point",
-    "RankLevel",
-    "leq",
-    "covers",
-    "up_degree",
-    "rank_levels",
     "whitney_numbers",
     "max_antichain_size",
     # counting
     "DEFAULT_STATE_CAP",
-    "DownSet",
     "completion_counts",
     "count_extensions",
     "hook_length_count",
@@ -124,16 +101,9 @@ __all__ = [
     "count_root_window",
     # extensions and jumps
     "LinearExtension",
-    "JumpProfile",
-    "PitsSequence",
-    "jumps",
     "jump_times",
-    "pits_sequence",
     "pits_counts",
     "rank_lex_indices",
-    "rank_lex_extension",
-    "first_of_rank",
-    "last_of_rank",
     "read_extensions_file",
     "write_extensions_file",
     # enumeration and the swap graph

@@ -27,7 +27,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import jumps, pits_sequence, read_extensions_file, write_index_orders
+from .jumps import jump_times, pits_counts, read_extensions_file, write_index_orders
 from .sampling import SamplerConfig, jump_stats_from_orders, sample_orders
 from .transposition import (
     build_graph,
@@ -189,9 +189,8 @@ def cmd_jumps(args) -> int:
     extensions = read_extensions_file(args.infile, shape)
     records = []
     for i, ext in enumerate(extensions, start=1):
-        profile = jumps(ext)
-        pits = pits_sequence(ext)
-        records.append((i, profile.degree, profile.jump_times, pits.counts))
+        times = jump_times(shape, ext.indices)
+        records.append((i, len(times), times, pits_counts(shape, ext.indices)))
     if fmt == "csv":
         rows = [
             [i, degree, " ".join(map(str, times)), " ".join(map(str, counts))]
@@ -213,7 +212,7 @@ def cmd_pits(args) -> int:
     extensions = read_extensions_file(args.infile, shape)
     if not extensions:
         raise DomainError(f"no extensions found in {args.infile}")
-    profiles = [pits_sequence(ext).counts for ext in extensions]
+    profiles = [pits_counts(shape, ext.indices) for ext in extensions]
     size = shape.size
     if args.mean:
         means = [sum(p[k] for p in profiles) / len(profiles) for k in range(size)]

@@ -13,12 +13,15 @@ with one shift-and-AND per chain on the bitmask, so g(D) is complete
 before D is expanded.  One table is kept per shape.  The state space is
 the full down-set lattice; a configurable cap refuses shapes where it would
 not fit in memory, checked first against closed-form lower bounds on the
-lattice size and then as each state is expanded.  The same table holds
-f(D), the number of orders of D itself: the point reflection
-(GridShape.reflect) reverses the order, so it maps the orders of D onto
-the completions of full ^ reflect(D), and f(D) = g(full ^ reflect(D)).  A
-uniform extension passes through D with probability f(D) g(D) / g(empty),
-so exact expectations are sums over this one table.
+lattice size and then as each state is expanded.  The cap counts 64-bit
+words: a state is a size-bit int of ceil(size / 64) words, so the cap
+admits cap // ceil(size / 64) states, one per unit of cap up to 64
+points.  The same table holds f(D), the number of orders of D itself:
+the point reflection (GridShape.reflect) reverses the order, so it maps
+the orders of D onto the completions of full ^ reflect(D), and
+f(D) = g(full ^ reflect(D)).  A uniform extension passes through D with
+probability f(D) g(D) / g(empty), so exact expectations are sums over
+this one table.
 
 A DP state is the down-set's bitmask interpreted as a Python int; the int is
 bit-for-bit the little-endian byte string of the bitset under the canonical
@@ -29,17 +32,15 @@ across runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ResourceCapError
-from .grid import GridShape, Point, max_antichain_size, whitney_numbers
+from .grid import GridShape, max_antichain_size, whitney_numbers
 
 __all__ = [
     "DEFAULT_STATE_CAP",
-    "DownSet",
     "completion_counts",
     "count_extensions",
     "hook_length_count",
@@ -49,86 +50,9 @@ __all__ = [
     "count_root_window",
 ]
 
-# Default ceiling on the number of DP states (= down-sets) held in memory.
+# Default ceiling on the DP states (= down-sets) held in memory, in 64-bit
+# words: each state of a shape of size points takes ceil(size / 64).
 DEFAULT_STATE_CAP = 10**7
-
-
-@dataclass(frozen=True)
-class DownSet:
-    """A downward-closed subset of a grid, encoded as a bitmask.
-
-    Bit v is set iff the point with canonical index v is present.  Downward
-    closure is checked eagerly: every lower cover of a member must also be a
-    member.
-    """
-
-    shape: GridShape
-    bits: int
-
-    def __post_init__(self):
-        bits = int(self.bits)
-        if not 0 <= bits < (1 << self.shape.size):
-            raise DomainError(f"bitmask {bits:#x} out of range for shape {self.shape} (size {self.shape.size})")
-        # A character per point, "1" for members: no size-bit int per point.
-        members = format(bits, f"0{self.shape.size}b")[::-1]
-        lower = self.shape.lower_covers
-        for v, flag in enumerate(members):
-            if flag == "1":
-                for u in lower[v]:  # increasing index: the first one missing is the lowest
-                    if members[u] == "0":
-                        raise DomainError(
-                            f"not downward closed: contains {self.shape.coords_table[v]} "
-                            f"but not its lower cover {self.shape.coords_table[u]}"
-                        )
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def empty(cls, shape: GridShape) -> "DownSet":
-        return cls(shape, 0)
-
-    @classmethod
-    def full(cls, shape: GridShape) -> "DownSet":
-        return cls(shape, (1 << shape.size) - 1)
-
-    @classmethod
-    def from_points(cls, shape: GridShape, points: Iterable[Point]) -> "DownSet":
-        bits = 0
-        for p in points:
-            if p.shape != shape:
-                raise DomainError(f"point {p} belongs to shape {p.shape}, not {shape}")
-            bits |= 1 << p.index
-        return cls(shape, bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, item) -> bool:
-        idx = item.index if isinstance(item, Point) else int(item)
-        return bool(self.bits >> idx & 1)
-
-    def points(self) -> tuple[Point, ...]:
-        """Members in canonical index order."""
-        return tuple(self.shape.point_at(v) for v in _iter_bits(self.bits))
-
-    def add(self, p: Point) -> "DownSet":
-        """New down-set with p added; rejects additions that break closure."""
-        if p.shape != self.shape:
-            raise DomainError(f"point {p} belongs to shape {p.shape}, not {self.shape}")
-        return DownSet(self.shape, self.bits | 1 << p.index)
-
-    def pit_indices(self) -> tuple[int, ...]:
-        """Canonical indices of the pits: minimal elements of the complement."""
-        return tuple(_iter_bits(self.shape.pit_mask(self.bits)))
-
-    def pits(self) -> tuple[Point, ...]:
-        return tuple(self.shape.point_at(v) for v in self.pit_indices())
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def _down_set_count(lengths: Iterable[int], cap: int) -> int:
@@ -160,10 +84,20 @@ def _lattice_lower_bound(shape: GridShape, cap: int) -> int:
     return max(bound, 1 << min(max_antichain_size(shape), cap.bit_length()))
 
 
+def _words(shape: GridShape) -> int:
+    """64-bit words of one DP state, a size-bit int."""
+    return -(-shape.size // 64)
+
+
 def _refuse(shape: GridShape, cap: int, states: int) -> ResourceCapError:
+    words = _words(shape)
+    # An astronomic word count is too long to print; past the cap it is
+    # enough to say so.
+    shown = words if words <= cap else f"more than {cap}"
+    each = f" of {shown} 64-bit words each" if words > 1 else ""
     return ResourceCapError(
         f"down-set lattice of {shape} exceeds the state cap of {cap} "
-        f"(at least {states} ideals); raise the cap to proceed",
+        f"(at least {states} ideals{each}); raise the cap to proceed",
         cap=int(cap),
     )
 
@@ -174,8 +108,9 @@ _TABLES_KEPT = 32
 
 
 def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
-    bound = _lattice_lower_bound(shape, cap)
-    if bound > cap:
+    states = cap // _words(shape)
+    bound = _lattice_lower_bound(shape, states)
+    if bound > states:
         raise _refuse(shape, cap, bound)
     top_mask = shape.top_mask
 
@@ -187,7 +122,7 @@ def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     level = g.copy()
     while level:
         below: dict[int, int] = {}
-        room = cap - len(g)
+        room = states - len(g)
         for bits, here in level.items():
             rest = top_mask(bits)
             while rest:
@@ -206,8 +141,9 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
 
     One table per shape is built and shared across calls (results are
     identical to a private memo, so sharing is sound).  Raises
-    ResourceCapError if the lattice exceeds `cap` states (default 10^7),
-    whether the table is cached already or not.
+    ResourceCapError if the lattice exceeds cap // ceil(size / 64) states
+    (`cap` counts 64-bit words, default 10^7), whether the table is cached
+    already or not.
     """
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
     table = _tables.pop(shape, None)
@@ -216,7 +152,7 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     _tables[shape] = table
     if len(_tables) > _TABLES_KEPT:
         del _tables[next(iter(_tables))]
-    if len(table) > cap:
+    if len(table) > cap // _words(shape):
         raise _refuse(shape, cap, len(table))
     return table
 

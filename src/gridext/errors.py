@@ -17,10 +17,6 @@ class DomainError(GridextError, ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class ShapeMismatchError(GridextError, ValueError):
-    """Two objects that must live on the same grid shape do not."""
-
-
 class InvalidExtensionError(GridextError, ValueError):
     """A sequence of points is not a linear extension of its grid.
 

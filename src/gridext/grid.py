@@ -13,6 +13,12 @@ for all file formats produced by this package:
 i.e. row-major order with the last coordinate varying fastest.  Coordinates
 are 1-based, indices are 0-based.  This numbering is part of the external
 contract and must not change.
+
+The package works on indices and bitmasks only: a point is its index, a
+set of points (a down-set, the pits of one) is an int whose bit v stands
+for point v.  GridShape.index_of and GridShape.coords_of convert at the
+boundary; the per-index tables below (coordinates, ranks, covers) and the
+pit and top masks carry the order structure.
 """
 
 from __future__ import annotations
@@ -24,19 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError
+from .errors import DomainError
 
-__all__ = [
-    "GridShape",
-    "Point",
-    "RankLevel",
-    "leq",
-    "covers",
-    "up_degree",
-    "rank_levels",
-    "whitney_numbers",
-    "max_antichain_size",
-]
+__all__ = ["GridShape", "whitney_numbers", "max_antichain_size"]
 
 # Byte b with its eight bits in reverse order, for GridShape.reflect.
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -96,7 +92,11 @@ class GridShape:
 
     def index_of(self, coords: tuple[int, ...]) -> int:
         """Canonical index of a coordinate vector (validates the vector)."""
-        self._check_coords(coords)
+        if len(coords) != len(self.lengths):
+            raise DomainError(f"expected {len(self.lengths)} coordinates, got {len(coords)}")
+        for x, a in zip(coords, self.lengths):
+            if not 1 <= x <= a:
+                raise DomainError(f"coordinate {x} out of range 1..{a} in {tuple(coords)}")
         return sum((x - 1) * s for x, s in zip(coords, self.strides))
 
     def coords_of(self, index: int) -> tuple[int, ...]:
@@ -104,24 +104,6 @@ class GridShape:
         if not 0 <= index < self.size:
             raise DomainError(f"index {index} out of range for shape {self.lengths} (size {self.size})")
         return self.coords_table[index]
-
-    def point(self, coords) -> "Point":
-        return Point(self, tuple(coords))
-
-    def point_at(self, index: int) -> "Point":
-        return Point(self, self.coords_of(index))
-
-    def points(self):
-        """All points in canonical index order."""
-        for coords in self.coords_table:
-            yield Point(self, coords)
-
-    def _check_coords(self, coords) -> None:
-        if len(coords) != len(self.lengths):
-            raise DomainError(f"expected {len(self.lengths)} coordinates, got {len(coords)}")
-        for x, a in zip(coords, self.lengths):
-            if not 1 <= x <= a:
-                raise DomainError(f"coordinate {x} out of range 1..{a} in {tuple(coords)}")
 
     # --- precomputed tables, indexed by canonical index --------------------
     #
@@ -165,8 +147,8 @@ class GridShape:
 
         One size-bit int per point, O(size^2) bits in all: of the package,
         only the backtracking oracle reads it.  The cover test for
-        consecutive points is `a in lower_covers[b]`, and the validators
-        loop over lower_covers.
+        consecutive points is `a in lower_covers[b]`, and the extension
+        validator loops over lower_covers.
         """
         out = []
         for downs in self.lower_covers:
@@ -253,85 +235,12 @@ class GridShape:
         return "x".join(str(a) for a in self.lengths)
 
 
-@dataclass(frozen=True)
-class Point:
-    """A point of a grid poset: a shape plus a 1-based coordinate vector."""
-
-    shape: GridShape
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(int(x) for x in self.coords)
-        self.shape._check_coords(coords)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def rank(self) -> int:
-        return 1 + sum(x - 1 for x in self.coords)
-
-    @property
-    def index(self) -> int:
-        return sum((x - 1) * s for x, s in zip(self.coords, self.shape.strides))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(x) for x in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class RankLevel:
-    """All points of one rank, in canonical index order."""
-
-    rank: int
-    members: tuple[Point, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def _same_shape(p: Point, q: Point) -> GridShape:
-    if p.shape != q.shape:
-        raise ShapeMismatchError(f"points live on different shapes: {p.shape} vs {q.shape}")
-    return p.shape
-
-
-def leq(p: Point, q: Point) -> bool:
-    """Componentwise order: p <= q iff every coordinate of p is <= q's."""
-    _same_shape(p, q)
-    return all(a <= b for a, b in zip(p.coords, q.coords))
-
-
-def covers(q: Point, p: Point) -> bool:
-    """True iff q covers p: q = p + e_j for a single coordinate j."""
-    _same_shape(p, q)
-    total = 0
-    for a, b in zip(p.coords, q.coords):
-        d = b - a
-        if d < 0:
-            return False
-        total += d
-    return total == 1
-
-
-def up_degree(p: Point) -> int:
-    """Number of upper covers of p inside the grid."""
-    return sum(1 for x, a in zip(p.coords, p.shape.lengths) if x < a)
-
-
-def rank_levels(shape: GridShape) -> tuple[RankLevel, ...]:
-    """Points grouped by rank, each level in canonical index order."""
-    buckets: list[list[Point]] = [[] for _ in range(shape.num_ranks)]
-    for i, coords in enumerate(shape.coords_table):
-        buckets[shape.rank_table[i] - 1].append(Point(shape, coords))
-    return tuple(RankLevel(s + 1, tuple(b)) for s, b in enumerate(buckets))
-
-
 def whitney_numbers(shape: GridShape) -> tuple[int, ...]:
     """Level sizes by rank, entry s = number of points of rank s+1.
 
     Computed by convolving the all-ones vectors of the chain lengths, which
-    counts vectors by coordinate sum directly; rank_levels() gives an
-    independent route for cross-checking.
+    counts vectors by coordinate sum directly; counting rank_table gives
+    an independent route for cross-checking.
     """
     w = [1]
     for a in shape.lengths:

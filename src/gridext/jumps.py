@@ -1,4 +1,4 @@
-"""Linear extensions of grid posets: validation, jumps, pits, rank extremes.
+"""Linear extensions of grid posets: validation, jumps, pits, extension files.
 
 A linear extension lists every point of the grid exactly once, never placing
 a point before one below it.  Time k (1-based) is a jump when the elements at
@@ -9,7 +9,8 @@ lookup: a in shape.lower_covers[b] (GridShape.cover_arrays gives the same
 test on whole arrays).  A pit at time k is a minimal element of the part of
 the grid not yet placed after k steps; GridShape.pit_mask reads all pits of
 a prefix at once, and pits_counts keeps their number up to date along an
-order.  Both statistics cost O(size * chains) per order.
+order.  Both statistics cost O(size * chains) per order, and both read a
+raw index sequence: an extension is its tuple of canonical indices.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.
@@ -18,25 +19,16 @@ indices separated by single spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
-from .counting import DownSet
-from .errors import DomainError, InvalidExtensionError
-from .grid import GridShape, Point
+from .errors import InvalidExtensionError
+from .grid import GridShape
 
 __all__ = [
     "LinearExtension",
-    "JumpProfile",
-    "PitsSequence",
-    "jumps",
     "jump_times",
-    "pits_sequence",
     "pits_counts",
     "rank_lex_indices",
-    "rank_lex_extension",
-    "first_of_rank",
-    "last_of_rank",
     "read_extensions_file",
     "write_extensions_file",
     "write_index_orders",
@@ -81,35 +73,8 @@ class LinearExtension:
         _validate_order(self.shape, indices)
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def from_points(cls, shape: GridShape, points: Iterable[Point]) -> "LinearExtension":
-        idx = []
-        for p in points:
-            if p.shape != shape:
-                raise DomainError(f"point {p} belongs to shape {p.shape}, not {shape}")
-            idx.append(p.index)
-        return cls(shape, tuple(idx))
-
-    @cached_property
-    def order(self) -> tuple[Point, ...]:
-        """The extension as Point objects."""
-        return tuple(self.shape.point_at(v) for v in self.indices)
-
-    def prefix(self, k: int) -> DownSet:
-        """Down-set of the first k points placed (0 <= k <= size)."""
-        if not 0 <= k <= len(self.indices):
-            raise DomainError(f"prefix length {k} out of range 0..{len(self.indices)}")
-        bits = 0
-        for v in self.indices[:k]:
-            bits |= 1 << v
-        return DownSet(self.shape, bits)
-
     def __len__(self) -> int:
         return len(self.indices)
-
-    def to_line(self) -> str:
-        """Serialize per the extension file format."""
-        return " ".join(str(v) for v in self.indices)
 
     @classmethod
     def from_line(cls, shape: GridShape, line: str) -> "LinearExtension":
@@ -120,24 +85,6 @@ class LinearExtension:
         return cls(shape, idx)
 
 
-@dataclass(frozen=True)
-class JumpProfile:
-    """Sorted jump times of one extension; the degree is their number."""
-
-    jump_times: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.jump_times)
-
-
-@dataclass(frozen=True)
-class PitsSequence:
-    """counts[k-1] = number of pits after k placements, k = 1..size."""
-
-    counts: tuple[int, ...]
-
-
 def jump_times(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     """Jump times of a raw index sequence (trusted to be a valid extension).
 
@@ -146,11 +93,6 @@ def jump_times(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     """
     lower = shape.lower_covers
     return tuple(k for k in range(1, len(indices)) if indices[k - 1] not in lower[indices[k]])
-
-
-def jumps(ext: LinearExtension) -> JumpProfile:
-    """Jump profile of a validated extension."""
-    return JumpProfile(jump_times(ext.shape, ext.indices))
 
 
 def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
@@ -176,70 +118,18 @@ def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def pits_sequence(ext: LinearExtension) -> PitsSequence:
-    """Pits sequence of a validated extension; the last entry is always 0."""
-    return PitsSequence(pits_counts(ext.shape, ext.indices))
-
-
 def rank_lex_indices(shape: GridShape) -> tuple[int, ...]:
     """Indices sorted by (rank, coordinate tuple); valid for any shape.
 
     Rank strictly increases along the order, so this is always a linear
     extension; it doubles as the deterministic start state for the
-    random-walk sampler.
+    random-walk sampler.  On equal chains [m]^n it attains the maximum
+    jump count m^n - 3 (the extremes suite checks this); the guarantee
+    does not transfer to mixed shapes.
     """
     ranks = shape.rank_table
     coords = shape.coords_table
     return tuple(sorted(range(shape.size), key=lambda v: (ranks[v], coords[v])))
-
-
-def rank_lex_extension(shape: GridShape) -> LinearExtension:
-    """Rank-by-rank, lexicographic-within-rank extension of an equal-chain grid.
-
-    This construction attains the maximum jump degree m^n - 3 among all
-    extensions of [m]^n.  Restricted to equal chain lengths; the degree
-    guarantee does not transfer to mixed shapes.
-    """
-    if not shape.is_equilateral:
-        raise DomainError(f"rank-lex construction requires equal chain lengths, got {shape}")
-    return LinearExtension(shape, rank_lex_indices(shape))
-
-
-def _require_equilateral_rank(shape: GridShape, s: int) -> tuple[int, int]:
-    if not shape.is_equilateral:
-        raise DomainError(f"defined for equal chain lengths only, got {shape}")
-    if not 1 <= s <= shape.num_ranks:
-        raise DomainError(f"rank {s} out of range 1..{shape.num_ranks}")
-    return shape.lengths[0], shape.num_chains
-
-
-def first_of_rank(shape: GridShape, s: int) -> Point:
-    """Lexicographically first point of rank s in an equal-chain grid.
-
-    Greedy: scan coordinates left to right, giving each the least value
-    that leaves the remaining coordinate sum achievable.  The first
-    coordinate comes out as max(s - (n-1)(m-1), 1).
-    """
-    m, n = _require_equilateral_rank(shape, s)
-    rem = s + n - 1  # coordinate sum of every rank-s point
-    coords = []
-    for j in range(n):
-        x = max(1, rem - (n - 1 - j) * m)
-        coords.append(x)
-        rem -= x
-    return Point(shape, tuple(coords))
-
-
-def last_of_rank(shape: GridShape, s: int) -> Point:
-    """Lexicographically last point of rank s; first coordinate is min(s, m)."""
-    m, n = _require_equilateral_rank(shape, s)
-    rem = s + n - 1
-    coords = []
-    for j in range(n):
-        x = min(m, rem - (n - 1 - j))
-        coords.append(x)
-        rem -= x
-    return Point(shape, tuple(coords))
 
 
 def write_index_orders(fh, orders: Iterable[Sequence[int]]) -> int:

@@ -181,11 +181,6 @@ class ExactSampler:
     def sample(self) -> LinearExtension:
         return LinearExtension(self.shape, self.sample_indices())
 
-    def sample_many(self, count: int) -> list[LinearExtension]:
-        if count < 0:
-            raise DomainError(f"need count >= 0, got {count}")
-        return [self.sample() for _ in range(count)]
-
 
 # The ensemble refuses shapes above this many points by shape alone: its
 # start state and the statistics on its output read per-point Python tables

@@ -81,7 +81,9 @@ class TestCount:
         assert code == 3
         assert "cap" in err
 
-    @pytest.mark.parametrize("shape", ["99999999999999999999x2", "6x6x6"])
+    @pytest.mark.parametrize(
+        "shape", ["99999999999999999999x2", "6x6x6", pytest.param("2" + "x2" * 15000, id="2^15001")]
+    )
     def test_cap_refuses_at_once(self, capsys, shape):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "count", "--shape", shape)
@@ -97,6 +99,28 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err.startswith("error: down-set lattice") and "Traceback" not in err
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("shape, words", [("2x3200", 100), ("1048576", 16384)])
+    def test_cap_counts_state_words(self, capsys, shape, words):
+        # A state is a size-bit int: the default cap of 10^7 words admits
+        # 10^7 // words states, which these lattices exceed at once.
+        from gridext import counting
+
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", "--shape", shape)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: down-set lattice") and "Traceback" not in err
+        assert f"ideals of {words} 64-bit words each" in err
+        assert time.perf_counter() - t0 < 1.0
+        assert all(str(s) != shape for s in counting._tables)
+
+    def test_long_chain_within_word_cap(self, capsys):
+        # 16385 states of 256 words each: within the default cap.
+        from gridext import GridShape, counting
+
+        code, out, _ = run(capsys, "count", "--shape", "16384", "--format", "text")
+        assert code == 0 and "count: 1\n" in out
+        del counting._tables[GridShape((16384,))]  # 33 MB of states
 
 
 class TestEnumerate:

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gridext import (
     DomainError,
-    DownSet,
     GridShape,
     ResourceCapError,
     completion_counts,
@@ -45,48 +44,13 @@ def forward_oracle(shape):
 
 
 class TestDownSet:
+    # A down-set is a bitmask; its pits are GridShape.pit_mask of it.
     def test_empty_and_full(self, square3):
-        e = DownSet.empty(square3)
-        f = DownSet.full(square3)
-        assert len(e) == 0 and len(f) == 9
-        assert e.pit_indices() == (0,)
-        assert f.pit_indices() == ()
-
-    def test_membership_and_add(self, diamond):
-        d = DownSet.empty(diamond).add(diamond.point_at(0))
-        assert 0 in d and 1 not in d
-        assert diamond.point_at(0) in d
-        d2 = d.add(diamond.point_at(1))
-        assert sorted(p.index for p in d2.points()) == [0, 1]
+        assert square3.pit_mask(0) == 1
+        assert square3.pit_mask((1 << 9) - 1) == 0
 
     def test_pits_of_bottom_only(self, diamond):
-        d = DownSet.empty(diamond).add(diamond.point_at(0))
-        assert d.pit_indices() == (1, 2)
-        assert [p.index for p in d.pits()] == [1, 2]
-
-    def test_rejects_non_down_closed(self, diamond):
-        with pytest.raises(DomainError):
-            DownSet(diamond, 0b1000)  # top without its lower covers
-
-    @pytest.mark.parametrize(
-        "lengths, bits, cover",
-        [((2, 2), 0b1000, "(2, 2) but not its lower cover (1, 2)"),
-         ((3, 3), 0b10011, "(2, 2) but not its lower cover (2, 1)"),
-         ((3, 3), 1 << 8 | 1 << 3, "(2, 1) but not its lower cover (1, 1)")],
-    )
-    def test_message_names_the_lowest_member_and_cover(self, lengths, bits, cover):
-        with pytest.raises(DomainError) as exc:
-            DownSet(GridShape(lengths), bits)
-        assert str(exc.value) == f"not downward closed: contains {cover}"
-
-    def test_add_non_pit_rejected(self, diamond):
-        with pytest.raises(DomainError):
-            DownSet.empty(diamond).add(diamond.point_at(3))
-
-    def test_from_points(self, square3):
-        pts = [square3.point((1, 1)), square3.point((1, 2))]
-        d = DownSet.from_points(square3, pts)
-        assert len(d) == 2 and 1 in d
+        assert diamond.pit_mask(0b0001) == 0b0110
 
 
 class TestCounts:
@@ -130,9 +94,11 @@ class TestCounts:
 
     def test_completion_identity(self, square3):
         g = completion_counts(square3)
+        lower = square3.lower_covers
         for bits, val in g.items():
-            d = DownSet(square3, bits)
-            pits = d.pit_indices()
+            # every key is a down-set: each member's lower covers are members
+            assert all(bits >> u & 1 for v in range(9) if bits >> v & 1 for u in lower[v])
+            pits = [v for v in range(9) if square3.pit_mask(bits) >> v & 1]
             if pits:
                 assert val == sum(g[bits | (1 << v)] for v in pits)
             else:
@@ -209,6 +175,20 @@ class TestCounts:
             _completion_counts(shape, cap)
         reported = int(str(exc.value).split("at least ")[1].split()[0])
         assert cap < reported <= cap + shape.num_chains
+
+    @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
+    def test_cap_counts_state_words(self, lengths, words):
+        # A state is a size-bit int of ceil(size / 64) words; the cap counts words.
+        shape = GridShape(lengths)
+        states = len(completion_counts(shape))
+        assert completion_counts(shape, states * words) is completion_counts(shape)
+        with pytest.raises(ResourceCapError) as exc:
+            completion_counts(shape, states * words - 1)
+        assert exc.value.cap == states * words - 1
+        with pytest.raises(ResourceCapError) as exc:
+            _completion_counts(shape, states * words - 1)
+        assert exc.value.cap == states * words - 1
+        assert ("64-bit words each" in str(exc.value)) == (words > 1)
 
 
 class TestBounds:

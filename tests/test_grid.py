@@ -6,18 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridext import (
-    DomainError,
-    GridShape,
-    Point,
-    ShapeMismatchError,
-    covers,
-    leq,
-    max_antichain_size,
-    rank_levels,
-    up_degree,
-    whitney_numbers,
-)
+from gridext import DomainError, GridShape, max_antichain_size, whitney_numbers
 
 shapes_st = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
     lambda ls: GridShape(tuple(ls))
@@ -41,6 +30,17 @@ def shape_and_downset(draw):
         v for v in range(shape.size) if any(all(x <= y for x, y in zip(coords[v], coords[t])) for t in tops)
     }
     return shape, members
+
+
+def below(coords_u, coords_v):
+    """The componentwise order on coordinate vectors: u <= v."""
+    return all(x <= y for x, y in zip(coords_u, coords_v))
+
+
+def covered(coords_u, coords_v):
+    """v covers u: v = u + e_j for a single coordinate j."""
+    diffs = [y - x for x, y in zip(coords_u, coords_v)]
+    return all(d >= 0 for d in diffs) and sum(diffs) == 1
 
 
 def brute_whitney(shape):
@@ -106,60 +106,59 @@ class TestIndexing:
 
     def test_points_in_index_order(self):
         s = GridShape((2, 2))
-        assert [p.index for p in s.points()] == [0, 1, 2, 3]
+        assert [s.index_of(c) for c in s.coords_table] == [0, 1, 2, 3]
 
     def test_point_validation(self):
         s = GridShape((2, 3))
         with pytest.raises(DomainError):
-            Point(s, (3, 1))
+            s.index_of((3, 1))
         with pytest.raises(DomainError):
-            Point(s, (1,))
+            s.index_of((1,))
         with pytest.raises(DomainError):
-            s.point_at(6)
+            s.coords_of(6)
+        with pytest.raises(DomainError):
+            s.coords_of(-1)
 
 
 class TestOrder:
-    def test_leq_examples(self):
-        s = GridShape((3, 3))
-        assert leq(s.point((1, 2)), s.point((2, 2)))
-        assert not leq(s.point((2, 1)), s.point((1, 3)))
-        assert leq(s.point((2, 2)), s.point((2, 2)))
-
     def test_covers_examples(self):
-        # covers(q, p) reads "q covers p"
+        # lower_covers[q] lists the points q covers
         s = GridShape((3, 3))
-        assert covers(s.point((1, 2)), s.point((1, 1)))
-        assert covers(s.point((2, 1)), s.point((1, 1)))
-        assert not covers(s.point((2, 2)), s.point((1, 1)))
-        assert not covers(s.point((1, 3)), s.point((1, 1)))
-        assert not covers(s.point((1, 1)), s.point((1, 2)))
+        lower = s.lower_covers
+        assert s.index_of((1, 1)) in lower[s.index_of((1, 2))]
+        assert s.index_of((1, 1)) in lower[s.index_of((2, 1))]
+        assert s.index_of((1, 1)) not in lower[s.index_of((2, 2))]
+        assert s.index_of((1, 1)) not in lower[s.index_of((1, 3))]
+        assert s.index_of((1, 2)) not in lower[s.index_of((1, 1))]
 
-    def test_shape_mismatch(self):
-        a = GridShape((2, 2)).point((1, 1))
-        b = GridShape((2, 3)).point((1, 1))
-        with pytest.raises(ShapeMismatchError):
-            leq(a, b)
+    @given(shapes_st)
+    def test_covers_implies_rank_step(self, shape):
+        coords, ranks = shape.coords_table, shape.rank_table
+        for b, downs in enumerate(shape.lower_covers):
+            for a in downs:
+                assert below(coords[a], coords[b]) and ranks[b] == ranks[a] + 1
 
-    @given(shape_and_indices(k=2))
-    def test_covers_implies_rank_step(self, sij):
-        shape, i, j = sij
-        x, y = shape.point_at(i), shape.point_at(j)
-        if covers(y, x):
-            assert leq(x, y) and y.rank == x.rank + 1
-
-    @given(shape_and_indices(k=2))
-    def test_leq_is_componentwise(self, sij):
-        shape, i, j = sij
-        x, y = shape.point_at(i), shape.point_at(j)
-        expected = all(a <= b for a, b in zip(x.coords, y.coords))
-        assert leq(x, y) == expected
+    @given(shape_and_indices(k=1))
+    def test_leq_is_componentwise(self, si):
+        # The covers generate the order: walking down lower_covers from v
+        # reaches exactly the points componentwise below v.  The extension
+        # validator relies on this, as it checks lower covers only.
+        shape, v = si
+        seen, stack = {v}, [v]
+        while stack:
+            fresh = set(shape.lower_covers[stack.pop()]) - seen
+            seen |= fresh
+            stack.extend(fresh)
+        coords = shape.coords_table
+        assert seen == {u for u in range(shape.size) if below(coords[u], coords[v])}
 
     @given(shape_and_indices(k=2))
     def test_cover_arrays_match_coordinates(self, sij):
         shape, a, b = sij
         up, step = shape.cover_arrays
         got = bool(up[b] & step[b - a + shape.size])
-        assert got == covers(shape.point_at(b), shape.point_at(a)) == (a in shape.lower_covers[b])
+        expected = covered(shape.coords_of(a), shape.coords_of(b))
+        assert got == expected == (a in shape.lower_covers[b]) == (b in shape.upper_covers[a])
 
     @given(shape_and_downset())
     def test_pit_mask_matches_coordinates(self, sd):
@@ -204,9 +203,9 @@ class TestOrder:
 
     def test_up_degree(self):
         s = GridShape((3, 3))
-        assert up_degree(s.point((1, 1))) == 2
-        assert up_degree(s.point((3, 3))) == 0
-        assert up_degree(s.point((1, 3))) == 1
+        assert len(s.upper_covers[s.index_of((1, 1))]) == 2
+        assert len(s.upper_covers[s.index_of((3, 3))]) == 0
+        assert len(s.upper_covers[s.index_of((1, 3))]) == 1
 
     def test_cover_tables(self):
         s = GridShape((2, 2))
@@ -249,16 +248,13 @@ class TestWhitney:
 
 
 class TestRankLevels:
-    def test_partition_and_order(self, square3):
-        levels = rank_levels(square3)
-        seen = []
-        for level in levels:
-            assert all(p.rank == level.rank for p in level.members)
-            idxs = [p.index for p in level.members]
-            assert idxs == sorted(idxs)
-            seen.extend(idxs)
-        assert sorted(seen) == list(range(square3.size))
+    @given(shapes_st)
+    def test_partition_and_order(self, shape):
+        # rank_table puts every point on one of the levels 1..num_ranks
+        assert shape.rank_table == tuple(1 + sum(x - 1 for x in c) for c in shape.coords_table)
+        assert set(shape.rank_table) == set(range(1, shape.num_ranks + 1))
 
-    def test_level_sizes_match_whitney(self, cube2):
-        levels = rank_levels(cube2)
-        assert tuple(len(lv.members) for lv in levels) == whitney_numbers(cube2)
+    @given(shapes_st)
+    def test_level_sizes_match_whitney(self, shape):
+        levels = Counter(shape.rank_table)
+        assert tuple(levels[r] for r in range(1, shape.num_ranks + 1)) == whitney_numbers(shape)

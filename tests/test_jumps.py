@@ -1,4 +1,4 @@
-"""Linear extensions: validation, jump times, pit counts, rank-order walks."""
+"""Linear extensions: validation, jump times, pit counts, the rank-sorted order."""
 
 import itertools
 import math
@@ -7,20 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gridext import (
-    DomainError,
-    DownSet,
     ExactSampler,
     GridShape,
     InvalidExtensionError,
     LinearExtension,
     enumerate_index_orders,
-    first_of_rank,
     jump_times,
-    jumps,
-    last_of_rank,
     pits_counts,
-    pits_sequence,
-    rank_lex_extension,
     rank_lex_indices,
     read_extensions_file,
     write_extensions_file,
@@ -32,7 +25,7 @@ RANK_LEX_3X3 = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), 
 class TestValidation:
     def test_accepts_valid(self, diamond):
         ext = LinearExtension(diamond, (0, 2, 1, 3))
-        assert [p.coords for p in ext.order] == [(1, 1), (2, 1), (1, 2), (2, 2)]
+        assert [diamond.coords_of(v) for v in ext.indices] == [(1, 1), (2, 1), (1, 2), (2, 2)]
 
     def test_rejects_order_violation(self, diamond):
         with pytest.raises(InvalidExtensionError) as exc:
@@ -66,25 +59,16 @@ class TestValidation:
         # lower_cover_masks holds a size-bit int per point: 2^15 points would cost about 80 MB.
         shape = GridShape((2,) * 15)
         LinearExtension(shape, rank_lex_indices(shape))
-        DownSet.full(shape)
         assert "lower_cover_masks" not in shape.__dict__
 
     def test_from_points_and_lines(self, diamond):
-        pts = [diamond.point(c) for c in [(1, 1), (1, 2), (2, 1), (2, 2)]]
-        ext = LinearExtension.from_points(diamond, pts)
-        line = ext.to_line()
-        assert line == "0 1 2 3"
-        assert LinearExtension.from_line(diamond, line) == ext
+        indices = tuple(diamond.index_of(c) for c in [(1, 1), (1, 2), (2, 1), (2, 2)])
+        assert indices == (0, 1, 2, 3)
+        assert LinearExtension.from_line(diamond, " 0 1  2 3\n") == LinearExtension(diamond, indices)
 
     def test_from_line_rejects_garbage(self, diamond):
         with pytest.raises(InvalidExtensionError):
             LinearExtension.from_line(diamond, "(1,1) (1,2) (2,1) (2,2)")
-
-    def test_prefix(self, diamond):
-        ext = LinearExtension(diamond, (0, 1, 2, 3))
-        assert sorted(p.index for p in ext.prefix(2).points()) == [0, 1]
-        assert len(ext.prefix(0)) == 0
-        assert len(ext.prefix(4)) == 4
 
 
 class TestJumps:
@@ -94,10 +78,9 @@ class TestJumps:
             assert jump_times(diamond, idxs) == (2,)
 
     def test_rank_lex_3x3(self, square3):
-        ext = rank_lex_extension(square3)
-        assert [p.coords for p in ext.order] == RANK_LEX_3X3
-        assert jumps(ext).degree == 6
-        assert jump_times(square3, ext.indices) == (2, 3, 4, 5, 6, 7)
+        indices = rank_lex_indices(square3)
+        assert [square3.coords_of(v) for v in indices] == RANK_LEX_3X3
+        assert jump_times(square3, indices) == (2, 3, 4, 5, 6, 7)
 
     def test_chain_never_jumps(self):
         s = GridShape((5,))
@@ -111,12 +94,11 @@ class TestJumps:
     def test_degree_counts_non_covers(self, square3, square3_orders):
         # spot-check: jump count == number of consecutive incomparable pairs
         for idxs in square3_orders[::7]:
-            ext = LinearExtension(square3, idxs)
             manual = sum(
                 0 if _is_cover(square3, a, b) else 1
                 for a, b in itertools.pairwise(idxs)
             )
-            assert jumps(ext).degree == manual
+            assert len(jump_times(square3, idxs)) == manual
 
     @given(st.data())
     def test_jumps_are_incomparable_pairs(self, data):
@@ -158,9 +140,9 @@ class TestPits:
     def test_matches_downset_recount(self, square3):
         idxs = rank_lex_indices(square3)
         seq = pits_counts(square3, idxs)
-        ext = LinearExtension(square3, idxs)
         for k in range(1, 10):
-            assert seq[k - 1] == len(ext.prefix(k).pit_indices())
+            prefix = sum(1 << v for v in idxs[:k])
+            assert seq[k - 1] == square3.pit_mask(prefix).bit_count()
 
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24),
@@ -175,17 +157,8 @@ class TestPits:
             expected.append(shape.pit_mask(placed).bit_count())
         assert pits_counts(shape, order) == tuple(expected)
 
-    def test_pits_sequence_wrapper(self, diamond):
-        ext = LinearExtension(diamond, (0, 2, 1, 3))
-        ps = pits_sequence(ext)
-        assert ps.counts == (2, 1, 1, 0)
-
 
 class TestRankWalks:
-    def test_rank_lex_requires_equilateral(self):
-        with pytest.raises(DomainError):
-            rank_lex_extension(GridShape((2, 3)))
-
     def test_rank_lex_indices_any_shape(self):
         s = GridShape((2, 3))
         idxs = rank_lex_indices(s)
@@ -197,30 +170,9 @@ class TestRankWalks:
         graphs, _ = extreme_graphs
         for (m, n), graph in graphs.items():
             s = GridShape.equilateral(m, n)
-            ext = rank_lex_extension(s)
-            assert jumps(ext).degree == m**n - 3
-
-    def test_first_last_of_rank(self, square3):
-        assert first_of_rank(square3, 4).coords == (2, 3)
-        assert last_of_rank(square3, 4).coords == (3, 2)
-        assert first_of_rank(square3, 1).coords == (1, 1)
-        assert last_of_rank(square3, 5).coords == (3, 3)
-
-    def test_first_last_match_level_order(self):
-        # greedy construction agrees with min/max of the sorted rank level
-        from gridext import rank_levels
-
-        for lengths in [(3, 3), (4, 4), (2, 2, 2), (3, 3, 3), (5, 5)]:
-            s = GridShape(lengths)
-            for level in rank_levels(s):
-                assert first_of_rank(s, level.rank) == level.members[0]
-                assert last_of_rank(s, level.rank) == level.members[-1]
-
-    def test_bad_rank(self, square3):
-        with pytest.raises(DomainError):
-            first_of_rank(square3, 0)
-        with pytest.raises(DomainError):
-            last_of_rank(square3, 6)
+            idxs = rank_lex_indices(s)
+            LinearExtension(s, idxs)  # must validate
+            assert len(jump_times(s, idxs)) == m**n - 3 == graph.degrees.max()
 
 
 class TestFiles:

@@ -116,11 +116,13 @@ class TestSamplerConfig:
 
 class TestExactSampler:
     def test_deterministic_per_seed(self, square3):
-        a = ExactSampler(square3, 99).sample_many(20)
-        b = ExactSampler(square3, 99).sample_many(20)
-        assert a == b
-        c = ExactSampler(square3, 100).sample_many(20)
-        assert a != c
+        def draws(seed):
+            sampler = ExactSampler(square3, seed)
+            return [sampler.sample() for _ in range(20)]
+
+        a = draws(99)
+        assert a == draws(99)
+        assert a != draws(100)
 
     def test_samples_are_valid(self, cube2):
         sampler = ExactSampler(cube2, 17)

@@ -24,7 +24,6 @@ from gridext import (
     exhaustive_mean_degree,
     graph_stats,
     jump_times,
-    jumps,
     pits_counts,
     pits_threshold,
     to_dot,
@@ -74,7 +73,9 @@ class TestEnumeration:
             list(enumerate_index_orders(GridShape.equilateral(3, 3), cap=100))
 
     def test_backtracking_matches_dp(self):
-        for lengths in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (4, 2), (2, 2, 2, 2)]:
+        # 2x2x2x2 (1680384 extensions) is compared by acceptance criterion 1
+        # and the verify-counting golden; each run takes about 1.5 s.
+        for lengths in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (4, 2)]:
             s = GridShape(lengths)
             assert backtracking_count(s) == count_extensions(s)
 
@@ -135,7 +136,8 @@ class TestGraph:
         graphs, _ = extreme_graphs
         for g in graphs.values():
             for order, deg in zip(g.orders.tolist(), g.degrees.tolist()):
-                assert deg == jumps(LinearExtension(g.shape, order)).degree
+                LinearExtension(g.shape, order)  # must validate
+                assert deg == len(jump_times(g.shape, order))
 
     @given(small_shapes)
     @settings(deadline=None)
