@@ -35,6 +35,16 @@ CASES = {
         ["sample", "--shape", "3x3", "--samples", "25", "--seed", "7", "--out", "{tmp}/ext.txt"],
         ("ext.txt",),
     ),
+    # 2x40: 861 down-sets and a 72-bit count, so the draws take two words.
+    # 8x8: 12870 down-sets, past the exact sampler's per-down-set memo.
+    "sample-exact-2x40": (
+        ["sample", "--shape", "2x40", "--samples", "12", "--seed", "3", "--out", "{tmp}/ext.txt"],
+        ("ext.txt",),
+    ),
+    "sample-exact-8x8": (
+        ["sample", "--shape", "8x8", "--samples", "12", "--seed", "5", "--out", "{tmp}/ext.txt"],
+        ("ext.txt",),
+    ),
     "sample-mcmc": (
         ["sample", "--shape", "2x2x2", "--method", "mcmc", "--samples", "30", "--mcmc-steps", "200",
          "--laziness", "0.25", "--seed", "11", "--out", "{tmp}/ext.txt"],
