@@ -44,6 +44,8 @@ from .grid import (
 )
 from .jumps import (
     LinearExtension,
+    jump_pit_block,
+    jump_pit_blocks,
     jump_times,
     pits_counts,
     rank_lex_indices,
@@ -103,6 +105,8 @@ __all__ = [
     "LinearExtension",
     "jump_times",
     "pits_counts",
+    "jump_pit_block",
+    "jump_pit_blocks",
     "rank_lex_indices",
     "read_extensions_file",
     "write_extensions_file",

@@ -27,7 +27,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import jump_times, pits_counts, read_extensions_file, write_index_orders
+from .jumps import jump_pit_blocks, read_extensions_file, write_index_orders
 from .sampling import SamplerConfig, jump_stats_from_orders, sample_orders
 from .transposition import (
     build_graph,
@@ -188,9 +188,10 @@ def cmd_jumps(args) -> int:
     fmt = _resolve_format(args, "csv", ("csv", "json"))
     extensions = read_extensions_file(args.infile, shape)
     records = []
-    for i, ext in enumerate(extensions, start=1):
-        times = jump_times(shape, ext.indices)
-        records.append((i, len(times), times, pits_counts(shape, ext.indices)))
+    for jumps, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)):
+        for flags, counts in zip(jumps.tolist(), pits.tolist()):
+            times = [k for k, jump in enumerate(flags, start=1) if jump]
+            records.append((len(records) + 1, len(times), times, counts))
     if fmt == "csv":
         rows = [
             [i, degree, " ".join(map(str, times)), " ".join(map(str, counts))]
@@ -199,7 +200,7 @@ def cmd_jumps(args) -> int:
         _emit(args, _csv_table(["extension", "degree", "jump_times", "pits"], rows))
     else:
         payload = [
-            {"extension": i, "degree": degree, "jump_times": list(times), "pits": list(counts)}
+            {"extension": i, "degree": degree, "jump_times": times, "pits": counts}
             for i, degree, times, counts in records
         ]
         _emit(args, _json(payload))
@@ -212,22 +213,24 @@ def cmd_pits(args) -> int:
     extensions = read_extensions_file(args.infile, shape)
     if not extensions:
         raise DomainError(f"no extensions found in {args.infile}")
-    profiles = [pits_counts(shape, ext.indices) for ext in extensions]
     size = shape.size
+    blocks = (pits for _, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)))
     if args.mean:
-        means = [sum(p[k] for p in profiles) / len(profiles) for k in range(size)]
+        totals = sum(pits.sum(axis=0) for pits in blocks).tolist()
+        means = [total / len(extensions) for total in totals]
         if fmt == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
         else:
             _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
     else:
+        profiles = [profile for pits in blocks for profile in pits.tolist()]
         if fmt == "csv":
             header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
             rows = [[i + 1, *profile] for i, profile in enumerate(profiles)]
             _emit(args, _csv_table(header, rows))
         else:
-            _emit(args, _json([list(p) for p in profiles]))
+            _emit(args, _json(profiles))
     return 0
 
 

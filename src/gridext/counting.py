@@ -12,8 +12,10 @@ states one maximal point smaller, found all at once by GridShape.top_mask
 with one shift-and-AND per chain on the bitmask, so g(D) is complete
 before D is expanded.  One table is kept per shape.  The state space is
 the full down-set lattice; a configurable cap refuses shapes where it would
-not fit in memory, checked first against closed-form lower bounds on the
-lattice size and then as each state is expanded.  The cap counts 64-bit
+not fit in memory, checked before the DP against the lattice size (closed
+form up to three chains of length > 1, counted from the lattice of the
+shape less its longest chain beyond) and again as each state is
+expanded.  The cap counts 64-bit
 words: a state is a size-bit int of ceil(size / 64) words, so the cap
 admits cap // ceil(size / 64) states, one per unit of cap up to 64
 points.  The same table holds f(D), the number of orders of D itself:
@@ -84,6 +86,44 @@ def _lattice_lower_bound(shape: GridShape, cap: int) -> int:
     return max(bound, 1 << min(max_antichain_size(shape), cap.bit_length()))
 
 
+def _lattice_size(shape: GridShape, states: int) -> int:
+    """Down-sets of the shape: exact, or a lower bound past `states`.
+
+    The closed-form bounds come first; they are exact for up to three
+    chains of length > 1.  Past three, a down-set of P x [a] is a multichain
+    D_1 >= ... >= D_a of down-sets of P, the shape less its longest chain
+    a.  Starting from 1 on each down-set of P, one zeta transform over the
+    lattice J(P) of those down-sets turns the number of multichains of i
+    down-sets topped by D into that of i + 1: for each point p in
+    canonical index order (a linear extension), add z[D - p] to z[D]
+    whenever p is a maximal point of D.  After a - 1 passes the values sum
+    to the count.  J(P), read from P's completion table, is never larger
+    than the lattice, so a refusal there is a correct refusal here.
+    """
+    bound = _lattice_lower_bound(shape, states)
+    *rest, a = sorted(shape.lengths)
+    if bound > states or sum(x > 1 for x in rest) < 3:
+        return bound
+    sub = GridShape(tuple(rest))
+    count = _lattice_size(sub, states)
+    if count > states:
+        return count
+    ideals = completion_counts(sub, states * _words(sub)).keys()
+    by_top = [[] for _ in range(sub.size)]  # down-sets by each of their maximal points
+    for bits in ideals:
+        left = sub.top_mask(bits)
+        while left:
+            low = left & -left
+            by_top[low.bit_length() - 1].append(bits)
+            left ^= low
+    z = dict.fromkeys(ideals, 1)
+    for _ in range(a - 1):
+        for p, tops in enumerate(by_top):
+            for bits in tops:
+                z[bits] += z[bits ^ 1 << p]
+    return sum(z.values())
+
+
 def _words(shape: GridShape) -> int:
     """64-bit words of one DP state, a size-bit int."""
     return -(-shape.size // 64)
@@ -109,9 +149,6 @@ _TABLES_KEPT = 32
 
 def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
     states = cap // _words(shape)
-    bound = _lattice_lower_bound(shape, states)
-    if bound > states:
-        raise _refuse(shape, cap, bound)
     top_mask = shape.top_mask
 
     # Each state E pushes g(E) onto E - v for every maximal point v of E.
@@ -148,6 +185,9 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
     table = _tables.pop(shape, None)
     if table is None:
+        count = _lattice_size(shape, cap // _words(shape))
+        if count > cap // _words(shape):  # refused before any state is built
+            raise _refuse(shape, cap, count)
         table = _completion_counts(shape, cap)
     _tables[shape] = table
     if len(_tables) > _TABLES_KEPT:

@@ -12,14 +12,25 @@ a prefix at once, and pits_counts keeps their number up to date along an
 order.  Both statistics cost O(size * chains) per order, and both read a
 raw index sequence: an extension is its tuple of canonical indices.
 
+The package's statistics read whole blocks of orders at once:
+jump_pit_block takes a (rows, size) array and returns the jump flags and
+pit counts of every row, with no Python loop over orders or times.  Both
+come from the positions of the points and, per point, the last position
+of a lower cover: one maximum per chain, then one comparison for the
+jumps and one bincount and one cumsum for the pits.  jump_times and
+pits_counts are the per-order reference the kernel is tested against.
+
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidExtensionError
 from .grid import GridShape
@@ -28,6 +39,8 @@ __all__ = [
     "LinearExtension",
     "jump_times",
     "pits_counts",
+    "jump_pit_block",
+    "jump_pit_blocks",
     "rank_lex_indices",
     "read_extensions_file",
     "write_extensions_file",
@@ -116,6 +129,53 @@ def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
                 pits += 1
         out.append(pits)
     return tuple(out)
+
+
+def jump_pit_block(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jump flags and pit counts of a (rows, size) int array of trusted orders.
+
+    Returns a bool (rows, size - 1) array, entry [r, k - 1] true iff time k
+    of row r is a jump, and an int64 (rows, size) array, entry [r, k - 1]
+    the number of pits after k placements: row by row, jump_times and
+    pits_counts.
+    """
+    orders = np.asarray(orders, dtype=np.int64)
+    rows, size = orders.shape
+    pos = np.empty_like(orders)
+    pos[np.arange(rows)[:, None], orders] = np.arange(size)
+    # ready[r, v]: the last position of a lower cover of v, the maximum over
+    # the chains of pos one step down that chain, as shifted grid views.
+    # Only the bottom corner, point 0, has no lower cover; it is placed first.
+    pos_grid = pos.reshape(rows, *shape.lengths)
+    ready = np.zeros_like(pos_grid)
+    for axis in range(1, ready.ndim):
+        above, below = np.moveaxis(ready, axis, 0)[1:], np.moveaxis(pos_grid, axis, 0)[:-1]
+        np.maximum(above, below, out=above)
+    ready = ready.reshape(rows, size)
+    # The point at position p follows one of its lower covers iff its last
+    # lower cover sits at p - 1; otherwise time p is a jump.
+    jumps = np.take_along_axis(ready, orders, axis=1)[:, 1:] != np.arange(size - 1)
+    # Point v != 0 is a pit after k placements iff ready < k <= pos, so the
+    # count is #{v != 0: ready[v] <= k - 1} less the k - 1 such points placed.
+    ready[:, 1:] += size * np.arange(rows)[:, None]
+    pits = np.bincount(ready[:, 1:].ravel(), minlength=rows * size).reshape(rows, size).cumsum(axis=1)
+    pits -= np.arange(size)
+    return jumps, pits
+
+
+# Point indices per block of jump_pit_blocks: 32 KB an int64 array.
+_BLOCK_ENTRIES = 1 << 12
+
+
+def jump_pit_blocks(shape: GridShape, orders: Iterable[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """jump_pit_block over a stream of trusted orders, in blocks of at most
+    2^12 point indices (one order if it is longer): (jump flags, pit
+    counts) per block, rows in stream order.
+    """
+    rows = max(1, _BLOCK_ENTRIES // shape.size)
+    orders = iter(orders)
+    while block := list(itertools.islice(orders, rows)):
+        yield jump_pit_block(shape, np.array(block, dtype=np.int64))
 
 
 def rank_lex_indices(shape: GridShape) -> tuple[int, ...]:

@@ -21,10 +21,14 @@ Determinism contract (external, bit-exact):
   of random_raw.
 - randbelow(n): let k = n.bit_length(); assemble ceil(k/64) consecutive
   words big-endian (earlier word more significant) and keep the top k bits
-  of that block; reject values >= n and redraw.
+  of that block; reject values >= n and redraw.  randbelow(1) is 0 and
+  consumes no word.
 - Exact sampler step: draw r = randbelow(g(D)) and scan the pits of D in
   increasing canonical index, subtracting each pit's completion count from
-  r until it fits.
+  r until it fits.  On lattices of at most 2^12 down-sets the sampler keeps,
+  per visited D, the pits and their running weight sums and picks the
+  first pit whose running sum exceeds r (bisect_right), which is the pit
+  the scan stops at: keeping them changes no draw.
 - The walk ensemble, the package's only swap walk, draws from numpy
   Generator(PCG64(seed)): per step one integers(1, size, size=chains)
   batch, then one random(chains) batch; chain c holds when its coin is
@@ -38,7 +42,10 @@ For parallel use, derive stream i from SeedSequence((seed, i)).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +57,7 @@ from .bounds import pits_threshold
 from .counting import completion_counts, count_extensions
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
-from .jumps import LinearExtension, jump_times, pits_counts, rank_lex_indices
+from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
 from .transposition import build_graph, enumerate_index_orders, order_ids
 
 __all__ = [
@@ -100,6 +107,11 @@ class SamplerConfig:
 
 # Words fetched from the bit generator per refill; buffering never changes the stream.
 _WORD_BUFFER = 4096
+# The exact sampler keeps its per-down-set draw tables when the completion
+# table has at most this many down-sets.  Past it they cost memory the
+# repeat visits do not pay back: on 4x4x4 (232848 down-sets) a few
+# thousand entries add megabytes to the peak and are seldom read again.
+_MEMO_MAX_STATES = 1 << 12
 
 
 class WordStream:
@@ -110,18 +122,14 @@ class WordStream:
 
     def __init__(self, seed: int):
         _check_seed(seed)
-        self._bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
-        self._buf = None
-        self._pos = 0
+        bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
+        # One iterator over the Python ints of successive refills.
+        refills = iter(lambda: bitgen.random_raw(_WORD_BUFFER).tolist(), None)
+        self._words = itertools.chain.from_iterable(refills)
 
     def word(self) -> int:
         """Next raw 64-bit word."""
-        if self._buf is None or self._pos >= len(self._buf):
-            self._buf = self._bitgen.random_raw(_WORD_BUFFER)
-            self._pos = 0
-        w = int(self._buf[self._pos])
-        self._pos += 1
-        return w
+        return next(self._words)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by top-bits rejection."""
@@ -130,6 +138,12 @@ class WordStream:
         if n == 1:
             return 0
         k = n.bit_length()
+        if k <= 64:  # one word per try
+            words, shift = self._words, 64 - k
+            while True:
+                v = next(words) >> shift
+                if v < n:
+                    return v
         words = -(-k // 64)
         shift = 64 * words - k
         while True:
@@ -148,6 +162,10 @@ class ExactSampler:
     the lattice from the empty down-set, choosing the next point among the
     current pits with weight g(D + v).  Samples from one instance form one
     deterministic sequence per seed.
+
+    On lattices of at most 2^12 down-sets the pits of each visited D and
+    their running weight sums are kept, and a draw is one bisect_right over
+    them, the pit the documented scan stops at (see the module docstring).
     """
 
     def __init__(self, shape: GridShape, seed: int, state_cap: int | None = None):
@@ -155,9 +173,36 @@ class ExactSampler:
         self.seed = int(seed)
         self._g = completion_counts(shape, state_cap)
         self._stream = WordStream(seed)
+        self._memo = functools.cache(self._choices) if len(self._g) <= _MEMO_MAX_STATES else None
+
+    def _choices(self, placed: int) -> tuple[int, list[int], list[int]]:
+        """(g(D), running weight sums, next down-sets) of the down-set D."""
+        g = self._g
+        nexts = []
+        rest = self.shape.pit_mask(placed)
+        while rest:
+            low = rest & -rest
+            nexts.append(placed | low)
+            rest ^= low
+        return g[placed], list(itertools.accumulate(g[d] for d in nexts)), nexts
 
     def sample_indices(self) -> tuple[int, ...]:
         """One uniform extension as a raw index tuple."""
+        if self._memo is None:
+            return self._scan_indices()
+        memo, below = self._memo, self._stream.below
+        placed = 0
+        out = []
+        for _ in range(self.shape.size):
+            total, sums, nexts = memo(placed)
+            nxt = nexts[bisect_right(sums, below(total))]
+            out.append((nxt ^ placed).bit_length() - 1)
+            placed = nxt
+        return tuple(out)
+
+    def _scan_indices(self) -> tuple[int, ...]:
+        # The documented scan itself, for lattices past the memo: building
+        # every pit's running sum costs more than stopping at the chosen one.
         g = self._g
         pit_mask = self.shape.pit_mask
         below = self._stream.below
@@ -329,40 +374,39 @@ def _mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
 def jump_stats_from_orders(shape: GridShape, orders: Iterable[Sequence[int]]) -> JumpStats:
     """Jump/pits statistics of an explicit batch of trusted index orders.
 
-    Standard errors use the sample standard deviation (zero for a single
-    draw).  The mean degree estimates the average vertex degree of the
-    swap graph.
+    Reads the orders in blocks (jumps.jump_pit_blocks) and keeps the sums
+    as exact integers.  Standard errors use the sample standard deviation
+    (zero for a single draw).  The mean degree estimates the average vertex
+    degree of the swap graph.
     """
     size = shape.size
-    deg_total = 0.0
-    deg_total_sq = 0.0
-    histogram: Counter[int] = Counter()
-    pit_total = [0.0] * size
-    pit_total_sq = [0.0] * size
+    deg_total = deg_total_sq = 0
+    histogram = np.zeros(size, dtype=np.int64)
+    pit_total = np.zeros(size, dtype=np.int64)
+    pit_total_sq = np.zeros(size, dtype=np.int64)
     n = 0
-    for order in orders:
-        d = len(jump_times(shape, order))
-        deg_total += d
-        deg_total_sq += d * d
-        histogram[d] += 1
-        for k, c in enumerate(pits_counts(shape, order)):
-            pit_total[k] += c
-            pit_total_sq[k] += c * c
-        n += 1
+    for jumps, pits in jump_pit_blocks(shape, orders):
+        degrees = jumps.sum(axis=1)
+        deg_total += int(degrees.sum())
+        deg_total_sq += int((degrees * degrees).sum())
+        histogram += np.bincount(degrees, minlength=size)
+        pit_total += pits.sum(axis=0)
+        pit_total_sq += (pits * pits).sum(axis=0)
+        n += len(pits)
     if n == 0:
         raise DomainError("need at least one order")
-    mean_deg, se_deg = _mean_stderr(deg_total, deg_total_sq, n)
+    mean_deg, se_deg = _mean_stderr(float(deg_total), float(deg_total_sq), n)
     profile = []
     profile_se = []
-    for k in range(size):
-        mean_k, se_k = _mean_stderr(pit_total[k], pit_total_sq[k], n)
+    for total, total_sq in zip(pit_total.tolist(), pit_total_sq.tolist()):
+        mean_k, se_k = _mean_stderr(float(total), float(total_sq), n)
         profile.append(mean_k)
         profile_se.append(se_k)
     return JumpStats(
         samples=n,
         mean_degree=mean_deg,
         degree_stderr=se_deg,
-        degree_histogram=dict(sorted(histogram.items())),
+        degree_histogram={d: c for d, c in enumerate(histogram.tolist()) if c},
         mean_pits_profile=tuple(profile),
         pits_profile_stderr=tuple(profile_se),
     )
@@ -443,12 +487,12 @@ def pits_deficit_stats(
     total = 0.0
     total_sq = 0.0
     n = 0
-    for order in sample_orders(shape, cfg, samples):
-        t = sum(1 for c in pits_counts(shape, order) if c < threshold)
-        frac = t / size
-        total += frac
-        total_sq += frac * frac
-        n += 1
+    for _, pits in jump_pit_blocks(shape, sample_orders(shape, cfg, samples)):
+        for t in (pits < threshold).sum(axis=1).tolist():
+            frac = t / size  # float sums in draw order: the figures repeat bit for bit
+            total += frac
+            total_sq += frac * frac
+            n += 1
     return _mean_stderr(total, total_sq, n)
 
 

@@ -91,6 +91,15 @@ class TestCount:
         assert err.startswith("error: down-set lattice") and "Traceback" not in err
         assert time.perf_counter() - t0 < 5.0
 
+    def test_four_chains_refused_with_exact_count(self, capsys):
+        # 2^19 (the middle rank) passes the closed-form gate; the exact count
+        # from the lattice of 3x3x3 refuses it before the DP starts.
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "count", "--shape", "3x3x3x3")
+        assert (code, out) == (3, "")
+        assert "at least 17792748 ideals" in err
+        assert time.perf_counter() - t0 < 1.0
+
     @pytest.mark.parametrize("cap", ["200000", "1000000"])
     def test_seven_chains_refused_by_width(self, capsys, cap):
         # Each subset of the 35-point middle rank generates its own down-set: 2^35 > cap.

@@ -19,7 +19,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _completion_counts, _down_set_count, _lattice_lower_bound
+from gridext.counting import _completion_counts, _down_set_count, _lattice_size, _tables
 from gridext.grid import max_antichain_size
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
@@ -132,8 +132,18 @@ class TestCounts:
     @given(st.lists(st.integers(1, 3), min_size=4, max_size=6).filter(lambda ls: math.prod(ls) <= 48))
     @settings(deadline=None)
     def test_lattice_lower_bound_holds_beyond_three_chains(self, lengths):
+        # Past three chains the pre-check counts the lattice exactly.
         shape = GridShape(lengths)
-        assert _lattice_lower_bound(shape, 10**12) <= len(completion_counts(shape))
+        assert _lattice_size(shape, 10**12) == len(completion_counts(shape))
+
+    def test_lattice_size_of_four_chains_of_three(self):
+        # 3x3x3x3 is counted from the 980 down-sets of 3x3x3, and refused
+        # with that count before its DP starts.
+        shape = GridShape((3, 3, 3, 3))
+        assert _lattice_size(shape, 10**12) == 17_792_748
+        with pytest.raises(ResourceCapError, match="at least 17792748 ideals"):
+            completion_counts(shape)
+        assert shape not in _tables
 
     @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4)])
     def test_table_stored_by_decreasing_size(self, lengths):

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridext import (
     ExactSampler,
@@ -12,12 +12,16 @@ from gridext import (
     InvalidExtensionError,
     LinearExtension,
     enumerate_index_orders,
+    jump_pit_block,
+    jump_pit_blocks,
     jump_times,
     pits_counts,
     rank_lex_indices,
     read_extensions_file,
     write_extensions_file,
 )
+
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
 RANK_LEX_3X3 = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)]
 
@@ -156,6 +160,31 @@ class TestPits:
             placed |= 1 << v
             expected.append(shape.pit_mask(placed).bit_count())
         assert pits_counts(shape, order) == tuple(expected)
+
+
+class TestBlockKernel:
+    @given(small_shapes, st.integers(0, 2**64 - 1), st.integers(1, 12))
+    @example([1], 0, 3)
+    @example([5], 1, 2)
+    @settings(deadline=None)
+    def test_rows_match_per_order_reference(self, lengths, seed, rows):
+        shape = GridShape(lengths)
+        sampler = ExactSampler(shape, seed)
+        orders = [sampler.sample_indices() for _ in range(rows)]
+        jumps, pits = jump_pit_block(shape, orders)
+        assert jumps.shape == (rows, shape.size - 1) and pits.shape == (rows, shape.size)
+        for order, flags, counts in zip(orders, jumps.tolist(), pits.tolist()):
+            assert tuple(k for k, jump in enumerate(flags, start=1) if jump) == jump_times(shape, order)
+            assert tuple(counts) == pits_counts(shape, order)
+
+    def test_blocks_keep_stream_order(self, square3, square3_orders):
+        # 455 rows of 3x3 fit a block: the 42 orders, repeated, span three.
+        orders = list(square3_orders) * 30
+        blocks = list(jump_pit_blocks(square3, orders))
+        assert [len(pits) for _, pits in blocks] == [455, 455, 350]
+        assert [tuple(row) for _, pits in blocks for row in pits.tolist()] == [
+            pits_counts(square3, order) for order in orders
+        ]
 
 
 class TestRankWalks:

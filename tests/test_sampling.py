@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridext import (
     DomainError,
+    JumpStats,
     EntropyProfile,
     ExactSampler,
     GridShape,
@@ -18,13 +19,16 @@ from gridext import (
     SamplerConfig,
     WordStream,
     chi_square_uniformity,
+    completion_counts,
     count_extensions,
     entropy_profile_exact,
     enumerate_index_orders,
     exact_pits_deficit_fractions,
     exhaustive_mean_degree,
     jump_stats_from_orders,
+    jump_times,
     mcmc_ensemble,
+    pits_counts,
     pits_deficit_stats,
     pits_threshold,
     rank_lex_indices,
@@ -57,6 +61,58 @@ def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
     return arr
 
 
+def contract_sampler(shape, seed):
+    """The sampler contract of the README, written out: raw PCG64 words one
+    at a time, top-bits rejection, and the increasing-index subtractive
+    scan over the pits.  Yields index orders forever."""
+    g, bitgen = completion_counts(shape), np.random.PCG64(np.random.SeedSequence(seed))
+
+    def below(n):
+        k = n.bit_length()
+        while n > 1:
+            v = 0
+            for _ in range(-(-k // 64)):
+                v = v << 64 | int(bitgen.random_raw())
+            if (v := v >> -k % 64) < n:
+                return v
+        return 0
+
+    while True:
+        placed, order = 0, []
+        while len(order) < shape.size:
+            r = below(g[placed])
+            for v in (v for v in range(shape.size) if shape.pit_mask(placed) >> v & 1):
+                if r < g[placed | 1 << v]:
+                    break
+                r -= g[placed | 1 << v]
+            placed, order = placed | 1 << v, order + [v]
+        yield tuple(order)
+
+
+def stats_oracle(shape, orders):
+    """jump_stats_from_orders one order at a time: float sums of the
+    per-order reference jump_times and pits_counts."""
+    n, deg, deg_sq, hist = 0, 0.0, 0.0, Counter()
+    pit, pit_sq = [0.0] * shape.size, [0.0] * shape.size
+    for order in orders:
+        d = len(jump_times(shape, order))
+        n, deg, deg_sq, hist[d] = n + 1, deg + d, deg_sq + d * d, hist[d] + 1
+        for k, c in enumerate(pits_counts(shape, order)):
+            pit[k] += c
+            pit_sq[k] += c * c
+
+    def mean_se(total, total_sq):
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        return mean, math.sqrt(var / n)
+
+    profile = [mean_se(t, t_sq) for t, t_sq in zip(pit, pit_sq)]
+    return JumpStats(
+        n, *mean_se(deg, deg_sq), dict(sorted(hist.items())),
+        tuple(m for m, _ in profile), tuple(se for _, se in profile),
+    )
+
+
 # Shapes on both sides of the swap-table bound, chains of length 1 included.
 walk_shapes = st.one_of(
     st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24),
@@ -70,6 +126,12 @@ class TestWordStream:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(12345)))
         raw = [int(w) for w in rng.bit_generator.random_raw(4)]
         assert [ws.word() for _ in range(4)] == raw
+
+    def test_words_across_refills_match_one_raw_call(self):
+        # 5000 words cross the 4096-word refill: buffering changes nothing.
+        ws = WordStream(99)
+        raw = np.random.PCG64(np.random.SeedSequence(99)).random_raw(5000).tolist()
+        assert [ws.word() for _ in range(5000)] == raw
 
     def test_below_range_and_determinism(self):
         ws1, ws2 = WordStream(7), WordStream(7)
@@ -145,6 +207,19 @@ class TestExactSampler:
         res = chi_square_uniformity([counts.get(o, 0) for o in square3_orders])
         assert res.dof == 41
         assert res.pvalue > 0.005
+
+    @pytest.mark.parametrize(
+        "lengths, seed, draws",
+        # 3x3 and 2x40 keep per-down-set tables (20 and 861 down-sets);
+        # 8x8 (12870) scans.  2x40's counts reach 72 bits: two-word draws.
+        [((3, 3), 7, 300), ((2, 40), 3, 40), ((8, 8), 5, 20)],
+    )
+    def test_matches_written_out_contract(self, lengths, seed, draws):
+        shape = GridShape(lengths)
+        sampler = ExactSampler(shape, seed)
+        contract = contract_sampler(shape, seed)
+        for _ in range(draws):
+            assert sampler.sample_indices() == next(contract)
 
     def test_chain_sampling(self):
         s = GridShape((4,))
@@ -285,6 +360,14 @@ class TestJumpStats:
     def test_empty_rejected(self, square3):
         with pytest.raises(DomainError):
             jump_stats_from_orders(square3, [])
+
+    @pytest.mark.parametrize("lengths, count", [((3, 3), 1000), ((2, 40), 120), ((1,), 3), ((5,), 1)])
+    def test_blocks_match_per_order_oracle(self, lengths, count):
+        # 1000 3x3 orders fill two blocks of 455 and part of a third; 2x40
+        # has 51 orders a block.  Equality is exact, floats included.
+        shape = GridShape(lengths)
+        orders = list(sample_orders(shape, SamplerConfig(seed=count), count))
+        assert jump_stats_from_orders(shape, iter(orders)) == stats_oracle(shape, orders)
 
 
 class TestEntropy:
