@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from gridext import (
     DomainError,
-    JumpStats,
     EntropyProfile,
     ExactSampler,
     GridShape,
+    JumpStats,
     LinearExtension,
     ResourceCapError,
     SamplerConfig,
