@@ -1,9 +1,11 @@
 """Command line interface.
 
 Subcommands: count, enumerate, sample, jumps, pits, graph, bounds, verify,
-conjecture-scan.  Global flags: --seed, --format {json,csv,text}, --out,
---cap.  Exit codes: 0 ok, 1 assertion failure, 2 usage error, 3 resource
-cap exceeded.
+conjecture-scan.  Global flags: --seed, --out.  --format is registered by
+the commands with more than one output format, with that command's own
+choices and default; --cap by the commands that build a DP table or list
+extensions (count, enumerate, sample, graph, conjecture-scan).  Exit
+codes: 0 ok, 1 assertion failure, 2 usage error, 3 resource cap exceeded.
 
 Runs are deterministic: fixed flags and seed give byte-identical output.
 """
@@ -61,13 +63,6 @@ def _resolve_shape(args) -> GridShape:
     raise DomainError("a shape is required: --shape AxBxC, or --m M --n N")
 
 
-def _resolve_format(args, default: str, allowed: tuple[str, ...]) -> str:
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise DomainError(f"format {fmt!r} not supported here; choose from {', '.join(allowed)}")
-    return fmt
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -92,11 +87,10 @@ def _csv_table(header: list[str], rows: list[list], comments: list[str] | None =
 
 def cmd_count(args) -> int:
     shape = _resolve_shape(args)
-    fmt = _resolve_format(args, "json", ("json", "csv", "text"))
     count = count_extensions(shape, args.cap)
     lower = factorial_product_lower_bound(shape)
     upper = width_power_upper_bound(shape)
-    if fmt == "json":
+    if args.format == "json":
         _emit(
             args,
             _json(
@@ -109,7 +103,7 @@ def cmd_count(args) -> int:
                 }
             ),
         )
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit(
             args,
             _csv_table(
@@ -127,7 +121,6 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = _resolve_shape(args)
-    _resolve_format(args, "text", ("text",))
     # The cap is checked here, before --out is opened, so a refusal leaves no file.
     orders = enumerate_index_orders(shape, cap=args.cap)
     if args.out:
@@ -148,7 +141,6 @@ def _written(fh, orders):
 
 def cmd_sample(args) -> int:
     shape = _resolve_shape(args)
-    _resolve_format(args, "json", ("json",))
     cfg = SamplerConfig(
         method=args.method,
         seed=args.seed,
@@ -185,14 +177,13 @@ def cmd_sample(args) -> int:
 
 def cmd_jumps(args) -> int:
     shape = _resolve_shape(args)
-    fmt = _resolve_format(args, "csv", ("csv", "json"))
     extensions = read_extensions_file(args.infile, shape)
     records = []
     for jumps, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)):
         for flags, counts in zip(jumps.tolist(), pits.tolist()):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
             records.append((len(records) + 1, len(times), times, counts))
-    if fmt == "csv":
+    if args.format == "csv":
         rows = [
             [i, degree, " ".join(map(str, times)), " ".join(map(str, counts))]
             for i, degree, times, counts in records
@@ -209,7 +200,6 @@ def cmd_jumps(args) -> int:
 
 def cmd_pits(args) -> int:
     shape = _resolve_shape(args)
-    fmt = _resolve_format(args, "csv", ("csv", "json"))
     extensions = read_extensions_file(args.infile, shape)
     if not extensions:
         raise DomainError(f"no extensions found in {args.infile}")
@@ -218,14 +208,14 @@ def cmd_pits(args) -> int:
     if args.mean:
         totals = sum(pits.sum(axis=0) for pits in blocks).tolist()
         means = [total / len(extensions) for total in totals]
-        if fmt == "csv":
+        if args.format == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
         else:
             _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
     else:
         profiles = [profile for pits in blocks for profile in pits.tolist()]
-        if fmt == "csv":
+        if args.format == "csv":
             header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
             rows = [[i + 1, *profile] for i, profile in enumerate(profiles)]
             _emit(args, _csv_table(header, rows))
@@ -236,7 +226,6 @@ def cmd_pits(args) -> int:
 
 def cmd_graph(args) -> int:
     shape = _resolve_shape(args)
-    fmt = _resolve_format(args, "json", ("json", "text"))
     graph = build_graph(shape, cap=args.cap)
     stats = graph_stats(graph)
     if args.dot:
@@ -254,7 +243,7 @@ def cmd_graph(args) -> int:
         "degree_histogram": {str(d): c for d, c in stats.degree_histogram.items()},
         "connected": stats.connected,
     }
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _json(payload))
     else:
         lines = [f"{key}: {value}" for key, value in payload.items() if key != "version"]
@@ -263,11 +252,10 @@ def cmd_graph(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    fmt = _resolve_format(args, "json", ("json", "csv", "text"))
     reports = bound_reports(args.m, args.n, R=args.R, delta=args.delta)
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _json([r.to_dict() for r in reports]))
-    elif fmt == "csv":
+    elif args.format == "csv":
         rows = [
             [
                 r.name,
@@ -289,13 +277,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fmt = _resolve_format(args, "text", ("text", "json"))
-    if args.cap is None:
-        cfg = VerifyConfig(seed=args.seed)
-    else:
-        cfg = VerifyConfig(seed=args.seed, state_cap=args.cap)
-    reports = run_suite(args.suite, cfg)
-    if fmt == "json":
+    reports = run_suite(args.suite, VerifyConfig(seed=args.seed))
+    if args.format == "json":
         _emit(args, _json([r.to_dict() for r in reports]))
     else:
         _emit(args, "\n".join(r.to_text() for r in reports))
@@ -303,7 +286,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
-    fmt = _resolve_format(args, "csv", ("csv", "json"))
     shapes = []
     n = 2
     while 2**n <= args.max_size:
@@ -345,7 +327,7 @@ def cmd_conjecture_scan(args) -> int:
             }
         )
 
-    if fmt == "json":
+    if args.format == "json":
         _emit(args, _json({"version": __version__, "seed": args.seed, "rows": rows}))
     else:
         comments = [
@@ -380,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (64-bit)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None)
     common.add_argument("--out", default=None, help="write the primary output to this file")
-    common.add_argument("--cap", type=int, default=None, help="resource cap override")
+
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None, help="resource cap override")
 
     shaped = argparse.ArgumentParser(add_help=False)
     shaped.add_argument("--shape", default=None, help="chain lengths, e.g. 3x3 or 2x2x2")
@@ -391,13 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", parents=[common, shaped], help="exact extension count and integer bounds")
+    p = sub.add_parser("count", parents=[common, capped, shaped], help="exact extension count and integer bounds")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("enumerate", parents=[common, shaped], help="list every extension, one per line")
+    p = sub.add_parser("enumerate", parents=[common, capped, shaped], help="list every extension, one per line")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("sample", parents=[common, shaped], help="draw random extensions and summarize them")
+    p = sub.add_parser("sample", parents=[common, capped, shaped], help="draw random extensions and summarize them")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--mcmc-steps", type=int, default=10_000, dest="mcmc_steps")
@@ -405,19 +389,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("jumps", parents=[common, shaped], help="jump statistics of extensions from a file")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.set_defaults(func=cmd_jumps)
 
     p = sub.add_parser("pits", parents=[common, shaped], help="pits profiles of extensions from a file")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.add_argument("--mean", action="store_true", help="aggregate to mean pits per time")
     p.set_defaults(func=cmd_pits)
 
-    p = sub.add_parser("graph", parents=[common, shaped], help="build the swap graph and report statistics")
+    p = sub.add_parser("graph", parents=[common, capped, shaped], help="build the swap graph and report statistics")
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering to this file")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate closed-form bounds with vacuity flags")
+    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--R", type=float, default=None)
@@ -425,14 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--suite", required=True, help="counting, bounds, extremes, entropy, sampling, or all")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "conjecture-scan",
-        parents=[common],
+        parents=[common, capped],
         help="mean jump count over equal-chain grids, exact or sampled",
     )
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--max-size", type=int, default=16, dest="max_size")
     p.add_argument("--samples", type=int, default=10_000)
     p.set_defaults(func=cmd_conjecture_scan)

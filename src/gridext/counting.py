@@ -12,10 +12,10 @@ states one maximal point smaller, found all at once by GridShape.top_mask
 with one shift-and-AND per chain on the bitmask, so g(D) is complete
 before D is expanded.  One table is kept per shape.  The state space is
 the full down-set lattice; a configurable cap refuses shapes where it would
-not fit in memory, checked before the DP against the lattice size (closed
-form up to three chains of length > 1, counted from the lattice of the
-shape less its longest chain beyond) and again as each state is
-expanded.  The cap counts 64-bit
+not fit in memory, once, before the DP: against the size of the cached
+table, or else against the lattice size (closed form up to three chains
+of length > 1, counted from the lattice of the shape less its longest
+chain beyond), which the DP then fills exactly.  The cap counts 64-bit
 words: a state is a size-bit int of ceil(size / 64) words, so the cap
 admits cap // ceil(size / 64) states, one per unit of cap up to 64
 points.  The same table holds f(D), the number of orders of D itself:
@@ -147,27 +147,22 @@ _tables: dict[GridShape, Mapping[int, int]] = {}
 _TABLES_KEPT = 32
 
 
-def _completion_counts(shape: GridShape, cap: int) -> Mapping[int, int]:
-    states = cap // _words(shape)
+def _completion_counts(shape: GridShape) -> Mapping[int, int]:
     top_mask = shape.top_mask
 
     # Each state E pushes g(E) onto E - v for every maximal point v of E.
     # The pits of D are the maximal points of the states D + v, so g(D) is
-    # complete before D is expanded.  The cap is checked after each state:
-    # one expansion adds at most one state per maximal point.
+    # complete before D is expanded.
     g: dict[int, int] = {(1 << shape.size) - 1: 1}
     level = g.copy()
     while level:
         below: dict[int, int] = {}
-        room = states - len(g)
         for bits, here in level.items():
             rest = top_mask(bits)
             while rest:
                 low = rest & -rest
                 below[bits ^ low] = below.get(bits ^ low, 0) + here
                 rest ^= low
-            if len(below) > room:
-                raise _refuse(shape, cap, len(g) + len(below))
         g.update(below)
         level = below
     return MappingProxyType(g)
@@ -180,20 +175,20 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     identical to a private memo, so sharing is sound).  Raises
     ResourceCapError if the lattice exceeds cap // ceil(size / 64) states
     (`cap` counts 64-bit words, default 10^7), whether the table is cached
-    already or not.
+    already or not; a refused table is never built.
     """
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
+    states = cap // _words(shape)
     table = _tables.pop(shape, None)
+    if table is not None:
+        _tables[shape] = table  # most recently used
+    count = _lattice_size(shape, states) if table is None else len(table)
+    if count > states:
+        raise _refuse(shape, cap, count)
     if table is None:
-        count = _lattice_size(shape, cap // _words(shape))
-        if count > cap // _words(shape):  # refused before any state is built
-            raise _refuse(shape, cap, count)
-        table = _completion_counts(shape, cap)
-    _tables[shape] = table
-    if len(_tables) > _TABLES_KEPT:
-        del _tables[next(iter(_tables))]
-    if len(table) > cap // _words(shape):
-        raise _refuse(shape, cap, len(table))
+        _tables[shape] = table = _completion_counts(shape)
+        if len(_tables) > _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
     return table
 
 

@@ -27,6 +27,7 @@ indices separated by single spaces.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -82,7 +83,11 @@ class LinearExtension:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        indices = tuple(int(v) for v in self.indices)
+        try:
+            indices = tuple(map(operator.index, self.indices))
+        except TypeError:
+            pos, v = next((pos, v) for pos, v in enumerate(self.indices, 1) if not hasattr(v, "__index__"))
+            raise InvalidExtensionError(f"index {v!r} at time {pos} is not an integer", position=pos) from None
         _validate_order(self.shape, indices)
         object.__setattr__(self, "indices", indices)
 

@@ -428,18 +428,17 @@ class EntropyProfile:
         return math.fsum(self.h)
 
 
-def entropy_profile_exact(shape: GridShape, cap: int | None = None) -> EntropyProfile:
+def entropy_profile_exact(shape: GridShape) -> EntropyProfile:
     """Exact conditional entropy profile by full enumeration.
 
     Groups all extensions by the down-set of their first k points and
     averages the entropy of the next-point distribution over groups.  This
     route is independent of the counting DP, so comparing the profile's sum
     against lg(count) cross-checks the two engines.  Refuses shapes with
-    more than `cap` extensions (default 10^5), before the DP is built when
-    the lattice alone shows it (see enumerate_index_orders).
+    more than 10^5 extensions, before the DP is built when the rank levels
+    or the lattice alone show it (see enumerate_index_orders).
     """
-    cap = 10**5 if cap is None else int(cap)
-    orders = enumerate_index_orders(shape, cap=cap)
+    orders = enumerate_index_orders(shape, cap=10**5)
     size = shape.size
     if size == 1:
         return EntropyProfile(())

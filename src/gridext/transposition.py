@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import DEFAULT_STATE_CAP, count_extensions
+from .counting import DEFAULT_STATE_CAP, count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
 from .grid import GridShape
 
@@ -73,21 +73,23 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     """Yield every extension as a raw index tuple, in lexicographic order.
 
     This is the bit-exact stream behind the extension file format.  Refuses
-    to start when the exact count (from the counting engine, cheap at these
-    scales) exceeds `cap` (default 10^6).  Every down-set is a prefix of one
-    of the extensions, so a shape within the cap has at most (size + 1) *
-    cap down-sets.  That (at most the default state cap) is the DP's state
-    cap, so a larger lattice is refused before the DP is built.
+    to start when the shape has more than `cap` extensions (default 10^6).
+    Every down-set is a prefix of one of the extensions, so a shape within
+    the cap has at most (size + 1) * cap down-sets.  That (at most the
+    default state cap) is the DP's state cap, so a larger lattice is
+    refused before the DP is built.  Where the size + 1 prefixes of one
+    extension fit it, the rank levels are cheap to list, and their
+    factorial product, a lower bound on the count, is compared with `cap`
+    first: 2x2x2x2x2x2, whose 7828354 down-sets fit, builds no table.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
     state_cap = min((shape.size + 1) * max(cap, 0), DEFAULT_STATE_CAP)
-    total = count_extensions(shape, cap=state_cap)
-    if total > cap:
-        raise ResourceCapError(
-            f"shape {shape} has {total} extensions, above the enumeration cap of {cap}",
-            cap=cap,
-        )
-    return _orders(shape)
+    words = -(-shape.size // 64)  # of one DP state, a size-bit int
+    if shape.size < state_cap // words and factorial_product_lower_bound(shape) > cap:
+        total = f"more than {cap}"
+    elif (total := count_extensions(shape, cap=state_cap)) <= cap:
+        return _orders(shape)
+    raise ResourceCapError(f"shape {shape} has {total} extensions, above the enumeration cap of {cap}", cap=cap)
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from .bounds import (
     pits_fraction_bound,
 )
 from .counting import (
-    DEFAULT_STATE_CAP,
     count_extensions,
     count_root_window,
     factorial_product_lower_bound,
@@ -76,10 +75,9 @@ CONVEXITY_VECTORS = 10_000
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Resolved knobs for every suite; recorded verbatim in reports."""
+    """The one setting of every suite, its seed; recorded verbatim in reports."""
 
     seed: int = 42
-    state_cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -142,7 +140,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
 
     for lengths in ((3, 3), (2, 3)):
         shape = GridShape(lengths)
-        dp = count_extensions(shape, cfg.state_cap)
+        dp = count_extensions(shape)
         hook = hook_length_count(shape)
         checks.append(
             _check(
@@ -155,7 +153,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
         )
 
     cube = GridShape.equilateral(2, 3)
-    dp = count_extensions(cube, cfg.state_cap)
+    dp = count_extensions(cube)
     listed = sum(1 for _ in enumerate_index_orders(cube))
     checks.append(
         _check(
@@ -168,7 +166,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
     )
 
     tesseract = GridShape.equilateral(2, 4)
-    dp = count_extensions(tesseract, cfg.state_cap)
+    dp = count_extensions(tesseract)
     brute = backtracking_count(tesseract)
     checks.append(
         _check(
@@ -184,7 +182,7 @@ def suite_counting(cfg: VerifyConfig) -> SuiteReport:
     ordered_shapes += [GridShape(lengths) for lengths in MIXED_SHAPES]
     for shape in ordered_shapes:
         lower = factorial_product_lower_bound(shape)
-        count = count_extensions(shape, cfg.state_cap)
+        count = count_extensions(shape)
         upper = width_power_upper_bound(shape)
         checks.append(
             _check(
@@ -204,7 +202,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
 
     for m, n in SANDWICH_MN:
         shape = GridShape.equilateral(m, n)
-        count = count_extensions(shape, cfg.state_cap)
+        count = count_extensions(shape)
         value = normalized_count_root(m, n, count)
         lo, hi = count_root_window(n)
         inside = lo - 1e-9 <= value <= hi + 1e-9
@@ -237,7 +235,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
 
     for m, n in SANDWICH_MN:
         report = log_count_lower_bound(m, n)
-        count = count_extensions(GridShape.equilateral(m, n), cfg.state_cap)
+        count = count_extensions(GridShape.equilateral(m, n))
         lg_count = math.log(count, 2)
         flag_correct = report.vacuous == (report.value <= 0)
         holds = report.vacuous or lg_count >= report.value - 1e-9
@@ -317,7 +315,7 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
 
     for m, n in DEFICIT_MN:
         shape = GridShape.equilateral(m, n)
-        fractions = exact_pits_deficit_fractions(shape, DEFICIT_RS, cfg.state_cap)
+        fractions = exact_pits_deficit_fractions(shape, DEFICIT_RS)
         for R in DEFICIT_RS:
             bound = pits_fraction_bound(n, R)
             measured = fractions[R]
@@ -427,7 +425,7 @@ def suite_entropy(cfg: VerifyConfig) -> SuiteReport:
     for m, n in ENTROPY_MN:
         shape = GridShape.equilateral(m, n)
         profile = entropy_profile_exact(shape)
-        count = count_extensions(shape, cfg.state_cap)
+        count = count_extensions(shape)
         lg_count = math.log(count, 2)
         rel_err = abs(profile.total_bits - lg_count) / max(1.0, abs(lg_count))
         checks.append(
@@ -468,7 +466,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     shape = GridShape.equilateral(3, 2)
     support = list(enumerate_index_orders(shape))
 
-    sampler = ExactSampler(shape, cfg.seed, cfg.state_cap)
+    sampler = ExactSampler(shape, cfg.seed)
     counts = Counter(sampler.sample_indices() for _ in range(CHI_SAMPLES))
     unexpected = set(counts) - set(support)
     cells = [counts.get(o, 0) for o in support]
@@ -515,8 +513,8 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
         )
     )
 
-    first = ExactSampler(shape, cfg.seed, cfg.state_cap)
-    second = ExactSampler(shape, cfg.seed, cfg.state_cap)
+    first = ExactSampler(shape, cfg.seed)
+    second = ExactSampler(shape, cfg.seed)
     same_exact = all(first.sample_indices() == second.sample_indices() for _ in range(50))
     same_walk = np.array_equal(*(mcmc_ensemble(shape, 500, 1, cfg.seed) for _ in range(2)))
     checks.append(
@@ -529,7 +527,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
         )
     )
 
-    exact_frac = exact_pits_deficit_fractions(shape, [2.0], cfg.state_cap)[2.0]
+    exact_frac = exact_pits_deficit_fractions(shape, [2.0])[2.0]
     mc_mean, mc_se = pits_deficit_stats(
         shape, SamplerConfig(method="exact", seed=cfg.seed), DEFICIT_SAMPLES, 2.0
     )

@@ -148,14 +148,27 @@ class TestEnumerate:
         assert code == 3 and "enumeration cap" in err
         assert not target.exists()
 
+    def test_rank_levels_refuse_before_the_dp(self, capsys):
+        # 7828354 down-sets fit the default state cap; the rank levels'
+        # factorial product exceeds the enumeration cap before any is built.
+        from gridext import GridShape, counting
+
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--shape", "2x2x2x2x2x2")
+        assert (code, out) == (3, "")
+        assert "above the enumeration cap of 1000000" in err
+        assert time.perf_counter() - t0 < 1.0
+        assert GridShape((2,) * 6) not in counting._tables
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_only_text_format(self, capsys, tmp_path, fmt):
+        # Text is the one format, so the command takes no --format at all.
         target = tmp_path / "ext.txt"
         code, out, err = run(capsys, "enumerate", "--shape", "2x2", "--format", fmt, "--out", str(target))
         assert (code, out) == (2, "")
-        assert err == f"error: format '{fmt}' not supported here; choose from text\n"
+        assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
         assert not target.exists()
-        assert run(capsys, "enumerate", "--shape", "2x2", "--format", "text")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
+        assert run(capsys, "enumerate", "--shape", "2x2")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
 
     def test_reader_leaving_early_exits_quietly(self):
         # 24024 lines, far more than a pipe buffer holds, so the writer sees the pipe close
@@ -235,12 +248,13 @@ class TestSample:
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     def test_only_json_format(self, capsys, tmp_path, fmt):
+        # The summary is JSON only, so the command takes no --format at all.
         target = tmp_path / "draws.txt"
         code, out, err = run(capsys, "sample", "--shape", "2x2", "--format", fmt, "--out", str(target))
         assert (code, out) == (2, "")
-        assert err == f"error: format '{fmt}' not supported here; choose from json\n"
+        assert err.endswith(f"error: unrecognized arguments: --format {fmt}\n")
         assert not target.exists()
-        code, out, _ = run(capsys, "sample", "--shape", "2x2", "--format", "json")
+        code, out, _ = run(capsys, "sample", "--shape", "2x2")
         assert code == 0 and json.loads(out)["config"]["samples"] == 1
 
     def test_walk_on_astronomic_shape(self, capsys):
@@ -396,6 +410,10 @@ class TestBounds:
 
 
 class TestVerify:
+    def test_config_is_the_seed(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "entropy", "--format", "json", "--seed", "7")
+        assert code == 0 and json.loads(out)[0]["config"] == {"seed": 7}
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
@@ -490,6 +508,37 @@ class TestWalkOnLargeShapes:
         assert code == 3
         assert "Traceback" not in err.getvalue() and "bytes" in err.getvalue()
         assert out.getvalue() == ""
+
+
+class TestOptionSurface:
+    """Each flag is registered only by the commands that read it."""
+
+    def test_cap_only_where_read(self):
+        from gridext.cli import build_parser
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        capped = {name for name, p in commands.items() if any("--cap" in a.option_strings for a in p._actions)}
+        assert capped == {"count", "enumerate", "sample", "graph", "conjecture-scan"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jumps", "--shape", "3x3", "--in", "{ext}", "--cap", "5"],
+            ["pits", "--shape", "3x3", "--in", "{ext}", "--cap", "5"],
+            ["bounds", "--m", "3", "--n", "2", "--cap", "5"],
+            ["verify", "--suite", "counting", "--cap", "5"],
+            *(["enumerate", "--shape", "2x2", "--format", fmt] for fmt in ("text", "json", "csv")),
+            *(["sample", "--shape", "2x2", "--format", fmt] for fmt in ("json", "csv", "text")),
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_removed_flags_exit_2(self, capsys, tmp_path, extension_file, argv):
+        target = tmp_path / "out.txt"
+        argv = [arg.format(ext=extension_file) for arg in argv]
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert not target.exists()
 
 
 class TestTopLevel:

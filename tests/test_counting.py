@@ -19,8 +19,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _completion_counts, _down_set_count, _lattice_size, _tables
-from gridext.grid import max_antichain_size
+from gridext.counting import _down_set_count, _lattice_size, _tables
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -175,16 +174,31 @@ class TestCounts:
         for k in range(shape.size + 1):
             assert sum(here * g[b] for b, here in f.items() if b.bit_count() == k) == g[0]
 
-    @pytest.mark.parametrize("lengths, cap", [((2,) * 5, 2000), ((2, 2, 2, 2), 100), ((2, 2, 2, 3), 300)])
-    def test_cap_checked_as_the_level_grows(self, lengths, cap):
-        # Past the pre-check (2^width <= cap), the DP stops within one
-        # expanded state of the cap, not a whole level later.
+    @given(
+        lengths=st.one_of(small_shapes, st.sampled_from([(2, 2, 2, 3), (65,), (2, 33), (200,)])),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_refuses_exactly_past_the_lattice(self, lengths, data):
+        # One refusal rule, cold or warm: the lattice against cap // words,
+        # a state being a size-bit int of ceil(size / 64) 64-bit words.
         shape = GridShape(lengths)
-        assert 1 << max_antichain_size(shape) <= cap < len(completion_counts(shape))
-        with pytest.raises(ResourceCapError) as exc:
-            _completion_counts(shape, cap)
-        reported = int(str(exc.value).split("at least ")[1].split()[0])
-        assert cap < reported <= cap + shape.num_chains
+        lattice = len(completion_counts(shape))
+        words = -(-shape.size // 64)
+        cap = data.draw(st.integers(0, 2 * lattice * words))
+        refused = lattice > cap // words
+        for cold in (True, False):
+            if cold:
+                del _tables[shape]
+            if refused:
+                with pytest.raises(ResourceCapError) as exc:
+                    completion_counts(shape, cap)
+                assert exc.value.cap == cap
+                assert (shape in _tables) == (not cold)
+            else:
+                assert len(completion_counts(shape, cap)) == lattice
+                assert shape in _tables
+            completion_counts(shape)  # warm for the second round
 
     @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
     def test_cap_counts_state_words(self, lengths, words):
@@ -194,9 +208,6 @@ class TestCounts:
         assert completion_counts(shape, states * words) is completion_counts(shape)
         with pytest.raises(ResourceCapError) as exc:
             completion_counts(shape, states * words - 1)
-        assert exc.value.cap == states * words - 1
-        with pytest.raises(ResourceCapError) as exc:
-            _completion_counts(shape, states * words - 1)
         assert exc.value.cap == states * words - 1
         assert ("64-bit words each" in str(exc.value)) == (words > 1)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -58,6 +59,23 @@ class TestValidation:
         with pytest.raises(InvalidExtensionError) as exc:
             LinearExtension(GridShape(lengths), indices)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "indices, message, position",
+        [
+            ((0, 2.7, 1, 3), "index 2.7 at time 2 is not an integer", 2),
+            (("a", 2, 1, 3), "index 'a' at time 1 is not an integer", 1),
+        ],
+    )
+    def test_rejects_non_integral_entries(self, diamond, indices, message, position):
+        # A float is not truncated to an index, and a string is not parsed.
+        with pytest.raises(InvalidExtensionError) as exc:
+            LinearExtension(diamond, indices)
+        assert (str(exc.value), exc.value.position) == (message, position)
+
+    def test_accepts_numpy_integers(self, diamond):
+        ext = LinearExtension(diamond, np.array([0, 2, 1, 3]))
+        assert ext.indices == (0, 2, 1, 3) and all(type(v) is int for v in ext.indices)
 
     def test_validation_builds_no_cover_masks(self):
         # lower_cover_masks holds a size-bit int per point: 2^15 points would cost about 80 MB.

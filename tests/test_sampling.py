@@ -398,11 +398,12 @@ class TestEntropy:
     def test_singleton(self):
         assert entropy_profile_exact(GridShape((1,))) == EntropyProfile(())
 
-    def test_cap(self, square3):
+    def test_cap(self):
         from gridext import ResourceCapError
 
-        with pytest.raises(ResourceCapError):
-            entropy_profile_exact(square3, cap=10)
+        # 1662804 extensions, above the enumeration cap of 10^5.
+        with pytest.raises(ResourceCapError, match="above the enumeration cap of 100000"):
+            entropy_profile_exact(GridShape((5, 4)))
 
 
 class TestPitsDeficit:

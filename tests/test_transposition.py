@@ -71,6 +71,9 @@ class TestEnumeration:
     def test_cap_refusal(self):
         with pytest.raises(ResourceCapError):
             list(enumerate_index_orders(GridShape.equilateral(3, 3), cap=100))
+        # 3x3: the rank levels give 24 <= 30 extensions; the exact count, 42, refuses.
+        with pytest.raises(ResourceCapError, match="has 42 extensions, above the enumeration cap of 30"):
+            enumerate_index_orders(GridShape((3, 3)), cap=30)
 
     def test_backtracking_matches_dp(self):
         # 2x2x2x2 (1680384 extensions) is compared by acceptance criterion 1
@@ -93,12 +96,19 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("command", [enumerate_index_orders, build_graph, entropy_profile_exact])
     def test_cap_refuses_before_the_dp(self, command):
-        # 4x4x4 has 232848 down-sets, far more than (64 + 1) * 10: no table is built.
+        # 4x4x4 has 232848 down-sets, and its rank levels alone show more
+        # extensions than the cap (10, or 10^5 for the entropy profile).
         cube = GridShape.equilateral(4, 3)
         counting._tables.pop(cube, None)
-        with pytest.raises(ResourceCapError):
-            command(cube, cap=10)
+        with pytest.raises(ResourceCapError, match="enumeration cap"):
+            command(cube) if command is entropy_profile_exact else command(cube, cap=10)
         assert cube not in counting._tables
+
+    def test_state_cap_still_refuses_astronomic_shapes(self):
+        # Past the state cap's room the rank levels are not listed; the
+        # lattice gate refuses at once.
+        with pytest.raises(ResourceCapError, match="down-set lattice"):
+            enumerate_index_orders(GridShape((10**20, 2)))
 
     def test_backtracking_cap(self):
         with pytest.raises(ResourceCapError):
