@@ -57,7 +57,6 @@ from .sampling import (
     EntropyProfile,
     ExactSampler,
     JumpStats,
-    SamplerConfig,
     WordStream,
     chi_square_uniformity,
     entropy_profile_exact,
@@ -65,7 +64,6 @@ from .sampling import (
     jump_stats_from_orders,
     mcmc_ensemble,
     pits_deficit_stats,
-    sample_orders,
     tv_distance_from_uniform,
 )
 from .transposition import (
@@ -121,11 +119,9 @@ __all__ = [
     "graph_stats",
     "to_dot",
     # sampling
-    "SamplerConfig",
     "WordStream",
     "ExactSampler",
     "mcmc_ensemble",
-    "sample_orders",
     "JumpStats",
     "jump_stats_from_orders",
     "EntropyProfile",

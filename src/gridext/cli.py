@@ -30,7 +30,7 @@ from .counting import (
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
 from .jumps import jump_pit_blocks, read_extensions_file, write_index_orders
-from .sampling import SamplerConfig, jump_stats_from_orders, sample_orders
+from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
     dot_blocks,
@@ -141,15 +141,22 @@ def _written(fh, orders):
 
 def cmd_sample(args) -> int:
     shape = _resolve_shape(args)
-    cfg = SamplerConfig(
-        method=args.method,
-        seed=args.seed,
-        mcmc_steps=args.mcmc_steps,
-        laziness=args.laziness,
-    )
-    orders = sample_orders(shape, cfg, args.samples, args.cap)
-    # The first draw comes before --out is opened, so a refusal leaves no file.
-    orders = itertools.chain([next(orders)], orders)
+    # Every flag is checked on both methods before a table is built or --out is opened.
+    if args.samples < 1:
+        raise DomainError(f"need --samples >= 1, got {args.samples}")
+    if args.mcmc_steps < 0:
+        raise DomainError(f"--mcmc-steps must be >= 0, got {args.mcmc_steps}")
+    if not 0.0 <= args.laziness <= 1.0:
+        raise DomainError(f"--laziness must be in [0, 1], got {args.laziness}")
+    if args.method == "exact":
+        sampler = ExactSampler(shape, args.seed, args.cap)
+        orders = (sampler.sample_indices() for _ in range(args.samples))
+    elif args.cap is not None:
+        raise DomainError("--cap is the exact sampler's DP state cap; the walk (--method mcmc) reads none")
+    else:
+        finals = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
+        # Row by row: no list of all rows beside the tuples.
+        orders = (tuple(row.tolist()) for row in finals)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             stats = jump_stats_from_orders(shape, _written(fh, orders))
@@ -159,11 +166,11 @@ def cmd_sample(args) -> int:
         "version": __version__,
         "config": {
             "shape": list(shape.lengths),
-            "method": cfg.method,
-            "seed": cfg.seed,
+            "method": args.method,
+            "seed": args.seed,
             "samples": stats.samples,
-            "mcmc_steps": cfg.mcmc_steps,
-            "laziness": cfg.laziness,
+            "mcmc_steps": args.mcmc_steps,
+            "laziness": args.laziness,
         },
         "mean_degree": stats.mean_degree,
         "stderr": stats.degree_stderr,
@@ -307,8 +314,8 @@ def cmd_conjecture_scan(args) -> int:
             method = "exhaustive"
             used = count
         else:
-            cfg = SamplerConfig(method="exact", seed=args.seed)
-            stats = jump_stats_from_orders(shape, sample_orders(shape, cfg, args.samples, args.cap))
+            sampler = ExactSampler(shape, args.seed, args.cap)
+            stats = jump_stats_from_orders(shape, (sampler.sample_indices() for _ in range(args.samples)))
             mean = stats.mean_degree
             stderr = stats.degree_stderr
             method = "sampled"

@@ -21,7 +21,9 @@ jumps and one bincount and one cumsum for the pits.  jump_times and
 pits_counts are the per-order reference the kernel is tested against.
 
 File format (external contract): one extension per line, canonical point
-indices separated by single spaces.
+indices separated by single spaces.  An index is a decimal numeral of ASCII
+digits with no sign, underscore or leading zero; a reader also takes other
+whitespace between and around them.
 """
 
 from __future__ import annotations
@@ -96,8 +98,14 @@ class LinearExtension:
 
     @classmethod
     def from_line(cls, shape: GridShape, line: str) -> "LinearExtension":
+        toks = line.split()
+        digits = "".join(toks)
+        spaced = f" {' '.join(toks)} "
         try:
-            idx = tuple(int(tok) for tok in line.split())
+            # ASCII digits only, and no leading zero: a token that starts with 0 is 0.
+            if not (digits.isascii() and digits.isdigit() and spaced.count(" 0") == spaced.count(" 0 ")):
+                raise ValueError("not a line of decimal numerals")
+            idx = tuple(map(int, toks))  # also refuses a numeral past int()'s digit limit
         except ValueError as exc:
             raise InvalidExtensionError(f"malformed extension line: {line!r}") from exc
         return cls(shape, idx)

@@ -33,9 +33,10 @@ Determinism contract (external, bit-exact):
   Generator(PCG64(seed)): per step one integers(1, size, size=chains)
   batch, then one random(chains) batch; chain c holds when its coin is
   < laziness.  It has two paths, chosen by shape alone: a state-indexed
-  walk over the swap table when the extensions are few, and an array walk
-  with the cover test otherwise.  Both consume this draw pattern and make
-  the same moves, so their output is byte-identical.
+  walk over the swap table when count x size is at most 2^16 (decided by
+  the enumeration cap 2^16 // size), and an array walk with the cover
+  test otherwise.  Both consume this draw pattern and make the same
+  moves, so their output is byte-identical.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
@@ -49,24 +50,22 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts, count_extensions
+from .counting import completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
 from .transposition import build_graph, enumerate_index_orders, order_ids
 
 __all__ = [
-    "SamplerConfig",
     "WordStream",
     "ExactSampler",
     "mcmc_ensemble",
     "JumpStats",
-    "sample_orders",
     "jump_stats_from_orders",
     "EntropyProfile",
     "entropy_profile_exact",
@@ -81,28 +80,6 @@ __all__ = [
 def _check_seed(seed: int) -> None:
     if not 0 <= int(seed) < 2**64:
         raise DomainError(f"seed must be a 64-bit nonnegative integer, got {seed}")
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """How to draw random extensions: method, seed, and walk parameters."""
-
-    method: str = "exact"
-    seed: int = 0
-    mcmc_steps: int = 10_000
-    laziness: float = 0.5
-
-    def __post_init__(self):
-        if self.method not in ("exact", "mcmc"):
-            raise DomainError(f"method must be 'exact' or 'mcmc', got {self.method!r}")
-        _check_seed(self.seed)
-        if int(self.mcmc_steps) < 0:
-            raise DomainError(f"mcmc_steps must be >= 0, got {self.mcmc_steps}")
-        if not 0.0 <= float(self.laziness) <= 1.0:
-            raise DomainError(f"laziness must be in [0, 1], got {self.laziness}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "mcmc_steps", int(self.mcmc_steps))
-        object.__setattr__(self, "laziness", float(self.laziness))
 
 
 # Words fetched from the bit generator per refill; buffering never changes the stream.
@@ -171,8 +148,8 @@ class ExactSampler:
     def __init__(self, shape: GridShape, seed: int, state_cap: int | None = None):
         self.shape = shape
         self.seed = int(seed)
+        self._stream = WordStream(seed)  # checks the seed before the DP is built
         self._g = completion_counts(shape, state_cap)
-        self._stream = WordStream(seed)
         self._memo = functools.cache(self._choices) if len(self._g) <= _MEMO_MAX_STATES else None
 
     def _choices(self, placed: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -236,21 +213,9 @@ _ENSEMBLE_MAX_SIZE = 1 << 17
 _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
 # entries; past it the table costs more to build than a walk saves.
+# build_graph decides it with the enumeration cap 2^16 // size, whose
+# derived DP state cap keeps a refusal cheap (enumerate_index_orders).
 _SWAP_TABLE_ENTRIES = 1 << 16
-
-
-def _fits_swap_table(shape: GridShape) -> bool:
-    # Past 2^8 points only a single chain, whose walk never moves, is within
-    # the bound; refusing it by size keeps the DP's size-bit states small.
-    # A shape within the bound has at most (size + 1) * count, so at most
-    # twice the bound, down-sets; a larger lattice is refused before the DP.
-    if shape.size**2 > _SWAP_TABLE_ENTRIES:
-        return False
-    try:
-        count = count_extensions(shape, cap=2 * _SWAP_TABLE_ENTRIES)
-    except ResourceCapError:
-        return False
-    return count * shape.size <= _SWAP_TABLE_ENTRIES
 
 
 def mcmc_ensemble(
@@ -268,13 +233,13 @@ def mcmc_ensemble(
     array of trusted valid extensions) is given.  Uses the documented
     Generator draw pattern, so results are reproducible per seed.
 
-    When count x size and size^2 are at most 2^16, the states are row
+    When count x size is at most 2^16, which transposition.build_graph
+    decides with the enumeration cap 2^16 // size, the states are row
     numbers into the swap graph's orders, and a step is one gather from its
-    swap table (transposition.build_graph).  Otherwise each step reads the two
-    swapped entries and tests the cover with GridShape.cover_arrays.  Both
-    paths make the same moves.  Shapes of more than 2^17 points, and state
-    arrays of more than 2^28 bytes, raise ResourceCapError before any
-    table is built.
+    swap table.  Otherwise each step reads the two swapped entries and
+    tests the cover with GridShape.cover_arrays.  Both paths make the same
+    moves.  Shapes of more than 2^17 points, and state arrays of more than
+    2^28 bytes, raise ResourceCapError before any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -302,8 +267,11 @@ def mcmc_ensemble(
     if chains == 0 or steps == 0 or size <= 1:
         return np.array(starts, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    if _fits_swap_table(shape):
-        graph = build_graph(shape)
+    try:
+        graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
+    except ResourceCapError:  # too many extensions for the table: test covers
+        pass
+    else:
         table = graph.table.ravel()
         state = order_ids(graph.orders, starts)
         for _ in range(steps):
@@ -325,30 +293,6 @@ def mcmc_ensemble(
         arr[r, kk - 1] = b[move]
         arr[r, kk] = a[move]
     return arr
-
-
-def sample_orders(
-    shape: GridShape,
-    cfg: SamplerConfig,
-    samples: int,
-    cap: int | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Draw `samples` extensions as raw index tuples per the config.
-
-    The exact method streams from one ExactSampler, with `cap` as its DP
-    state cap.  The walk method runs one vectorized ensemble of `samples`
-    chains.
-    """
-    if samples <= 0:
-        raise DomainError(f"need samples >= 1, got {samples}")
-    if cfg.method == "exact":
-        sampler = ExactSampler(shape, cfg.seed, cap)
-        for _ in range(samples):
-            yield sampler.sample_indices()
-    else:
-        finals = mcmc_ensemble(shape, cfg.mcmc_steps, samples, cfg.seed, cfg.laziness)
-        for row in finals:  # row by row: no list of all rows beside the tuples
-            yield tuple(row.tolist())
 
 
 @dataclass(frozen=True)
@@ -470,23 +414,22 @@ def _deficit_threshold(shape: GridShape, R: float) -> float:
     return pits_threshold(shape.lengths[0], shape.num_chains, R)
 
 
-def pits_deficit_stats(
-    shape: GridShape,
-    cfg: SamplerConfig,
-    samples: int,
-    R: float,
-) -> tuple[float, float]:
+def pits_deficit_stats(shape: GridShape, seed: int, samples: int, R: float) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the low-pits time fraction.
 
-    For each sampled extension, the fraction of times k in [1, size] whose
-    pit count falls below the threshold 2^{-R} (m e / 2)^{n-1}.
+    For each of `samples` exact draws (ExactSampler with `seed`), the
+    fraction of times k in [1, size] whose pit count falls below the
+    threshold 2^{-R} (m e / 2)^{n-1}.
     """
     threshold = _deficit_threshold(shape, R)
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
+    sampler = ExactSampler(shape, seed)
     size = shape.size
     total = 0.0
     total_sq = 0.0
     n = 0
-    for _, pits in jump_pit_blocks(shape, sample_orders(shape, cfg, samples)):
+    for _, pits in jump_pit_blocks(shape, (sampler.sample_indices() for _ in range(samples))):
         for t in (pits < threshold).sum(axis=1).tolist():
             frac = t / size  # float sums in draw order: the figures repeat bit for bit
             total += frac
@@ -495,21 +438,17 @@ def pits_deficit_stats(
     return _mean_stderr(total, total_sq, n)
 
 
-def exact_pits_deficit_fractions(
-    shape: GridShape,
-    Rs: Sequence[float],
-    cap: int | None = None,
-) -> dict[float, Fraction]:
+def exact_pits_deficit_fractions(shape: GridShape, Rs: Sequence[float]) -> dict[float, Fraction]:
     """Exact expected low-pits fractions for several R at once.
 
     Sums f(D) g(D), the number of extensions whose first |D| points form D,
     over the nonempty down-sets D with few pits; no extension is listed.
     Both factors come from the completion table: f(D) = g(full ^
     reflect(D)) (see the counting module).  Exact rational output
-    (denominator count * size); `cap` is the DP state cap.
+    (denominator count * size), under the default DP state cap.
     """
     thresholds = {float(R): _deficit_threshold(shape, R) for R in Rs}
-    g = completion_counts(shape, cap)
+    g = completion_counts(shape)
     full = (1 << shape.size) - 1
     reflect, pit_mask = shape.reflect, shape.pit_mask
     by_pits: Counter[int] = Counter()  # (extension, time) pairs by pit count

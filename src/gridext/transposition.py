@@ -49,24 +49,30 @@ _DOT_ROWS = 1 << 12  # vertices per block of DOT output
 
 def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
     # Depth-first over pit choices; taking the pits in increasing index
-    # order makes the output lexicographic in the index sequences.
+    # order makes the output lexicographic in the index sequences.  The
+    # depth is one level per point, so the search keeps its own stack: per
+    # level, the pits not yet tried there.
     size = shape.size
     pit_mask = shape.pit_mask
     prefix: list[int] = []
-
-    def rec(placed: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == size:
+    untried = [pit_mask(0)]
+    placed = 0
+    while untried:
+        rest = untried[-1]
+        if not rest:
+            untried.pop()
+            if prefix:
+                placed ^= 1 << prefix.pop()
+            continue
+        low = rest & -rest
+        untried[-1] = rest ^ low
+        prefix.append(low.bit_length() - 1)
+        if len(prefix) < size:
+            placed |= low
+            untried.append(pit_mask(placed))
+        else:
             yield tuple(prefix)
-            return
-        rest = pit_mask(placed)
-        while rest:
-            low = rest & -rest
-            prefix.append(low.bit_length() - 1)
-            yield from rec(placed | low)
             prefix.pop()
-            rest ^= low
-
-    yield from rec(0)
 
 
 def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, ...]]:

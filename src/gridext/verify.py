@@ -37,7 +37,6 @@ from .grid import GridShape, max_antichain_size
 from .jumps import jump_pit_blocks, jump_times, rank_lex_indices
 from .sampling import (
     ExactSampler,
-    SamplerConfig,
     _check_seed,
     chi_square_uniformity,
     entropy_profile_exact,
@@ -528,9 +527,7 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
     )
 
     exact_frac = exact_pits_deficit_fractions(shape, [2.0])[2.0]
-    mc_mean, mc_se = pits_deficit_stats(
-        shape, SamplerConfig(method="exact", seed=cfg.seed), DEFICIT_SAMPLES, 2.0
-    )
+    mc_mean, mc_se = pits_deficit_stats(shape, cfg.seed, DEFICIT_SAMPLES, 2.0)
     slack = max(4 * mc_se, 1e-9)
     agree = abs(mc_mean - float(exact_frac)) <= slack
     checks.append(

@@ -170,6 +170,12 @@ class TestEnumerate:
         assert not target.exists()
         assert run(capsys, "enumerate", "--shape", "2x2")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
 
+    def test_long_chain_needs_no_recursion(self, capsys):
+        # One search level per point: 5000 levels, far past Python's frame limit.
+        code, out, err = run(capsys, "enumerate", "--shape", "5000")
+        assert (code, err) == (0, "")
+        assert out == " ".join(map(str, range(5000))) + "\n"
+
     def test_reader_leaving_early_exits_quietly(self):
         # 24024 lines, far more than a pipe buffer holds, so the writer sees the pipe close
         proc = subprocess.Popen(
@@ -262,15 +268,48 @@ class TestSample:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_walk_ignores_cap(self, capsys):
-        # 3600 points: beyond the exact DP, within the walk's swap table.
-        code, out, err = run(
-            capsys,
-            "sample", "--shape", "60x60", "--method", "mcmc", "--samples", "2",
-            "--mcmc-steps", "50", "--cap", "1000",
-        )
+    def test_walk_refuses_cap(self, capsys, tmp_path):
+        # --cap is the exact sampler's DP state cap; the walk reads none.
+        target = tmp_path / "draws.txt"
+        argv = ["sample", "--shape", "60x60", "--method", "mcmc", "--samples", "2", "--mcmc-steps", "50"]
+        code, out, err = run(capsys, *argv, "--cap", "1000", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --cap") and "Traceback" not in err
+        assert not target.exists()
+        # 3600 points: beyond the exact DP, within the walk's cover arrays.
+        code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert json.loads(out)["config"]["samples"] == 2
+
+    @pytest.mark.parametrize("method", ["exact", "mcmc"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--mcmc-steps", "-1"),
+            ("--laziness", "1.5"),
+            ("--laziness", "-0.1"),
+            ("--laziness", "nan"),
+            ("--seed", "-1"),
+            ("--seed", str(2**64)),
+        ],
+    )
+    def test_bad_sampler_flag_exits_2_before_the_dp(self, capsys, tmp_path, method, flag, value):
+        # 4x4x4's DP takes over a second and leaves its table behind: a check
+        # made after it would show in both.
+        from gridext import GridShape, counting
+
+        counting._tables.pop(GridShape((4, 4, 4)), None)
+        target = tmp_path / "draws.txt"
+        t0 = time.perf_counter()
+        argv = ["sample", "--shape", "4x4x4", "--method", method, flag, value, "--out", str(target)]
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not target.exists()
+        assert GridShape((4, 4, 4)) not in counting._tables
 
 
 @pytest.fixture()
@@ -333,6 +372,13 @@ class TestJumpsAndPits:
         code, out, err = run(capsys, command, "--shape", "2x2", "--in", str(path))
         assert (code, out, err) == (2, "", "error: line 2: non-ASCII byte 0xff\n")
 
+    def test_index_must_be_a_plain_numeral(self, capsys, tmp_path):
+        # int() would read 02 as 2; the file format has no leading zeros.
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 2 3\n0 02 1 3\n")
+        code, out, err = run(capsys, "jumps", "--shape", "2x2", "--in", str(path))
+        assert (code, out, err) == (2, "", "error: line 2: malformed extension line: '0 02 1 3'\n")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "jumps", "--shape", "3x3", "--in", str(tmp_path / "nope"))
         assert code == 2
@@ -350,6 +396,12 @@ class TestGraph:
         assert data["avg_deg"] == 4.0
         assert data["avg_deg_exact"] == "4"
         assert data["connected"] is True
+
+    def test_long_chain_is_one_vertex(self, capsys):
+        code, out, err = run(capsys, "graph", "--shape", "1000")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["vertices"], data["edges"]) == (1, 0)
 
     def test_dot_output(self, capsys, tmp_path):
         dot = tmp_path / "g.dot"

@@ -87,6 +87,9 @@ class TestValidation:
         indices = tuple(diamond.index_of(c) for c in [(1, 1), (1, 2), (2, 1), (2, 2)])
         assert indices == (0, 1, 2, 3)
         assert LinearExtension.from_line(diamond, " 0 1  2 3\n") == LinearExtension(diamond, indices)
+        # Numerals with a 0 past the first digit are plain numerals.
+        chain = GridShape((21,))
+        assert LinearExtension.from_line(chain, " ".join(map(str, range(21)))).indices == tuple(range(21))
 
     def test_from_line_rejects_garbage(self, diamond):
         with pytest.raises(InvalidExtensionError):
@@ -235,6 +238,15 @@ class TestFiles:
         path.write_bytes(b"0 1 2 3\n\n0 2 1 3 \xc3\xa9\n")
         with pytest.raises(InvalidExtensionError, match=r"^line 3: non-ASCII byte 0xc3$"):
             read_extensions_file(path, diamond)
+
+    @pytest.mark.parametrize("line", ["0 +2 1 3", "0 02 1 3", "0 1_0 2 3", "00 1 2 3"])
+    def test_read_rejects_tokens_int_would_take(self, tmp_path, diamond, line):
+        # A sign, a leading zero or an underscore: int() reads them, the format has none.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1 2 3\n{line}\n")
+        with pytest.raises(InvalidExtensionError) as exc:
+            read_extensions_file(path, diamond)
+        assert str(exc.value) == f"line 2: malformed extension line: '{line}'"
 
     def test_read_rejects_invalid_order(self, tmp_path, diamond):
         path = tmp_path / "bad.txt"

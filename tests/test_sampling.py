@@ -16,7 +16,6 @@ from gridext import (
     JumpStats,
     LinearExtension,
     ResourceCapError,
-    SamplerConfig,
     WordStream,
     chi_square_uniformity,
     completion_counts,
@@ -32,10 +31,9 @@ from gridext import (
     pits_deficit_stats,
     pits_threshold,
     rank_lex_indices,
-    sample_orders,
     tv_distance_from_uniform,
 )
-from gridext.sampling import _fits_swap_table
+from gridext import sampling, transposition
 
 
 def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
@@ -156,26 +154,6 @@ class TestWordStream:
             WordStream(0).below(0)
 
 
-class TestSamplerConfig:
-    def test_defaults(self):
-        cfg = SamplerConfig()
-        assert cfg.method == "exact"
-        assert cfg.mcmc_steps == 10_000
-        assert cfg.laziness == 0.5
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SamplerConfig(method="bogus")
-        with pytest.raises(DomainError):
-            SamplerConfig(seed=-1)
-        with pytest.raises(DomainError):
-            SamplerConfig(seed=2**64)
-        with pytest.raises(DomainError):
-            SamplerConfig(mcmc_steps=-1)
-        with pytest.raises(DomainError):
-            SamplerConfig(laziness=1.5)
-
-
 class TestExactSampler:
     def test_deterministic_per_seed(self, square3):
         def draws(seed):
@@ -279,12 +257,41 @@ class TestMcmc:
             with pytest.raises(ResourceCapError):
                 mcmc_ensemble(shape, 1, 1, seed=0)
 
-    def test_swap_table_path_by_shape(self):
-        # count x size <= 2^16 and size <= 2^8 walk the swap table; the rest tests covers.
-        for lengths in [(1,), (256,), (2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
-            assert _fits_swap_table(GridShape(lengths))
-        for lengths in [(257,), (2, 9), (4, 4), (2, 2, 2, 2), (4, 4, 4), (2,) * 5, (2,) * 17]:
-            assert not _fits_swap_table(GridShape(lengths))
+    def test_swap_table_path_by_shape(self, monkeypatch):
+        # The walk asks build_graph with the enumeration cap 2^16 // size:
+        # count x size <= 2^16 walks the swap table, a refusal tests covers.
+        # A single point never moves, so it asks nothing.
+        asked = []
+
+        def spy(shape, cap=None):
+            try:
+                graph = transposition.build_graph(shape, cap)
+            except ResourceCapError:
+                asked.append((cap, "covers"))
+                raise
+            asked.append((cap, "table"))
+            return graph
+
+        monkeypatch.setattr(sampling, "build_graph", spy)
+
+        def path(lengths):
+            shape = GridShape(lengths)
+            asked.clear()
+            mcmc_ensemble(shape, 1, 2, seed=0)
+            assert all(cap == 2**16 // shape.size for cap, _ in asked)
+            return [way for _, way in asked]
+
+        assert path((1,)) == []
+        for lengths in [(256,), (257,), (2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
+            assert path(lengths) == ["table"], lengths
+        for lengths in [(2, 9), (4, 4), (2, 2, 2, 2), (4, 4, 4), (2,) * 5, (2,) * 17]:
+            assert path(lengths) == ["covers"], lengths
+
+    def test_long_chain_walks_the_table(self):
+        # 2000 points, one extension: enumerated without a frame per point.
+        shape = GridShape((2000,))
+        finals = mcmc_ensemble(shape, 10, 3, seed=0)
+        assert np.array_equal(finals, np.tile(rank_lex_indices(shape), (3, 1)))
 
     @given(
         walk_shapes,
@@ -312,30 +319,11 @@ class TestMcmc:
 
     def test_stationarity_one_step(self, diamond):
         # one lazy step applied to an exact uniform batch stays near uniform
-        starts = np.array(
-            list(sample_orders(diamond, SamplerConfig(seed=77), 3000)), dtype=np.int64
-        )
+        sampler = ExactSampler(diamond, 77)
+        starts = np.array([sampler.sample_indices() for _ in range(3000)], dtype=np.int64)
         finals = mcmc_ensemble(diamond, 1, 3000, seed=78, starts=starts)
         counts = Counter(tuple(r) for r in finals.tolist())
         assert abs(counts[(0, 1, 2, 3)] - 1500) < 170
-
-
-class TestSampleOrders:
-    def test_exact_stream_matches_sampler(self, square3):
-        cfg = SamplerConfig(method="exact", seed=31)
-        got = list(sample_orders(square3, cfg, 10))
-        sampler = ExactSampler(square3, 31)
-        assert got == [sampler.sample_indices() for _ in range(10)]
-
-    def test_mcmc_stream_matches_ensemble(self, square3):
-        cfg = SamplerConfig(method="mcmc", seed=13, mcmc_steps=50)
-        got = list(sample_orders(square3, cfg, 6))
-        finals = mcmc_ensemble(square3, 50, 6, 13, 0.5)
-        assert got == [tuple(r) for r in finals.tolist()]
-
-    def test_rejects_zero_samples(self, diamond):
-        with pytest.raises(DomainError):
-            list(sample_orders(diamond, SamplerConfig(), 0))
 
 
 class TestJumpStats:
@@ -352,8 +340,8 @@ class TestJumpStats:
         assert stats.mean_pits_profile[-1] == 0.0
 
     def test_monte_carlo_close(self, square3):
-        cfg = SamplerConfig(method="exact", seed=4242)
-        stats = jump_stats_from_orders(square3, sample_orders(square3, cfg, 3000))
+        sampler = ExactSampler(square3, 4242)
+        stats = jump_stats_from_orders(square3, (sampler.sample_indices() for _ in range(3000)))
         exact = float(exhaustive_mean_degree(square3))
         assert abs(stats.mean_degree - exact) < 5 * stats.degree_stderr + 1e-12
 
@@ -366,7 +354,8 @@ class TestJumpStats:
         # 1000 3x3 orders fill two blocks of 455 and part of a third; 2x40
         # has 51 orders a block.  Equality is exact, floats included.
         shape = GridShape(lengths)
-        orders = list(sample_orders(shape, SamplerConfig(seed=count), count))
+        sampler = ExactSampler(shape, count)
+        orders = [sampler.sample_indices() for _ in range(count)]
         assert jump_stats_from_orders(shape, iter(orders)) == stats_oracle(shape, orders)
 
 
@@ -434,9 +423,14 @@ class TestPitsDeficit:
 
     def test_monte_carlo_matches_exact(self, square3):
         exact = float(exact_pits_deficit_fractions(square3, [2.0])[2.0])
-        cfg = SamplerConfig(method="exact", seed=27)
-        mean, se = pits_deficit_stats(square3, cfg, 3000, 2.0)
+        mean, se = pits_deficit_stats(square3, 27, 3000, 2.0)
         assert abs(mean - exact) < 5 * se + 1e-12
+        # The figures of 3000 exact draws with seed 27, bit for bit.
+        assert (mean, se) == (0.4178148148148113, 0.0013724395684949875)
+
+    def test_monte_carlo_rejects_zero_samples(self, square3):
+        with pytest.raises(DomainError):
+            pits_deficit_stats(square3, 27, 0, 2.0)
 
 
 class TestDistributionChecks:
