@@ -17,12 +17,14 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 
 from ._version import __version__
 from .bounds import bound_reports
 from .counting import (
+    _check_cap,
     count_extensions,
     factorial_product_lower_bound,
     width_power_upper_bound,
@@ -293,6 +295,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    # Two chains alone give about sqrt(max-size) rows.  A run whose largest,
+    # isqrt(max-size) squared, is over the cap would refuse it anyway, so it
+    # is refused before the rows are listed.
+    if args.max_size >= 4:
+        _check_cap(GridShape.equilateral(math.isqrt(args.max_size), 2), args.cap)
     shapes = []
     n = 2
     while 2**n <= args.max_size:

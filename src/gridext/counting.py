@@ -129,19 +129,6 @@ def _words(shape: GridShape) -> int:
     return -(-shape.size // 64)
 
 
-def _refuse(shape: GridShape, cap: int, states: int) -> ResourceCapError:
-    words = _words(shape)
-    # An astronomic word count is too long to print; past the cap it is
-    # enough to say so.
-    shown = words if words <= cap else f"more than {cap}"
-    each = f" of {shown} 64-bit words each" if words > 1 else ""
-    return ResourceCapError(
-        f"down-set lattice of {shape} exceeds the state cap of {cap} "
-        f"(at least {states} ideals{each}); raise the cap to proceed",
-        cap=int(cap),
-    )
-
-
 # One completion-count table per shape, the 32 most recently used, oldest first.
 _tables: dict[GridShape, Mapping[int, int]] = {}
 _TABLES_KEPT = 32
@@ -168,27 +155,41 @@ def _completion_counts(shape: GridShape) -> Mapping[int, int]:
     return MappingProxyType(g)
 
 
+def _check_cap(shape: GridShape, cap: int | None) -> None:
+    """Raise ResourceCapError if the down-set lattice of the shape exceeds
+    cap // ceil(size / 64) states (`cap` counts 64-bit words, default 10^7):
+    the size of its cached table, or else _lattice_size.  Builds no table.
+    """
+    cap = DEFAULT_STATE_CAP if cap is None else int(cap)
+    words = _words(shape)
+    table = _tables.get(shape)
+    count = _lattice_size(shape, cap // words) if table is None else len(table)
+    if count <= cap // words:
+        return
+    # An astronomic word count is too long to print; past the cap it is
+    # enough to say so.
+    shown = words if words <= cap else f"more than {cap}"
+    each = f" of {shown} 64-bit words each" if words > 1 else ""
+    raise ResourceCapError(
+        f"down-set lattice of {shape} exceeds the state cap of {cap} "
+        f"(at least {count} ideals{each}); raise the cap to proceed",
+        cap=cap,
+    )
+
+
 def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, int]:
     """Read-only map: down-set bitmask -> number of extensions completing it.
 
     One table per shape is built and shared across calls (results are
-    identical to a private memo, so sharing is sound).  Raises
-    ResourceCapError if the lattice exceeds cap // ceil(size / 64) states
-    (`cap` counts 64-bit words, default 10^7), whether the table is cached
-    already or not; a refused table is never built.
+    identical to a private memo, so sharing is sound).  The cap is checked
+    first (_check_cap), whether the table is cached already or not; a
+    refused table is never built.
     """
-    cap = DEFAULT_STATE_CAP if cap is None else int(cap)
-    states = cap // _words(shape)
-    table = _tables.pop(shape, None)
-    if table is not None:
-        _tables[shape] = table  # most recently used
-    count = _lattice_size(shape, states) if table is None else len(table)
-    if count > states:
-        raise _refuse(shape, cap, count)
-    if table is None:
-        _tables[shape] = table = _completion_counts(shape)
-        if len(_tables) > _TABLES_KEPT:
-            del _tables[next(iter(_tables))]
+    _check_cap(shape, cap)
+    table = _tables.pop(shape, None)  # re-inserted as the most recently used
+    _tables[shape] = table = _completion_counts(shape) if table is None else table
+    if len(_tables) > _TABLES_KEPT:
+        del _tables[next(iter(_tables))]
     return table
 
 

@@ -8,6 +8,8 @@ generic handlers.
 
 from __future__ import annotations
 
+__all__ = ["GridextError", "DomainError", "InvalidExtensionError", "ResourceCapError"]
+
 
 class GridextError(Exception):
     """Base class for all errors raised by gridext."""

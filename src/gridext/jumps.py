@@ -47,7 +47,6 @@ __all__ = [
     "rank_lex_indices",
     "read_extensions_file",
     "write_extensions_file",
-    "write_index_orders",
 ]
 
 
@@ -198,11 +197,11 @@ def rank_lex_indices(shape: GridShape) -> tuple[int, ...]:
     extension; it doubles as the deterministic start state for the
     random-walk sampler.  On equal chains [m]^n it attains the maximum
     jump count m^n - 3 (the extremes suite checks this); the guarantee
-    does not transfer to mixed shapes.
+    does not transfer to mixed shapes.  Canonical index order is the
+    lexicographic order of the coordinates, so a stable sort by rank alone
+    breaks ties by coordinates.
     """
-    ranks = shape.rank_table
-    coords = shape.coords_table
-    return tuple(sorted(range(shape.size), key=lambda v: (ranks[v], coords[v])))
+    return tuple(sorted(range(shape.size), key=shape.rank_table.__getitem__))
 
 
 def write_index_orders(fh, orders: Iterable[Sequence[int]]) -> int:

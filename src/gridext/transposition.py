@@ -22,23 +22,19 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import DEFAULT_STATE_CAP, count_extensions, factorial_product_lower_bound
+from .counting import DEFAULT_STATE_CAP, _words, count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
 from .grid import GridShape
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
-    "DEFAULT_BACKTRACK_CAP",
     "TranspositionGraph",
     "GraphStats",
     "enumerate_index_orders",
-    "swap_table",
-    "order_ids",
     "backtracking_count",
     "exhaustive_mean_degree",
     "build_graph",
     "graph_stats",
-    "dot_blocks",
     "to_dot",
 ]
 
@@ -90,8 +86,7 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
     state_cap = min((shape.size + 1) * max(cap, 0), DEFAULT_STATE_CAP)
-    words = -(-shape.size // 64)  # of one DP state, a size-bit int
-    if shape.size < state_cap // words and factorial_product_lower_bound(shape) > cap:
+    if shape.size < state_cap // _words(shape) and factorial_product_lower_bound(shape) > cap:
         total = f"more than {cap}"
     elif (total := count_extensions(shape, cap=state_cap)) <= cap:
         return _orders(shape)

@@ -66,6 +66,9 @@ DEFICIT_MN = ((3, 2), (4, 2))
 DEFICIT_RS = (1.0, 2.0, 4.0)
 # Sample sizes of the randomized checks, fixed for every run.
 CHI_SAMPLES = 100_000
+# The diamond (2x2) check draws from a seed of its own.
+DIAMOND_SAMPLES = 2_000
+DIAMOND_SEED = 4242
 TV_RUNS = 100_000
 TV_STEPS = 10_000
 DEFICIT_SAMPLES = 20_000
@@ -486,6 +489,19 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
             f"stat {chi.statistic:.4f}, p {chi.pvalue:.4f}",
             "p > 0.01",
             chi.pvalue > 0.01,
+        )
+    )
+    diamond = ExactSampler(GridShape((2, 2)), DIAMOND_SEED)
+    drawn = Counter(diamond.sample_indices() for _ in range(DIAMOND_SAMPLES))
+    cells = [drawn[(0, 1, 2, 3)], drawn[(0, 2, 1, 3)]]  # its two extensions
+    chi = chi_square_uniformity(cells)
+    checks.append(
+        _check(
+            "diamond sampler uniformity",
+            f"chi-square over the 2 extensions of 2x2, {DIAMOND_SAMPLES} samples at seed {DIAMOND_SEED}, p > 0.001",
+            f"stat {chi.statistic:.4f}, p {chi.pvalue:.4f}",
+            "p > 0.001",
+            sum(cells) == DIAMOND_SAMPLES and chi.pvalue > 0.001,
         )
     )
 

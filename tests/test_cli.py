@@ -498,6 +498,16 @@ class TestConjectureScan:
         assert data["version"] == __version__
         assert data["rows"][0]["m"] == 2 and data["rows"][0]["n"] == 2
 
+    def test_huge_max_size_refused_before_listing_rows(self, capsys, tmp_path):
+        # About 10^9 two-chain rows; the largest, 10^9 x 10^9, is over the cap.
+        out_file = tmp_path / "scan.csv"
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "conjecture-scan", "--max-size", str(10**18), "--out", str(out_file))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert "state cap" in err
+        assert not out_file.exists()
+
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 huge_shapes = st.one_of(

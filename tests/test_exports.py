@@ -1,10 +1,12 @@
-"""The public API has no unread names.
+"""The public API: one record of each name, and no unread names.
 
-Each name in gridext.__all__ must be read somewhere besides its own
-definition: by another module of the package, by the benchmark harness in
-perfbench/, or by the documentation in README.md.
+gridext.__all__ is the concatenation of its modules' __all__ lists.  Each
+name in it must be read somewhere besides its own definition: by another
+module of the package, by the benchmark harness in perfbench/, or by the
+documentation in README.md.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -38,3 +40,12 @@ def test_every_export_has_a_reader():
         ):
             unread.append(name)
     assert unread == []
+
+
+def test_each_name_is_recorded_once_in_its_module():
+    modules = ("errors", "grid", "counting", "jumps", "transposition", "sampling", "bounds", "verify")
+    names = ["__version__"]
+    for module in modules:
+        names += importlib.import_module(f"gridext.{module}").__all__
+    assert len(set(names)) == len(names)
+    assert gridext.__all__ == names

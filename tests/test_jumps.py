@@ -216,6 +216,12 @@ class TestRankWalks:
         assert ranks == sorted(ranks)
         LinearExtension(s, idxs)  # must validate
 
+    @given(small_shapes)
+    def test_rank_lex_is_sorted_by_rank_then_coordinates(self, lengths):
+        s = GridShape(lengths)
+        by_key = sorted(range(s.size), key=lambda v: (s.rank_table[v], s.coords_table[v]))
+        assert rank_lex_indices(s) == tuple(by_key)
+
     def test_rank_lex_degree_extremal(self, extreme_graphs):
         graphs, _ = extreme_graphs
         for (m, n), graph in graphs.items():
