@@ -47,8 +47,12 @@ EXACT_SCAN_LIMIT = 100_000
 
 
 def _parse_shape_token(token: str) -> GridShape:
+    parts = token.replace("X", "x").split("x")
     try:
-        lengths = tuple(int(part) for part in token.lower().split("x"))
+        # ASCII digits only: int() alone also takes signs, spaces, '_' and other scripts' digits.
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError("not a numeral")
+        lengths = tuple(map(int, parts))  # also refuses a numeral past int()'s digit limit
     except ValueError:
         raise DomainError(f"malformed shape {token!r}; expected the form 3x3 or 2x2x2") from None
     return GridShape(lengths)

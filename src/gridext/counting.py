@@ -7,28 +7,41 @@ number of linear extensions that complete a down-set D is
 
 where a pit is a minimal element of the complement.  The answer is g(empty).
 The table is built in one top-down pass, level by level (by ideal
-cardinality) from the whole grid: each state pushes its count onto the
-states one maximal point smaller, found all at once by GridShape.top_mask
-with one shift-and-AND per chain on the bitmask, so g(D) is complete
-before D is expanded.  One table is kept per shape.  The state space is
-the full down-set lattice; a configurable cap refuses shapes where it would
-not fit in memory, once, before the DP: against the size of the cached
-table, or else against the lattice size (closed form up to three chains
-of length > 1, counted from the lattice of the shape less its longest
-chain beyond), which the DP then fills exactly.  The cap counts 64-bit
-words: a state is a size-bit int of ceil(size / 64) words, so the cap
-admits cap // ceil(size / 64) states, one per unit of cap up to 64
-points.  The same table holds f(D), the number of orders of D itself:
-the point reflection (GridShape.reflect) reverses the order, so it maps
-the orders of D onto the completions of full ^ reflect(D), and
-f(D) = g(full ^ reflect(D)).  A uniform extension passes through D with
-probability f(D) g(D) / g(empty), so exact expectations are sums over
-this one table.
+cardinality) from the whole grid, on arrays.  A level is an (n, w) uint64
+array of down-set masks, one row of w = ceil(size / 64) little-endian
+words per state, with an object array of their counts beside it, so every
+count is an exact Python int.  Each state E pushes g(E) onto E - v for every
+maximal point v of E, found for the whole level at once by one
+shift-and-AND per chain (a shift by a stride carries across words), so
+g(D) is complete before D is expanded.  The lowest index missing from a
+down-set is one of its pits, so each down-set of the level below comes
+from exactly one edge, the one that removes that index: those edges list
+the level below with no duplicate, one argsort orders it, and every other
+edge finds its child there by searchsorted and adds its count with
+np.add.at.  A level's temporaries are a few words per state of it and of
+the level below, and they are dropped before the next level.
 
-A DP state is the down-set's bitmask interpreted as a Python int; the int is
-bit-for-bit the little-endian byte string of the bitset under the canonical
-point-index contract (see grid module), so memo keys are exactly reproducible
-across runs and platforms.
+One table is kept per shape.  The state space is the full down-set
+lattice; a configurable cap refuses shapes where it would not fit in
+memory, once, before the DP: against the size of the cached table, or else
+against the lattice size (closed form up to three chains of length > 1,
+counted from the lattice of the shape less its longest chain beyond),
+which the DP then fills exactly.  The cap counts 64-bit words, which is
+what a level's mask array holds per state: ceil(size / 64), so the cap
+admits cap // ceil(size / 64) states, one per unit of cap up to 64 points.
+The same table holds f(D), the number of orders of D itself: the point
+reflection (GridShape.reflect) reverses the order, so it maps the orders
+of D onto the completions of full ^ reflect(D), and f(D) = g(full ^
+reflect(D)).  A uniform extension passes through D with probability
+f(D) g(D) / g(empty), so exact expectations are sums over this one table.
+
+The table maps each down-set's bitmask, as a Python int, to its count, by
+levels of decreasing cardinality.  The int is read from the row's
+little-endian bytes ('<u8'), so it is bit-for-bit the little-endian byte
+string of the bitset under the canonical point-index contract (see grid
+module).  Within a level the states are sorted by _keys: by the word up to
+64 points, by those bytes past it.  Neither the keys nor their order
+depend on the platform's byte order.
 """
 
 from __future__ import annotations
@@ -37,6 +50,8 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape, max_antichain_size, whitney_numbers
@@ -134,24 +149,129 @@ _tables: dict[GridShape, Mapping[int, int]] = {}
 _TABLES_KEPT = 32
 
 
-def _completion_counts(shape: GridShape) -> Mapping[int, int]:
-    top_mask = shape.top_mask
+_ONE, _ALL = np.uint64(1), ~np.uint64(0)
 
-    # Each state E pushes g(E) onto E - v for every maximal point v of E.
-    # The pits of D are the maximal points of the states D + v, so g(D) is
-    # complete before D is expanded.
-    g: dict[int, int] = {(1 << shape.size) - 1: 1}
-    level = g.copy()
-    while level:
-        below: dict[int, int] = {}
-        for bits, here in level.items():
-            rest = top_mask(bits)
-            while rest:
-                low = rest & -rest
-                below[bits ^ low] = below.get(bits ^ low, 0) + here
-                rest ^= low
-        g.update(below)
-        level = below
+
+def _word_array(bits: int, words: int) -> np.ndarray:
+    """A size-bit int as `words` uint64 words, least significant first."""
+    return np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8").astype(np.uint64)
+
+
+def _level_ints(masks: np.ndarray) -> list[int]:
+    """The rows of an (n, words) uint64 array as size-bit ints."""
+    if masks.shape[1] == 1:
+        return masks.ravel().tolist()
+    data = masks.astype("<u8", copy=False).tobytes()
+    step = 8 * masks.shape[1]
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
+def _keys(masks: np.ndarray) -> np.ndarray:
+    """One sortable key per row: the word itself, or the row's little-endian bytes."""
+    words = masks.shape[1]
+    return masks[:, 0] if words == 1 else masks.astype("<u8", copy=False).view(f"V{8 * words}").ravel()
+
+
+def _shifted_down(masks: np.ndarray, q: int, r: int) -> np.ndarray:
+    """Each row as a size-bit int shifted down (>>) by 64q + r: words move
+    down by q and bits by r, and the r low bits of the next word carry in."""
+    words = masks.shape[1]
+    out = np.empty_like(masks)
+    if q:
+        out[:, words - q :] = 0
+    np.right_shift(masks[:, q:], np.uint64(r), out=out[:, : words - q])
+    if r and q + 1 < words:
+        out[:, : words - q - 1] |= masks[:, q + 1 :] << np.uint64(64 - r)
+    return out
+
+
+def _bits(marks: np.ndarray):
+    """Yield (rows, cols, bit) rounds until each set bit of `marks` has been
+    yielded once: a round holds the lowest bit left in every nonzero
+    (row, word) pair, so a row appears once per nonzero word.
+    """
+    rows, cols = marks.nonzero()
+    left = marks[rows, cols]
+    del marks
+    while rows.size:
+        bit = ~left
+        bit += _ONE
+        bit &= left
+        yield rows, cols, bit
+        left ^= bit
+        del bit
+        keep = left.nonzero()[0]
+        if not keep.size:
+            return
+        rows, cols, left = rows[keep], cols[keep], left[keep]
+
+
+def _flipped(masks: np.ndarray, rows: np.ndarray, cols: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """The rows `rows` of `masks`, each with `bit` flipped in word `cols`."""
+    kids = masks[rows]
+    kids[np.arange(len(rows)), cols] ^= bit
+    return kids
+
+
+def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
+    """The down-sets one point smaller than the rows of `masks` (sorted by
+    _keys), sorted the same way, with their completion counts: each state
+    E pushes g(E) onto E - v for every maximal point v of E.
+
+    The lowest index m missing from a down-set C is a pit of C, as its
+    lower covers have lower indices.  So C comes from exactly one edge
+    E -> E - v with v = m, and that edge is the one whose v lies in the
+    trailing ones of E, the points below the lowest index missing from E.
+    Those first edges list the level below once each, argsort orders it,
+    and every other edge finds its child there by searchsorted.
+    """
+    words = masks.shape[1]
+    tops = masks.copy()
+    for q, r, below_top in faces:
+        moved = _shifted_down(masks, q, r)
+        moved &= below_top
+        tops &= np.invert(moved, out=moved)
+        del moved
+    first = masks + _ONE  # the trailing ones of each word ...
+    np.invert(first, out=first)
+    first &= masks
+    if words > 1:  # ... up to the first word that is not all ones
+        first[:, 1:][np.logical_or.accumulate(masks[:, :-1] != _ALL, axis=1)] = 0
+    first &= tops
+    tops ^= first
+    parents, below = [], []
+    for rows, cols, bit in _bits(first):
+        parents.append(rows)
+        below.append(_flipped(masks, rows, cols, bit))
+    del first
+    if not below:
+        return masks[:0], counts[:0]
+    below, parents = np.concatenate(below), np.concatenate(parents)
+    if len(below) > 1:
+        order = np.argsort(_keys(below))
+        below, parents = below[order], parents[order]
+        del order
+    sums = counts[parents]
+    del parents
+    if tops.any():
+        keys, rest = _keys(below), _bits(tops)
+        del tops
+        for rows, cols, bit in rest:
+            at = np.searchsorted(keys, _keys(_flipped(masks, rows, cols, bit)))
+            np.add.at(sums, at, counts[rows])
+    return below, sums
+
+
+def _completion_counts(shape: GridShape) -> Mapping[int, int]:
+    words = _words(shape)
+    full, terms = shape._chain_faces
+    faces = [(s // 64, s % 64, _word_array(below_top, words)) for s, _, below_top in terms]
+    masks = _word_array(full, words).reshape(1, words)
+    counts = np.ones(1, dtype=object)
+    g: dict[int, int] = {}
+    while len(masks):
+        g.update(zip(_level_ints(masks), counts.tolist()))
+        masks, counts = _level_below(masks, counts, faces)
     return MappingProxyType(g)
 
 

@@ -76,6 +76,21 @@ class TestCount:
         code, _, err = run(capsys, "count", "--shape", "3xx3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "shape",
+        ["1_0x2", "٣x3", "+3x3", "3x-3", " 3x3", "3x3 ", "3x3.0", "3ｘ3", pytest.param("9" * 5000 + "x2", id="5000-digit")],
+    )
+    def test_shape_parts_are_ascii_numerals(self, capsys, shape):
+        # int() alone would run 1_0x2 as 10x2, and the Arabic-Indic ٣x3 or
+        # +3x3 as 3x3.
+        code, out, err = run(capsys, "count", "--shape", shape)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed shape") and "Traceback" not in err
+
+    def test_shape_separator_either_case(self, capsys):
+        code, out, _ = run(capsys, "count", "--shape", "3X3")
+        assert code == 0 and json.loads(out)["count"] == "42"
+
     def test_cap_exhausted(self, capsys):
         code, _, err = run(capsys, "count", "--shape", "3x3x3", "--cap", "10")
         assert code == 3

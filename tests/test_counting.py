@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridext import (
     DomainError,
@@ -22,6 +22,34 @@ from gridext import (
 from gridext.counting import _down_set_count, _lattice_size, _tables
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
+
+
+@st.composite
+def modest_shapes(draw):
+    """Up to five chains and 150 points, in any order, one of them long."""
+    short = draw(st.lists(st.integers(1, 6), max_size=4))
+    long = draw(st.integers(1, max(1, 150 // math.prod(short))))
+    return tuple(draw(st.permutations([*short, long])))
+
+
+def check_table(shape):
+    """The completion table against the recurrence read through pit_mask (not
+    the engine's top-mask expansion), the lattice size, and on two chains
+    the hook-length formula."""
+    g = completion_counts(shape)
+    full = (1 << shape.size) - 1
+    assert g[full] == 1
+    for bits, here in g.items():
+        if bits != full:
+            rest, total = shape.pit_mask(bits), 0
+            while rest:
+                low = rest & -rest
+                total += g[bits | low]
+                rest ^= low
+            assert here == total
+    assert len(g) == _lattice_size(shape, 10**12)
+    if shape.num_chains == 2:
+        assert g[0] == hook_length_count(shape)
 
 
 def forward_oracle(shape):
@@ -82,6 +110,17 @@ class TestCounts:
             for b in range(a, 7):
                 s = GridShape((a, b))
                 assert count_extensions(s) == hook_length_count(s)
+
+    @given(modest_shapes())
+    @settings(deadline=None)
+    def test_table_obeys_the_recurrence(self, lengths):
+        shape = GridShape(lengths)
+        assume(_lattice_size(shape, 5000) <= 5000)
+        check_table(shape)
+
+    @pytest.mark.parametrize("lengths", [(2, 40), (3, 30), (9, 11)])
+    def test_two_chain_tables_obey_the_recurrence(self, lengths):
+        check_table(GridShape(lengths))
 
     def test_hook_requires_two_chains(self, cube2):
         with pytest.raises(DomainError):
@@ -144,7 +183,8 @@ class TestCounts:
             completion_counts(shape)
         assert shape not in _tables
 
-    @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4)])
+    # 65 is the first shape of two-word states; a stride of 70 moves a whole word.
+    @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4), (65,), (2, 40), (2, 70)])
     def test_table_stored_by_decreasing_size(self, lengths):
         sizes = [bits.bit_count() for bits in completion_counts(GridShape(lengths))]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
