@@ -140,6 +140,9 @@ def cmd_enumerate(args) -> int:
 def _written(fh, orders):
     # Passes the orders on once written to fh, 1024 at a time: no list of all
     # orders, and one writer call per block, which costs less than one per order.
+    # One iterator over them, so that an array's rows are read once, not the
+    # first 1024 again and again.
+    orders = iter(orders)
     while block := list(itertools.islice(orders, 1024)):
         write_index_orders(fh, block)
         yield from block
@@ -160,9 +163,8 @@ def cmd_sample(args) -> int:
     elif args.cap is not None:
         raise DomainError("--cap is the exact sampler's DP state cap; the walk (--method mcmc) reads none")
     else:
-        finals = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
-        # Row by row: no list of all rows beside the tuples.
-        orders = (tuple(row.tolist()) for row in finals)
+        # The walk's array as it is: the statistics cut it into blocks.
+        orders = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             stats = jump_stats_from_orders(shape, _written(fh, orders))

@@ -19,6 +19,11 @@ come from the positions of the points and, per point, the last position
 of a lower cover: one maximum per chain, then one comparison for the
 jumps and one bincount and one cumsum for the pits.  jump_times and
 pits_counts are the per-order reference the kernel is tested against.
+read_extensions_file validates a block of lines with the same two
+arrays: a row is an extension iff its indices are in range, each point
+keeps the position it was scattered to (none repeats), and every point
+but 0 sits after its last lower cover (ready < pos).  _validate_order is
+the per-line reference, and it names the first bad line's error.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.  An index is a decimal numeral of ASCII
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -97,17 +102,28 @@ class LinearExtension:
 
     @classmethod
     def from_line(cls, shape: GridShape, line: str) -> "LinearExtension":
-        toks = line.split()
-        digits = "".join(toks)
-        spaced = f" {' '.join(toks)} "
-        try:
-            # ASCII digits only, and no leading zero: a token that starts with 0 is 0.
-            if not (digits.isascii() and digits.isdigit() and spaced.count(" 0") == spaced.count(" 0 ")):
-                raise ValueError("not a line of decimal numerals")
-            idx = tuple(map(int, toks))  # also refuses a numeral past int()'s digit limit
-        except ValueError as exc:
-            raise InvalidExtensionError(f"malformed extension line: {line!r}") from exc
-        return cls(shape, idx)
+        return cls(shape, _parse_line(line))
+
+    @classmethod
+    def _trusted(cls, shape: GridShape, indices: tuple[int, ...]) -> "LinearExtension":
+        # An instance of indices already validated, without validating again.
+        ext = object.__new__(cls)
+        object.__setattr__(ext, "shape", shape)
+        object.__setattr__(ext, "indices", indices)
+        return ext
+
+
+def _parse_line(line: str) -> tuple[int, ...]:
+    toks = line.split()
+    digits = "".join(toks)
+    spaced = f" {'  '.join(toks)} "  # two spaces apart: matches of " 0 " cannot overlap
+    try:
+        # ASCII digits only, and no leading zero: a token that starts with 0 is 0.
+        if not (digits.isascii() and digits.isdigit() and spaced.count(" 0") == spaced.count(" 0 ")):
+            raise ValueError("not a line of decimal numerals")
+        return tuple(map(int, toks))  # also refuses a numeral past int()'s digit limit
+    except ValueError as exc:
+        raise InvalidExtensionError(f"malformed extension line: {line!r}") from exc
 
 
 def jump_times(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
@@ -143,6 +159,25 @@ def pits_counts(shape: GridShape, indices: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _positions(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, ready) of a (rows, size) int64 array of orders, indices in range.
+
+    pos[r, v] is the position of point v in row r (left unset for a point
+    the row misses), ready[r, v] the last position of a lower cover of v,
+    0 for point 0: the maximum over the chains of pos one step down that
+    chain, as shifted grid views.
+    """
+    rows, size = orders.shape
+    pos = np.empty_like(orders)
+    pos[np.arange(rows)[:, None], orders] = np.arange(size)
+    pos_grid = pos.reshape(rows, *shape.lengths)
+    ready = np.zeros_like(pos_grid)
+    for axis in range(1, ready.ndim):
+        above, below = np.moveaxis(ready, axis, 0)[1:], np.moveaxis(pos_grid, axis, 0)[:-1]
+        np.maximum(above, below, out=above)
+    return pos, ready.reshape(rows, size)
+
+
 def jump_pit_block(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jump flags and pit counts of a (rows, size) int array of trusted orders.
 
@@ -153,17 +188,8 @@ def jump_pit_block(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np
     """
     orders = np.asarray(orders, dtype=np.int64)
     rows, size = orders.shape
-    pos = np.empty_like(orders)
-    pos[np.arange(rows)[:, None], orders] = np.arange(size)
-    # ready[r, v]: the last position of a lower cover of v, the maximum over
-    # the chains of pos one step down that chain, as shifted grid views.
+    _, ready = _positions(shape, orders)
     # Only the bottom corner, point 0, has no lower cover; it is placed first.
-    pos_grid = pos.reshape(rows, *shape.lengths)
-    ready = np.zeros_like(pos_grid)
-    for axis in range(1, ready.ndim):
-        above, below = np.moveaxis(ready, axis, 0)[1:], np.moveaxis(pos_grid, axis, 0)[:-1]
-        np.maximum(above, below, out=above)
-    ready = ready.reshape(rows, size)
     # The point at position p follows one of its lower covers iff its last
     # lower cover sits at p - 1; otherwise time p is a jump.
     jumps = np.take_along_axis(ready, orders, axis=1)[:, 1:] != np.arange(size - 1)
@@ -182,9 +208,14 @@ _BLOCK_ENTRIES = 1 << 12
 def jump_pit_blocks(shape: GridShape, orders: Iterable[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """jump_pit_block over a stream of trusted orders, in blocks of at most
     2^12 point indices (one order if it is longer): (jump flags, pit
-    counts) per block, rows in stream order.
+    counts) per block, rows in stream order.  A (rows, size) array is cut
+    into blocks of the same row count, with no list of its rows.
     """
     rows = max(1, _BLOCK_ENTRIES // shape.size)
+    if isinstance(orders, np.ndarray):
+        for start in range(0, len(orders), rows):
+            yield jump_pit_block(shape, orders[start : start + rows])
+        return
     orders = iter(orders)
     while block := list(itertools.islice(orders, rows)):
         yield jump_pit_block(shape, np.array(block, dtype=np.int64))
@@ -221,24 +252,74 @@ def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
         return write_index_orders(fh, (ext.indices for ext in extensions))
 
 
+def _raise_first_error(shape: GridShape, orders: list[tuple[int, ...]], linenos: list[int], rows) -> NoReturn:
+    # The per-line oracle's error on the first of `rows` it refuses.
+    for r in rows:
+        try:
+            _validate_order(shape, orders[r])
+        except InvalidExtensionError as exc:
+            raise InvalidExtensionError(f"line {linenos[r]}: {exc}", position=exc.position) from exc
+    raise AssertionError("the block check refused lines that _validate_order accepts")
+
+
+def _checked(shape: GridShape, orders: list[tuple[int, ...]], linenos: list[int]) -> list[LinearExtension]:
+    """The extensions of a block of parsed orders of the right length, or
+    the error _validate_order gives the first invalid one."""
+    if not orders:
+        return []
+    size = shape.size
+    try:
+        block = np.array(orders, dtype=np.int64)
+    except OverflowError:  # an index past int64 is out of range: the oracle finds its line
+        _raise_first_error(shape, orders, linenos, range(len(orders)))
+    out_of_range = (block >= size).any(axis=1)
+    np.minimum(block, size - 1, out=block)
+    pos, ready = _positions(shape, block)
+    # A repeated point keeps only one of its positions; a point placed no
+    # later than its last lower cover is out of order.
+    repeated = (np.take_along_axis(pos, block, axis=1) != np.arange(size)).any(axis=1)
+    early = (ready[:, 1:] >= pos[:, 1:]).any(axis=1)
+    bad = np.flatnonzero(out_of_range | repeated | early)
+    if len(bad):
+        _raise_first_error(shape, orders, linenos, bad.tolist())
+    return [LinearExtension._trusted(shape, order) for order in orders]
+
+
 def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
     """Read and validate an extension file against a shape.
 
     The file is ASCII; a line holding any other byte is rejected by number.
+    Lines are parsed one at a time and validated in blocks of the
+    jump_pit_blocks row count, with the positions jump_pit_block reads; the
+    first invalid line is named by _validate_order, the per-line oracle,
+    so a bad file gives the error a line-by-line check would.
     """
-    out = []
+    size = shape.size
+    rows = max(1, _BLOCK_ENTRIES // size)
+    out: list[LinearExtension] = []
+    orders: list[tuple[int, ...]] = []  # parsed, not yet validated: at most one block
+    linenos: list[int] = []
     # surrogateescape decodes each non-ASCII byte b to the lone surrogate
     # U+DC00 + b, so the line it sits on can be named.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
-                raise InvalidExtensionError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
-            line = line.strip()
-            if not line:
-                continue
             try:
-                out.append(LinearExtension.from_line(shape, line))
+                if not line.isascii():
+                    byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                    raise InvalidExtensionError(f"non-ASCII byte 0x{byte:02x}")
+                line = line.strip()
+                if not line:
+                    continue
+                order = _parse_line(line)
+                if len(order) != size:  # the oracle's message for a wrong length
+                    _validate_order(shape, order)
             except InvalidExtensionError as exc:
+                _checked(shape, orders, linenos)  # an earlier line's error comes first
                 raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
+            orders.append(order)
+            linenos.append(lineno)
+            if len(orders) == rows:
+                out += _checked(shape, orders, linenos)
+                orders, linenos = [], []
+    out += _checked(shape, orders, linenos)
     return out

@@ -35,15 +35,17 @@ Determinism contract (external, bit-exact):
   < laziness.  It has two paths, chosen by shape alone: a state-indexed
   walk over the swap table when count x size is at most 2^16 (decided by
   the enumeration cap 2^16 // size), and an array walk with the cover
-  test otherwise.  Both consume this draw pattern and make the same
-  moves, so their output is byte-identical.
+  test otherwise.  The array walk keeps the chains as the rows of one
+  C-ordered array and reads and writes each chain's pair (k - 1, k)
+  through its flat row-major view, at index chain x size + k.  Both
+  paths consume this draw pattern and make the same moves, so their
+  output is byte-identical.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -150,10 +152,13 @@ class ExactSampler:
         self.seed = int(seed)
         self._stream = WordStream(seed)  # checks the seed before the DP is built
         self._g = completion_counts(shape, state_cap)
-        self._memo = functools.cache(self._choices) if len(self._g) <= _MEMO_MAX_STATES else None
+        self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
 
-    def _choices(self, placed: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(g(D), running weight sums, next down-sets) of the down-set D."""
+    def _choices(self, placed: int) -> tuple:
+        """The memo entry of the down-set D = placed, built on its first visit:
+        (g(D), shift, running weight sums, next down-sets, pit indices).
+        shift is 64 - bit_length(g(D)) when one word draws below g(D), and
+        -1 when it takes more."""
         g = self._g
         nexts = []
         rest = self.shape.pit_mask(placed)
@@ -161,20 +166,34 @@ class ExactSampler:
             low = rest & -rest
             nexts.append(placed | low)
             rest ^= low
-        return g[placed], tuple(itertools.accumulate(g[d] for d in nexts)), tuple(nexts)
+        total = g[placed]
+        shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
+        sums = tuple(itertools.accumulate(g[d] for d in nexts))
+        pits = tuple((d ^ placed).bit_length() - 1 for d in nexts)
+        self._memo[placed] = entry = (total, shift, sums, tuple(nexts), pits)
+        return entry
 
     def sample_indices(self) -> tuple[int, ...]:
         """One uniform extension as a raw index tuple."""
-        if self._memo is None:
+        memo = self._memo
+        if memo is None:
             return self._scan_indices()
-        memo, below = self._memo, self._stream.below
+        words, below, choices = self._stream._words, self._stream.below, self._choices
         placed = 0
         out = []
         for _ in range(self.shape.size):
-            total, sums, nexts = memo(placed)
-            nxt = nexts[bisect_right(sums, below(total))]
-            out.append((nxt ^ placed).bit_length() - 1)
-            placed = nxt
+            total, shift, sums, nexts, pits = memo.get(placed) or choices(placed)
+            if total == 1:  # a single pit: below(1) is 0 and reads no word
+                i = 0
+            elif shift >= 0:  # below(total) on one word, inline
+                r = next(words) >> shift
+                while r >= total:
+                    r = next(words) >> shift
+                i = bisect_right(sums, r)
+            else:
+                i = bisect_right(sums, below(total))
+            out.append(pits[i])
+            placed = nexts[i]
         return tuple(out)
 
     def _scan_indices(self) -> tuple[int, ...]:
@@ -236,10 +255,13 @@ def mcmc_ensemble(
     When count x size is at most 2^16, which transposition.build_graph
     decides with the enumeration cap 2^16 // size, the states are row
     numbers into the swap graph's orders, and a step is one gather from its
-    swap table.  Otherwise each step reads the two swapped entries and
-    tests the cover with GridShape.cover_arrays.  Both paths make the same
-    moves.  Shapes of more than 2^17 points, and state arrays of more than
-    2^28 bytes, raise ResourceCapError before any table is built.
+    swap table.  Otherwise each step reads the two entries at k - 1 and k
+    of every chain through the flat view of one C-ordered state array,
+    tests the cover with GridShape.cover_arrays, and writes both back,
+    swapped where the chain moves.  Both paths make the same moves, and
+    neither writes to `starts`.  Shapes of more than 2^17 points, and
+    state arrays of more than 2^28 bytes, raise ResourceCapError before
+    any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -279,19 +301,24 @@ def mcmc_ensemble(
             coins = rng.random(chains)
             state = np.where(coins >= laziness, table[state * size + ks], state)
         return graph.orders[state].astype(np.int64)
-    arr = np.array(starts, dtype=np.int64)
+    # A C-ordered copy, whatever the layout of starts (a broadcast view is
+    # F-ordered), so that reshape(-1) is a view of it and not a copy.
+    arr = np.array(starts, dtype=np.int64, order="C")
+    flat = arr.reshape(-1)
     up, step = shape.cover_arrays
-    rows = np.arange(chains)
+    base = np.arange(0, chains * size, size)  # flat index of each chain's first point
     for _ in range(steps):
         ks = rng.integers(1, size, size=chains)
         coins = rng.random(chains)
-        a = arr[rows, ks - 1]
-        b = arr[rows, ks]
+        hi = base + ks
+        lo = hi - 1
+        a = flat[lo]
+        b = flat[hi]
         move = (coins >= laziness) & (up[b] & step[b - a + size] == 0)
-        r = rows[move]
-        kk = ks[move]
-        arr[r, kk - 1] = b[move]
-        arr[r, kk] = a[move]
+        # Every chain writes its pair back, swapped or not: no two chains
+        # share an index, so no compress and no scatter of the movers.
+        flat[lo] = np.where(move, b, a)
+        flat[hi] = np.where(move, a, b)
     return arr
 
 
@@ -318,8 +345,9 @@ def _mean_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
 def jump_stats_from_orders(shape: GridShape, orders: Iterable[Sequence[int]]) -> JumpStats:
     """Jump/pits statistics of an explicit batch of trusted index orders.
 
-    Reads the orders in blocks (jumps.jump_pit_blocks) and keeps the sums
-    as exact integers.  Standard errors use the sample standard deviation
+    Reads the orders in blocks (jumps.jump_pit_blocks; a (rows, size) array,
+    such as mcmc_ensemble's, is sliced) and keeps the sums as exact
+    integers.  Standard errors use the sample standard deviation
     (zero for a single draw).  The mean degree estimates the average vertex
     degree of the swap graph.
     """

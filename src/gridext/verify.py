@@ -376,7 +376,7 @@ def suite_extremes(cfg: VerifyConfig) -> SuiteReport:
         )
         jump_counts = []
         bad_boundary = 0
-        for jumps, _ in jump_pit_blocks(shape, graph.orders.tolist()):
+        for jumps, _ in jump_pit_blocks(shape, graph.orders):
             jump_counts.append(jumps.sum(axis=1))
             bad_boundary += int(np.count_nonzero(jumps[:, 0] | jumps[:, -1]))
         jump_counts = np.concatenate(jump_counts)

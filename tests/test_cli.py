@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -236,6 +237,28 @@ class TestSample:
             idxs = [int(v) for v in line.split()]
             assert sorted(idxs) == list(range(8))
         json.loads(out)  # stats still go to stdout
+
+    def test_mcmc_out_on_the_array_path(self, capsys, tmp_path):
+        # 2^5 tests covers, so sample hands the walk's array on as it is;
+        # its 1500 rows take two writer blocks of 1024.
+        from gridext import GridShape, jump_stats_from_orders, mcmc_ensemble
+        from gridext.cli import _written
+        from gridext.jumps import write_index_orders
+
+        shape = GridShape((2,) * 5)
+        finals = mcmc_ensemble(shape, 60, 1500, seed=4)
+        # Each row once, not the first block again and again; bounded, so a
+        # fault shows here rather than as an endless --out file below.
+        assert len(list(itertools.islice(_written(io.StringIO(), finals), 1501))) == 1500
+        argv = ["sample", "--shape", "2x2x2x2x2", "--method", "mcmc", "--samples", "1500", "--mcmc-steps", "60"]
+        code, out, err = run(capsys, *argv, "--seed", "4", "--out", str(tmp_path / "walk.txt"))
+        assert (code, err) == (0, "")
+        tuples = [tuple(row) for row in finals.tolist()]
+        with open(tmp_path / "tuples.txt", "w", encoding="ascii") as fh:
+            write_index_orders(fh, tuples)
+        assert (tmp_path / "walk.txt").read_bytes() == (tmp_path / "tuples.txt").read_bytes()
+        assert run(capsys, *argv, "--seed", "4") == (0, out, "")
+        assert json.loads(out)["mean_degree"] == jump_stats_from_orders(shape, tuples).mean_degree
 
     def test_mcmc_method(self, capsys):
         code, out, _ = run(

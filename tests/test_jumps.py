@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from gridext import (
     read_extensions_file,
     write_extensions_file,
 )
+from gridext import jumps
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -254,8 +258,114 @@ class TestFiles:
             read_extensions_file(path, diamond)
         assert str(exc.value) == f"line 2: malformed extension line: '{line}'"
 
+    def test_adjacent_zeros_are_a_repeat_not_malformed(self, tmp_path, diamond):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0 1 3\n")
+        with pytest.raises(InvalidExtensionError) as exc:
+            read_extensions_file(path, diamond)
+        assert (str(exc.value), exc.value.position) == ("line 1: point (1, 1) repeated at time 2", 2)
+
     def test_read_rejects_invalid_order(self, tmp_path, diamond):
         path = tmp_path / "bad.txt"
         path.write_text("0 3 1 2\n")
         with pytest.raises(InvalidExtensionError):
             read_extensions_file(path, diamond)
+
+
+def read_line_by_line(path, shape):
+    """The per-line reader, an oracle for read_extensions_file: every line
+    parsed and validated on its own by LinearExtension.from_line."""
+    out = []
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                raise InvalidExtensionError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
+            if line := line.strip():
+                try:
+                    out.append(LinearExtension.from_line(shape, line))
+                except InvalidExtensionError as exc:
+                    raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
+    return out
+
+
+def read_outcome(read, path, shape):
+    try:
+        return [ext.indices for ext in read(path, shape)]
+    except InvalidExtensionError as exc:
+        return str(exc), exc.position
+
+
+class TestBlockReader:
+    @given(
+        lengths=st.sampled_from([(3, 3), (2, 2, 2), (1, 4), (4,), (2, 3, 2), (1,), (4, 4, 4)]),
+        seed=st.integers(0, 2**32),
+        count=st.integers(1, 40),
+        block_entries=st.sampled_from([1, 16, 64, 1 << 12]),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_first_error_matches_per_line_oracle(self, lengths, seed, count, block_entries, data):
+        # One corrupted token in a file of valid lines, read in blocks of
+        # 1 to 455 rows: the same extensions, or the same first error.
+        shape = GridShape(lengths)
+        sampler = ExactSampler(shape, seed)
+        lines = [" ".join(map(str, sampler.sample_indices())) for _ in range(count)]
+        row = data.draw(st.integers(0, count - 1))
+        toks = lines[row].split()
+        col = data.draw(st.integers(0, len(toks) - 1))
+        toks[col] = data.draw(
+            st.one_of(
+                st.integers(0, shape.size + 1).map(str),
+                st.sampled_from(toks).map(lambda t: f"{t} {t}"),
+                st.sampled_from(["", "01", "-1", "x", "\u00e9", str(2**63), "9" * 30]),
+            )
+        )
+        lines[row] = " ".join(toks)
+        lines.insert(data.draw(st.integers(0, count)), "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exts.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with mock.patch.object(jumps, "_BLOCK_ENTRIES", block_entries):
+                got = read_outcome(read_extensions_file, path, shape)
+            assert got == read_outcome(read_line_by_line, path, shape)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            # The top point's index past the range: clipped, the row would be valid.
+            ("0 1 2 4", ("line 3: index 4 at time 4 out of range 0..3", 4)),
+            ("0 1 2 99999999999999999999", ("line 3: index 99999999999999999999 at time 4 out of range 0..3", 4)),
+            ("0 1 1 3", ("line 3: point (1, 2) repeated at time 3", 3)),
+            ("0 1 3 2", ("line 3: point (2, 2) at time 3 precedes its lower cover (2, 1)", 3)),
+            ("0 1 2", ("line 3: expected 4 points for shape 2x2, got 3", None)),
+        ],
+    )
+    @pytest.mark.parametrize("block_entries", [4, 8, 1 << 12])
+    def test_bad_line_among_valid_ones(self, tmp_path, diamond, bad, error, block_entries):
+        # Line 3 of five, in blocks of one, two or all five rows.
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1 2 3\n0 2 1 3\n{bad}\n0 1 2 3\n0 2 1 3\n")
+        with mock.patch.object(jumps, "_BLOCK_ENTRIES", block_entries):
+            assert read_outcome(read_extensions_file, path, diamond) == error
+        assert read_outcome(read_line_by_line, path, diamond) == error
+
+    def test_earlier_bad_order_before_later_malformed_line(self, tmp_path, diamond):
+        # Both lines sit in one block: the order error on line 2 is found
+        # when the malformed line 4 stops the block, and comes first.
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1 2 3\n0 3 1 2\n0 2 1 3\n0 x 1 3\n")
+        with pytest.raises(InvalidExtensionError) as exc:
+            read_extensions_file(path, diamond)
+        assert (str(exc.value), exc.value.position) == ("line 2: point (2, 2) at time 2 precedes its lower cover (1, 2)", 2)
+
+    def test_blocks_read_back_as_written(self, tmp_path):
+        # 300 4x4x4 lines span five blocks of 64 rows.
+        shape = GridShape((4, 4, 4))
+        sampler = ExactSampler(shape, 3)
+        orders = [sampler.sample_indices() for _ in range(300)]
+        path = tmp_path / "exts.txt"
+        write_extensions_file(path, (LinearExtension(shape, order) for order in orders))
+        back = read_extensions_file(path, shape)
+        assert [ext.indices for ext in back] == orders
+        assert back == read_line_by_line(path, shape)

@@ -312,6 +312,29 @@ class TestMcmc:
         assert got.dtype == np.int64
         assert np.array_equal(got, dense_table_ensemble(shape, steps, chains, seed, laziness, starts))
 
+    @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lengths", [(4, 4, 4), (1, 4, 4)])
+    def test_array_walk_reads_any_layout(self, lengths, laziness):
+        # Both shapes test covers.  The walk reads and writes a C-ordered
+        # copy through its flat view: F-ordered, broadcast and read-only
+        # starts walk as the oracle does, and the caller's array is unchanged.
+        shape = GridShape(lengths)
+        chains = 12
+        mixed = mcmc_ensemble(shape, 40, chains, seed=1)  # rows differ
+        read_only = mixed.copy()
+        read_only.flags.writeable = False
+        layouts = {
+            "F-ordered": np.asfortranarray(mixed),
+            "broadcast": np.broadcast_to(mixed[0], (chains, shape.size)),
+            "read-only": read_only,
+        }
+        for name, starts in layouts.items():
+            before = starts.copy()
+            got = mcmc_ensemble(shape, 30, chains, 7, laziness, starts=starts)
+            assert np.array_equal(got, dense_table_ensemble(shape, 30, chains, 7, laziness, starts)), name
+            assert np.array_equal(starts, before), name
+            assert got.flags.c_contiguous and got.dtype == np.int64, name
+
     def test_state_array_refused_before_allocation(self):
         shape = GridShape((2,) * 17)  # 131072 points: walks, but not with 10^6 chains
         with pytest.raises(ResourceCapError):
@@ -348,6 +371,16 @@ class TestJumpStats:
     def test_empty_rejected(self, square3):
         with pytest.raises(DomainError):
             jump_stats_from_orders(square3, [])
+
+    @pytest.mark.parametrize("lengths, chains", [((3, 3), 1000), ((4, 4), 600)], ids=["table", "array"])
+    def test_walk_array_hand_off(self, lengths, chains):
+        # The walk's array, cut into blocks as it is, gives the statistics of
+        # its rows as tuples; 3x3 and 4x4 rows fill 455 and 256 to a block.
+        shape = GridShape(lengths)
+        finals = mcmc_ensemble(shape, 50, chains, seed=9)
+        stats = jump_stats_from_orders(shape, finals)
+        assert stats == jump_stats_from_orders(shape, map(tuple, finals.tolist()))
+        assert stats == stats_oracle(shape, finals.tolist())
 
     @pytest.mark.parametrize("lengths, count", [((3, 3), 1000), ((2, 40), 120), ((1,), 3), ((5,), 1)])
     def test_blocks_match_per_order_oracle(self, lengths, count):
