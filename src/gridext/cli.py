@@ -1,11 +1,13 @@
 """Command line interface.
 
 Subcommands: count, enumerate, sample, jumps, pits, graph, bounds, verify,
-conjecture-scan.  Global flags: --seed, --out.  --format is registered by
-the commands with more than one output format, with that command's own
-choices and default; --cap by the commands that build a DP table or list
-extensions (count, enumerate, sample, graph, conjecture-scan).  Exit
-codes: 0 ok, 1 assertion failure, 2 usage error, 3 resource cap exceeded.
+conjecture-scan.  Global flags: --seed, --out.  The six grid commands
+require --shape AxBxC; --m and --n are bounds' formula parameters.
+--format is registered by the commands with more than one output format,
+with that command's own choices and default; --cap by the commands that
+build a DP table or list extensions (count, enumerate, sample, graph,
+conjecture-scan).  Flags are taken only as written in full.  Exit codes:
+0 ok, 1 assertion failure, 2 usage error, 3 resource cap exceeded.
 
 Runs are deterministic: fixed flags and seed give byte-identical output.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -58,17 +61,6 @@ def _parse_shape_token(token: str) -> GridShape:
     return GridShape(lengths)
 
 
-def _resolve_shape(args) -> GridShape:
-    has_mn = args.m is not None or args.n is not None
-    if args.shape and has_mn:
-        raise DomainError("give either --shape or --m/--n, not both")
-    if args.shape:
-        return _parse_shape_token(args.shape)
-    if args.m is not None and args.n is not None:
-        return GridShape.equilateral(args.m, args.n)
-    raise DomainError("a shape is required: --shape AxBxC, or --m M --n N")
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -92,7 +84,7 @@ def _csv_table(header: list[str], rows: list[list], comments: list[str] | None =
 
 
 def cmd_count(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     count = count_extensions(shape, args.cap)
     lower = factorial_product_lower_bound(shape)
     upper = width_power_upper_bound(shape)
@@ -126,7 +118,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     # The cap is checked here, before --out is opened, so a refusal leaves no file.
     orders = enumerate_index_orders(shape, cap=args.cap)
     if args.out:
@@ -149,7 +141,7 @@ def _written(fh, orders):
 
 
 def cmd_sample(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     # Every flag is checked on both methods before a table is built or --out is opened.
     if args.samples < 1:
         raise DomainError(f"need --samples >= 1, got {args.samples}")
@@ -191,7 +183,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_jumps(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     extensions = read_extensions_file(args.infile, shape)
     records = []
     for jumps, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)):
@@ -214,7 +206,7 @@ def cmd_jumps(args) -> int:
 
 
 def cmd_pits(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     extensions = read_extensions_file(args.infile, shape)
     if not extensions:
         raise DomainError(f"no extensions found in {args.infile}")
@@ -240,7 +232,7 @@ def cmd_pits(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    shape = _resolve_shape(args)
+    shape = _parse_shape_token(args.shape)
     graph = build_graph(shape, cap=args.cap)
     stats = graph_stats(graph)
     if args.dot:
@@ -377,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridext",
         description="Exact and randomized analysis of linear extensions of grid posets.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"gridext {__version__}")
 
@@ -388,43 +381,44 @@ def build_parser() -> argparse.ArgumentParser:
     capped.add_argument("--cap", type=int, default=None, help="resource cap override")
 
     shaped = argparse.ArgumentParser(add_help=False)
-    shaped.add_argument("--shape", default=None, help="chain lengths, e.g. 3x3 or 2x2x2")
-    shaped.add_argument("--m", type=int, default=None, help="equal chain length")
-    shaped.add_argument("--n", type=int, default=None, help="number of chains")
+    shaped.add_argument("--shape", required=True, help="chain lengths, e.g. 3x3 or 2x2x2")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag is taken only as written in full, so a flag added later cannot
+    # change what an abbreviation means.
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("count", parents=[common, capped, shaped], help="exact extension count and integer bounds")
+    p = command("count", parents=[common, capped, shaped], help="exact extension count and integer bounds")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("enumerate", parents=[common, capped, shaped], help="list every extension, one per line")
+    p = command("enumerate", parents=[common, capped, shaped], help="list every extension, one per line")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("sample", parents=[common, capped, shaped], help="draw random extensions and summarize them")
+    p = command("sample", parents=[common, capped, shaped], help="draw random extensions and summarize them")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--mcmc-steps", type=int, default=10_000, dest="mcmc_steps")
     p.add_argument("--laziness", type=float, default=0.5)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("jumps", parents=[common, shaped], help="jump statistics of extensions from a file")
+    p = command("jumps", parents=[common, shaped], help="jump statistics of extensions from a file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.set_defaults(func=cmd_jumps)
 
-    p = sub.add_parser("pits", parents=[common, shaped], help="pits profiles of extensions from a file")
+    p = command("pits", parents=[common, shaped], help="pits profiles of extensions from a file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.add_argument("--mean", action="store_true", help="aggregate to mean pits per time")
     p.set_defaults(func=cmd_pits)
 
-    p = sub.add_parser("graph", parents=[common, capped, shaped], help="build the swap graph and report statistics")
+    p = command("graph", parents=[common, capped, shaped], help="build the swap graph and report statistics")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering to this file")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("bounds", parents=[common], help="evaluate closed-form bounds with vacuity flags")
+    p = command("bounds", parents=[common], help="evaluate closed-form bounds with vacuity flags")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -432,12 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("verify", parents=[common], help="run a named verification suite")
+    p = command("verify", parents=[common], help="run a named verification suite")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--suite", required=True, help="counting, bounds, extremes, entropy, sampling, or all")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser(
+    p = command(
         "conjecture-scan",
         parents=[common, capped],
         help="mean jump count over equal-chain grids, exact or sampled",

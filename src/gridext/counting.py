@@ -120,10 +120,10 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     if bound > states or sum(x > 1 for x in rest) < 3:
         return bound
     sub = GridShape(tuple(rest))
-    count = _lattice_size(sub, states)
-    if count > states:
-        return count
-    ideals = completion_counts(sub, states * _words(sub)).keys()
+    try:
+        ideals = completion_counts(sub, states * _words(sub)).keys()
+    except ResourceCapError:
+        return states + 1
     by_top = [[] for _ in range(sub.size)]  # down-sets by each of their maximal points
     for bits in ideals:
         left = sub.top_mask(bits)

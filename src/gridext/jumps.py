@@ -97,9 +97,6 @@ class LinearExtension:
         _validate_order(self.shape, indices)
         object.__setattr__(self, "indices", indices)
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
     @classmethod
     def from_line(cls, shape: GridShape, line: str) -> "LinearExtension":
         return cls(shape, _parse_line(line))

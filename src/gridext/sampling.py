@@ -149,7 +149,6 @@ class ExactSampler:
 
     def __init__(self, shape: GridShape, seed: int, state_cap: int | None = None):
         self.shape = shape
-        self.seed = int(seed)
         self._stream = WordStream(seed)  # checks the seed before the DP is built
         self._g = completion_counts(shape, state_cap)
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None

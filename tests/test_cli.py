@@ -41,11 +41,6 @@ class TestCount:
         assert data["lower_factorial"] == "24"
         assert data["upper_width_power"] == str(3**9)
 
-    def test_equilateral_flags(self, capsys):
-        code, out, _ = run(capsys, "count", "--m", "2", "--n", "3")
-        assert code == 0
-        assert json.loads(out)["count"] == "48"
-
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "count", "--shape", "2x3", "--format", "text")
         assert code == 0
@@ -65,13 +60,18 @@ class TestCount:
         assert json.loads(target.read_text())["count"] == "42"
 
     def test_shape_conflict(self, capsys):
+        # --m and --n are bounds' formula parameters, not a second shape spelling.
         code, _, err = run(capsys, "count", "--shape", "3x3", "--m", "3", "--n", "2")
         assert code == 2
-        assert "error" in err
+        assert "error: unrecognized arguments: --m 3 --n 2" in err
 
-    def test_shape_missing(self, capsys):
-        code, _, err = run(capsys, "count")
-        assert code == 2
+    def test_shape_missing(self, capsys, tmp_path):
+        target = tmp_path / "out.txt"
+        for argv in (["count"], ["count", "--m", "2", "--n", "3"]):
+            code, out, err = run(capsys, *argv, "--out", str(target))
+            assert (code, out) == (2, "")
+            assert "the following arguments are required: --shape" in err
+            assert not target.exists()
 
     def test_bad_shape_token(self, capsys):
         code, _, err = run(capsys, "count", "--shape", "3xx3")
@@ -421,6 +421,24 @@ class TestJumpsAndPits:
         code, _, err = run(capsys, "jumps", "--shape", "3x3", "--in", str(tmp_path / "nope"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["jumps"], 0, "extension,degree,jump_times,pits\n"),
+            (["jumps", "--format", "json"], 0, "[]\n"),
+            (["pits"], 2, ""),
+            (["pits", "--mean"], 2, ""),
+        ],
+        ids=["jumps-csv", "jumps-json", "pits", "pits-mean"],
+    )
+    def test_empty_file(self, capsys, tmp_path, argv, code, expected):
+        # jumps reports no extensions; pits has no profile length or mean to give.
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        result = run(capsys, argv[0], "--shape", "3x3", "--in", str(path), *argv[1:])
+        errors = {0: "", 2: f"error: no extensions found in {path}\n"}
+        assert result == (code, expected, errors[code])
+
 
 class TestGraph:
     def test_stats_payload(self, capsys):
@@ -611,7 +629,7 @@ class TestWalkOnLargeShapes:
 
 
 class TestOptionSurface:
-    """Each flag is registered only by the commands that read it."""
+    """Flags are taken only as written in full; --cap only by the commands that read it."""
 
     def test_cap_only_where_read(self):
         from gridext.cli import build_parser
@@ -629,6 +647,12 @@ class TestOptionSurface:
             ["verify", "--suite", "counting", "--cap", "5"],
             *(["enumerate", "--shape", "2x2", "--format", fmt] for fmt in ("text", "json", "csv")),
             *(["sample", "--shape", "2x2", "--format", fmt] for fmt in ("json", "csv", "text")),
+            # --m and --n are bounds' alone, and no flag may be abbreviated.
+            ["count", "--shape", "3x3", "--m", "3"],
+            ["count", "--shape", "3x3", "--form", "csv"],
+            ["sample", "--shape", "2x2", "--samp", "3"],
+            ["pits", "--shape", "3x3", "--in", "{ext}", "--form", "json"],
+            ["verify", "--suite", "counting", "--form", "json"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -639,6 +663,16 @@ class TestOptionSurface:
         assert (code, out) == (2, "")
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not target.exists()
+
+    def test_no_parser_takes_abbreviations(self, capsys):
+        from gridext.cli import build_parser
+
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert len(commands) == 9
+        assert not any(p.allow_abbrev for p in [parser, *commands.values()])
+        code, out, err = run(capsys, "--vers")
+        assert (code, out) == (2, "") and "error" in err
 
 
 class TestTopLevel:

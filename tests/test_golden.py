@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "count-json": (["count", "--shape", "3x3", "--format", "json"], ()),
     "count-csv": (["count", "--shape", "2x2x3", "--format", "csv"], ()),
-    "count-text": (["count", "--m", "2", "--n", "3", "--format", "text"], ()),
+    "count-text": (["count", "--shape", "2x2x2", "--format", "text"], ()),
     "enumerate-stdout": (["enumerate", "--shape", "2x3"], ()),
     "enumerate-out": (["enumerate", "--shape", "2x2x2", "--out", "{tmp}/ext.txt"], ("ext.txt",)),
     "sample-exact": (

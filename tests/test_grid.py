@@ -63,10 +63,16 @@ class TestShape:
         assert s.lengths == (3, 3)
         assert s.is_equilateral
         assert not GridShape((2, 3)).is_equilateral
+        with pytest.raises(DomainError, match="at least one chain"):
+            GridShape.equilateral(3, 0)
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             GridShape(())
+
+    def test_rejects_non_iterable(self):
+        with pytest.raises(DomainError, match="iterable of ints"):
+            GridShape(5)
 
     def test_rejects_nonpositive_chain(self):
         with pytest.raises(DomainError):

@@ -247,6 +247,22 @@ class TestMcmc:
             with pytest.raises(DomainError):
                 mcmc_ensemble(square3, 1, 1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "steps, chains, laziness, starts, message",
+        [
+            (-1, 1, 0.5, None, "need steps >= 0"),
+            (1, -1, 0.5, None, "need chains >= 0"),
+            (1, 1, -0.1, None, "laziness must be in"),
+            (1, 1, 1.5, None, "laziness must be in"),
+            (1, 2, 0.5, np.zeros((1, 9), dtype=np.int64), r"starts must have shape \(2, 9\)"),
+        ],
+        ids=["steps", "chains", "laziness-low", "laziness-high", "starts-shape"],
+    )
+    def test_ensemble_rejects_bad_arguments(self, square3, steps, chains, laziness, starts, message):
+        # The CLI checks its own flags first, so only library callers reach these.
+        with pytest.raises(DomainError, match=message):
+            mcmc_ensemble(square3, steps, chains, seed=0, laziness=laziness, starts=starts)
+
     def test_full_laziness_never_moves(self, square3):
         finals = mcmc_ensemble(square3, 50, 8, seed=2, laziness=1.0)
         assert np.array_equal(finals, np.tile(rank_lex_indices(square3), (8, 1)))
@@ -486,6 +502,8 @@ class TestDistributionChecks:
             tv_distance_from_uniform([1, 2, 3], 2)
         with pytest.raises(DomainError):
             tv_distance_from_uniform([], 2)
+        with pytest.raises(DomainError, match="nonnegative"):
+            tv_distance_from_uniform([3, -1], 2)
 
     def test_walk_tv_shrinks_with_steps(self, diamond):
         short = mcmc_ensemble(diamond, 1, 4000, seed=91)
