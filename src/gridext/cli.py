@@ -293,6 +293,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    if args.samples < 1:  # before any table is built, whether a row is sampled or not
+        raise DomainError(f"need --samples >= 1, got {args.samples}")
     # Two chains alone give about sqrt(max-size) rows.  A run whose largest,
     # isqrt(max-size) squared, is over the cap would refuse it anyway, so it
     # is refused before the rows are listed.

@@ -19,11 +19,12 @@ come from the positions of the points and, per point, the last position
 of a lower cover: one maximum per chain, then one comparison for the
 jumps and one bincount and one cumsum for the pits.  jump_times and
 pits_counts are the per-order reference the kernel is tested against.
-read_extensions_file validates a block of lines with the same two
+read_extensions_file checks a block of lines at once with the same two
 arrays: a row is an extension iff its indices are in range, each point
 keeps the position it was scattered to (none repeats), and every point
-but 0 sits after its last lower cover (ready < pos).  _validate_order is
-the per-line reference, and it names the first bad line's error.
+but 0 sits after its last lower cover (ready < pos).  A block that fails
+is read again line by line through LinearExtension.from_line, whose
+_validate_order names the first bad line's error.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.  An index is a decimal numeral of ASCII
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -99,6 +100,8 @@ class LinearExtension:
 
     @classmethod
     def from_line(cls, shape: GridShape, line: str) -> "LinearExtension":
+        """The extension on one line of an extension file: read_extensions_file's
+        per-line path, which names a bad line's first error."""
         return cls(shape, _parse_line(line))
 
     @classmethod
@@ -167,7 +170,8 @@ def _positions(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np.nda
     rows, size = orders.shape
     pos = np.empty_like(orders)
     pos[np.arange(rows)[:, None], orders] = np.arange(size)
-    pos_grid = pos.reshape(rows, *shape.lengths)
+    # Chains of length 1 add no axis: numpy allows at most 64 dimensions.
+    pos_grid = pos.reshape(rows, *(a for a in shape.lengths if a > 1))
     ready = np.zeros_like(pos_grid)
     for axis in range(1, ready.ndim):
         above, below = np.moveaxis(ready, axis, 0)[1:], np.moveaxis(pos_grid, axis, 0)[:-1]
@@ -249,74 +253,53 @@ def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
         return write_index_orders(fh, (ext.indices for ext in extensions))
 
 
-def _raise_first_error(shape: GridShape, orders: list[tuple[int, ...]], linenos: list[int], rows) -> NoReturn:
-    # The per-line oracle's error on the first of `rows` it refuses.
-    for r in rows:
-        try:
-            _validate_order(shape, orders[r])
-        except InvalidExtensionError as exc:
-            raise InvalidExtensionError(f"line {linenos[r]}: {exc}", position=exc.position) from exc
-    raise AssertionError("the block check refused lines that _validate_order accepts")
-
-
-def _checked(shape: GridShape, orders: list[tuple[int, ...]], linenos: list[int]) -> list[LinearExtension]:
-    """The extensions of a block of parsed orders of the right length, or
-    the error _validate_order gives the first invalid one."""
-    if not orders:
-        return []
+def _block_orders(shape: GridShape, lines: list[str]) -> list[tuple[int, ...]] | None:
+    """The orders of a block of lines if every line is an extension of the
+    shape, else None: one check for the whole block."""
     size = shape.size
     try:
-        block = np.array(orders, dtype=np.int64)
-    except OverflowError:  # an index past int64 is out of range: the oracle finds its line
-        _raise_first_error(shape, orders, linenos, range(len(orders)))
-    out_of_range = (block >= size).any(axis=1)
-    np.minimum(block, size - 1, out=block)
+        orders = [_parse_line(line) for line in lines]  # refuses non-ASCII too
+        block = np.array(orders, dtype=np.int64)  # ragged, or an index past int64: refused
+    except (ValueError, OverflowError):
+        return None
+    if block.shape[1] != size or block.max() >= size:
+        return None
     pos, ready = _positions(shape, block)
     # A repeated point keeps only one of its positions; a point placed no
     # later than its last lower cover is out of order.
-    repeated = (np.take_along_axis(pos, block, axis=1) != np.arange(size)).any(axis=1)
-    early = (ready[:, 1:] >= pos[:, 1:]).any(axis=1)
-    bad = np.flatnonzero(out_of_range | repeated | early)
-    if len(bad):
-        _raise_first_error(shape, orders, linenos, bad.tolist())
-    return [LinearExtension._trusted(shape, order) for order in orders]
+    if (np.take_along_axis(pos, block, axis=1) != np.arange(size)).any() or (ready[:, 1:] >= pos[:, 1:]).any():
+        return None
+    return orders
 
 
 def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
     """Read and validate an extension file against a shape.
 
-    The file is ASCII; a line holding any other byte is rejected by number.
-    Lines are parsed one at a time and validated in blocks of the
-    jump_pit_blocks row count, with the positions jump_pit_block reads; the
-    first invalid line is named by _validate_order, the per-line oracle,
-    so a bad file gives the error a line-by-line check would.
+    Nonblank lines are read in blocks of the jump_pit_blocks row count.  A
+    block whose lines all pass one check, with the positions jump_pit_block
+    reads, becomes extensions at once; any other block is read again in
+    file order through LinearExtension.from_line, which raises the first
+    error, so a bad file gives the error a line-by-line read would.  The
+    file is ASCII; a line holding any other byte is rejected by number.
     """
-    size = shape.size
-    rows = max(1, _BLOCK_ENTRIES // size)
+    rows = max(1, _BLOCK_ENTRIES // shape.size)
     out: list[LinearExtension] = []
-    orders: list[tuple[int, ...]] = []  # parsed, not yet validated: at most one block
-    linenos: list[int] = []
     # surrogateescape decodes each non-ASCII byte b to the lone surrogate
     # U+DC00 + b, so the line it sits on can be named.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                if not line.isascii():
-                    byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
-                    raise InvalidExtensionError(f"non-ASCII byte 0x{byte:02x}")
-                line = line.strip()
-                if not line:
-                    continue
-                order = _parse_line(line)
-                if len(order) != size:  # the oracle's message for a wrong length
-                    _validate_order(shape, order)
-            except InvalidExtensionError as exc:
-                _checked(shape, orders, linenos)  # an earlier line's error comes first
-                raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
-            orders.append(order)
-            linenos.append(lineno)
-            if len(orders) == rows:
-                out += _checked(shape, orders, linenos)
-                orders, linenos = [], []
-    out += _checked(shape, orders, linenos)
+        stripped = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+        lines = filter(operator.itemgetter(1), stripped)  # nonblank lines, numbered
+        while block := list(itertools.islice(lines, rows)):
+            orders = _block_orders(shape, [line for _, line in block])
+            if orders is not None:
+                out += [LinearExtension._trusted(shape, order) for order in orders]
+                continue
+            for lineno, line in block:
+                try:
+                    if not line.isascii():
+                        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                        raise InvalidExtensionError(f"non-ASCII byte 0x{byte:02x}")
+                    out.append(LinearExtension.from_line(shape, line))
+                except InvalidExtensionError as exc:
+                    raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
     return out

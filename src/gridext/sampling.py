@@ -33,8 +33,8 @@ Determinism contract (external, bit-exact):
   Generator(PCG64(seed)): per step one integers(1, size, size=chains)
   batch, then one random(chains) batch; chain c holds when its coin is
   < laziness.  It has two paths, chosen by shape alone: a state-indexed
-  walk over the swap table when count x size is at most 2^16 (decided by
-  the enumeration cap 2^16 // size), and an array walk with the cover
+  walk over the swap table when count x size is at most 2^16 (the count
+  read from a DP of at most 2^16 words), and an array walk with the cover
   test otherwise.  The array walk keeps the chains as the rows of one
   C-ordered array and reads and writes each chain's pair (k - 1, k)
   through its flat row-major view, at index chain x size + k.  Both
@@ -57,7 +57,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts
+from .counting import completion_counts, count_extensions
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
@@ -117,18 +117,12 @@ class WordStream:
         if n == 1:
             return 0
         k = n.bit_length()
-        if k <= 64:  # one word per try
-            words, shift = self._words, 64 - k
-            while True:
-                v = next(words) >> shift
-                if v < n:
-                    return v
         words = -(-k // 64)
         shift = 64 * words - k
         while True:
             v = 0
             for _ in range(words):
-                v = v << 64 | self.word()
+                v = v << 64 | next(self._words)
             v >>= shift
             if v < n:
                 return v
@@ -230,9 +224,9 @@ _ENSEMBLE_MAX_SIZE = 1 << 17
 # Largest chains x size int64 state array the ensemble allocates, in bytes.
 _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
-# entries; past it the table costs more to build than a walk saves.
-# build_graph decides it with the enumeration cap 2^16 // size, whose
-# derived DP state cap keeps a refusal cheap (enumerate_index_orders).
+# entries; past it the table costs more to build than a walk saves.  The
+# count is asked with this many 64-bit words as its DP state cap, so a
+# shape with a larger lattice tests covers without building its DP.
 _SWAP_TABLE_ENTRIES = 1 << 16
 
 
@@ -251,16 +245,15 @@ def mcmc_ensemble(
     array of trusted valid extensions) is given.  Uses the documented
     Generator draw pattern, so results are reproducible per seed.
 
-    When count x size is at most 2^16, which transposition.build_graph
-    decides with the enumeration cap 2^16 // size, the states are row
-    numbers into the swap graph's orders, and a step is one gather from its
-    swap table.  Otherwise each step reads the two entries at k - 1 and k
-    of every chain through the flat view of one C-ordered state array,
-    tests the cover with GridShape.cover_arrays, and writes both back,
-    swapped where the chain moves.  Both paths make the same moves, and
-    neither writes to `starts`.  Shapes of more than 2^17 points, and
-    state arrays of more than 2^28 bytes, raise ResourceCapError before
-    any table is built.
+    When count x size is at most 2^16 (the count read from a DP of at most
+    2^16 64-bit words), the states are row numbers into the swap graph's
+    orders, and a step is one gather from its swap table.  Otherwise each
+    step reads the two entries at k - 1 and k of every chain through the
+    flat view of one C-ordered state array, tests the cover with
+    GridShape.cover_arrays, and writes both back, swapped where the chain
+    moves.  Both paths make the same moves, and neither writes to
+    `starts`.  Shapes of more than 2^17 points, and state arrays of more
+    than 2^28 bytes, raise ResourceCapError before any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -289,10 +282,11 @@ def mcmc_ensemble(
         return np.array(starts, dtype=np.int64)
     rng = np.random.default_rng(seed)
     try:
-        graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
-    except ResourceCapError:  # too many extensions for the table: test covers
-        pass
-    else:
+        table_fits = count_extensions(shape, cap=_SWAP_TABLE_ENTRIES) * size <= _SWAP_TABLE_ENTRIES
+    except ResourceCapError:  # a lattice past the cap: test covers
+        table_fits = False
+    if table_fits:
+        graph = build_graph(shape)
         table = graph.table.ravel()
         state = order_ids(graph.orders, starts)
         for _ in range(steps):

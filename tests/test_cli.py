@@ -186,6 +186,10 @@ class TestEnumerate:
         assert not target.exists()
         assert run(capsys, "enumerate", "--shape", "2x2")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
 
+    def test_cap_counts_extensions_past_64_points(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--shape", "65", "--cap", "1")
+        assert (code, out, err) == (0, " ".join(map(str, range(65))) + "\n", "")
+
     def test_long_chain_needs_no_recursion(self, capsys):
         # One search level per point: 5000 levels, far past Python's frame limit.
         code, out, err = run(capsys, "enumerate", "--shape", "5000")
@@ -440,6 +444,21 @@ class TestJumpsAndPits:
         assert result == (code, expected, errors[code])
 
 
+class TestManyChains:
+    SHAPE = "x".join(["1"] * 62 + ["2", "2"])  # the diamond, as 64 chains
+
+    def test_commands_exit_0(self, capsys, tmp_path):
+        path = tmp_path / "exts.txt"
+        code, out, err = run(capsys, "sample", "--shape", self.SHAPE, "--samples", "3", "--out", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["mean_degree"] == 1.0
+        code, out, err = run(capsys, "sample", "--shape", self.SHAPE, "--method", "mcmc", "--samples", "3")
+        assert (code, err) == (0, "") and json.loads(out)["mean_degree"] == 1.0
+        code, out, err = run(capsys, "jumps", "--shape", self.SHAPE, "--in", str(path))
+        assert (code, err) == (0, "") and len(parse_csv(out)) == 3
+        code, out, err = run(capsys, "pits", "--shape", self.SHAPE, "--in", str(path))
+        assert (code, err) == (0, "") and [r["t1"] for r in parse_csv(out)] == ["2"] * 3
+
+
 class TestGraph:
     def test_stats_payload(self, capsys):
         code, out, _ = run(capsys, "graph", "--shape", "3x3")
@@ -458,6 +477,11 @@ class TestGraph:
         assert (code, err) == (0, "")
         data = json.loads(out)
         assert (data["vertices"], data["edges"]) == (1, 0)
+
+    def test_cap_of_one_takes_a_long_chain(self, capsys):
+        code, out, err = run(capsys, "graph", "--shape", "100", "--cap", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["vertices"] == 1
 
     def test_dot_output(self, capsys, tmp_path):
         dot = tmp_path / "g.dot"
@@ -553,6 +577,19 @@ class TestConjectureScan:
         data = json.loads(out)
         assert data["version"] == __version__
         assert data["rows"][0]["m"] == 2 and data["rows"][0]["n"] == 2
+
+    @pytest.mark.parametrize("max_size", ["9", "16"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples_exits_2_before_any_table(self, capsys, monkeypatch, max_size, samples):
+        # 9 is scanned exhaustively, 16 samples its 4x4 row: both refuse.
+        from gridext import cli
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was asked for")
+
+        monkeypatch.setattr(cli, "count_extensions", no_table)
+        code, out, err = run(capsys, "conjecture-scan", "--max-size", max_size, "--samples", samples)
+        assert (code, out, err) == (2, "", f"error: need --samples >= 1, got {samples}\n")
 
     def test_huge_max_size_refused_before_listing_rows(self, capsys, tmp_path):
         # About 10^9 two-chain rows; the largest, 10^9 x 10^9, is over the cap.

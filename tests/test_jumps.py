@@ -191,6 +191,7 @@ class TestBlockKernel:
     @given(small_shapes, st.integers(0, 2**64 - 1), st.integers(1, 12))
     @example([1], 0, 3)
     @example([5], 1, 2)
+    @example([1] * 62 + [2, 2], 0, 2)  # 64 chains: only those of length > 1 are grid axes
     @settings(deadline=None)
     def test_rows_match_per_order_reference(self, lengths, seed, rows):
         shape = GridShape(lengths)

@@ -33,7 +33,7 @@ from gridext import (
     rank_lex_indices,
     tv_distance_from_uniform,
 )
-from gridext import sampling, transposition
+from gridext import sampling
 
 
 def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
@@ -274,34 +274,34 @@ class TestMcmc:
                 mcmc_ensemble(shape, 1, 1, seed=0)
 
     def test_swap_table_path_by_shape(self, monkeypatch):
-        # The walk asks build_graph with the enumeration cap 2^16 // size:
-        # count x size <= 2^16 walks the swap table, a refusal tests covers.
-        # A single point never moves, so it asks nothing.
+        # The walk asks the count with a DP state cap of 2^16 words, then
+        # build_graph when count x size <= 2^16: the swap table.  A refused
+        # count, or a larger product, tests covers.  A single point never
+        # moves, so it asks nothing.
         asked = []
 
-        def spy(shape, cap=None):
-            try:
-                graph = transposition.build_graph(shape, cap)
-            except ResourceCapError:
-                asked.append((cap, "covers"))
-                raise
-            asked.append((cap, "table"))
-            return graph
+        def spy(name):
+            real = getattr(sampling, name)
 
-        monkeypatch.setattr(sampling, "build_graph", spy)
+            def call(*args, **kwargs):
+                asked.append(name)
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(sampling, "count_extensions", spy("count_extensions"))
+        monkeypatch.setattr(sampling, "build_graph", spy("build_graph"))
 
         def path(lengths):
-            shape = GridShape(lengths)
             asked.clear()
-            mcmc_ensemble(shape, 1, 2, seed=0)
-            assert all(cap == 2**16 // shape.size for cap, _ in asked)
-            return [way for _, way in asked]
+            mcmc_ensemble(GridShape(lengths), 1, 2, seed=0)
+            return "table" if "build_graph" in asked else "covers" if asked else None
 
-        assert path((1,)) == []
+        assert path((1,)) is None
         for lengths in [(256,), (257,), (2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
-            assert path(lengths) == ["table"], lengths
+            assert path(lengths) == "table", lengths
         for lengths in [(2, 9), (4, 4), (2, 2, 2, 2), (4, 4, 4), (2,) * 5, (2,) * 17]:
-            assert path(lengths) == ["covers"], lengths
+            assert path(lengths) == "covers", lengths
 
     def test_long_chain_walks_the_table(self):
         # 2000 points, one extension: enumerated without a frame per point.

@@ -75,6 +75,11 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError, match="has 42 extensions, above the enumeration cap of 30"):
             enumerate_index_orders(GridShape((3, 3)), cap=30)
 
+    @pytest.mark.parametrize("size", [64, 65, 100, 1000])
+    def test_cap_of_one_takes_a_long_chain(self, size):
+        # One extension, size + 1 down-sets of ceil(size / 64) words each.
+        assert list(enumerate_index_orders(GridShape((size,)), cap=1)) == [tuple(range(size))]
+
     def test_backtracking_matches_dp(self):
         # 2x2x2x2 (1680384 extensions) is compared by acceptance criterion 1
         # and the verify-counting golden; each run takes about 1.5 s.
