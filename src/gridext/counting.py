@@ -110,9 +110,9 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     a.  Starting from 1 on each down-set of P, one zeta transform over the
     lattice J(P) of those down-sets turns the number of multichains of i
     down-sets topped by D into that of i + 1: for each point p in
-    canonical index order (a linear extension), add z[D - p] to z[D]
-    whenever p is a maximal point of D.  After a - 1 passes the values sum
-    to the count.  J(P), read from P's completion table, is never larger
+    canonical index order (a linear extension), add z[D] to z[D + p]
+    whenever p is a pit of D.  After a - 1 passes the values sum to the
+    count.  J(P), read from P's completion table, is never larger
     than the lattice, so a refusal there is a correct refusal here.
     """
     bound = _lattice_lower_bound(shape, states)
@@ -124,18 +124,18 @@ def _lattice_size(shape: GridShape, states: int) -> int:
         ideals = completion_counts(sub, states * _words(sub)).keys()
     except ResourceCapError:
         return states + 1
-    by_top = [[] for _ in range(sub.size)]  # down-sets by each of their maximal points
+    by_pit = [[] for _ in range(sub.size)]  # down-sets by each of their pits
     for bits in ideals:
-        left = sub.top_mask(bits)
+        left = sub.pit_mask(bits)
         while left:
             low = left & -left
-            by_top[low.bit_length() - 1].append(bits)
+            by_pit[low.bit_length() - 1].append(bits)
             left ^= low
     z = dict.fromkeys(ideals, 1)
     for _ in range(a - 1):
-        for p, tops in enumerate(by_top):
-            for bits in tops:
-                z[bits] += z[bits ^ 1 << p]
+        for p, downs in enumerate(by_pit):
+            for bits in downs:
+                z[bits | 1 << p] += z[bits]
     return sum(z.values())
 
 

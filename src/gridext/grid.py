@@ -17,14 +17,15 @@ contract and must not change.
 The package works on indices and bitmasks only: a point is its index, a
 set of points (a down-set, the pits of one) is an int whose bit v stands
 for point v.  GridShape.index_of and GridShape.coords_of convert at the
-boundary; the per-index tables below (coordinates, ranks, covers) and the
-pit and top masks carry the order structure.
+boundary; the per-index tables below (coordinates, ranks, covers), the
+pit mask and the cover arrays carry the order structure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,7 +47,7 @@ class GridShape:
 
     def __post_init__(self):
         try:
-            lengths = tuple(int(a) for a in self.lengths)
+            lengths = tuple(map(operator.index, self.lengths))
         except TypeError as exc:
             raise DomainError(f"chain lengths must be an iterable of ints, got {self.lengths!r}") from exc
         if not lengths:
@@ -58,9 +59,13 @@ class GridShape:
     @classmethod
     def equilateral(cls, m: int, n: int) -> "GridShape":
         """The shape with n chains of equal length m."""
+        try:
+            n = operator.index(n)
+        except TypeError as exc:
+            raise DomainError(f"the number of chains must be an int, got n={n!r}") from exc
         if n < 1:
             raise DomainError(f"need at least one chain, got n={n}")
-        return cls((int(m),) * int(n))
+        return cls((m,) * n)
 
     @property
     def num_chains(self) -> int:
@@ -184,7 +189,9 @@ class GridShape:
     @cached_property
     def _chain_faces(self) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         # (full mask, ((stride_j, bottom_j, below_top_j) per chain of length
-        # > 1)): bit v of bottom_j is set iff x_j = 1, of below_top_j iff x_j < a_j.
+        # > 1)): bit v of bottom_j is set iff x_j = 1, of below_top_j iff
+        # x_j < a_j.  pit_mask reads bottom_j; the counting DP finds the
+        # maximal points of a whole level with below_top_j.
         full = (1 << self.size) - 1
         terms = []
         for j, (a, s) in enumerate(zip(self.lengths, self.strides)):
@@ -205,19 +212,6 @@ class GridShape:
         mask = ~bits & full
         for stride, bottom, _ in terms:
             mask &= bits << stride | bottom
-        return mask
-
-    def top_mask(self, bits: int) -> int:
-        """Bitmask of the maximal points of the down-set `bits`; pit_mask's dual.
-
-        Point v inside the set is maximal iff v + stride_j is outside for
-        every chain j with x_j < a_j; below_top_j drops the top face, where
-        `bits >> stride_j` would move an unrelated point onto v.
-        """
-        _, terms = self._chain_faces
-        mask = bits
-        for stride, _, below_top in terms:
-            mask &= ~(bits >> stride & below_top)
         return mask
 
     def reflect(self, bits: int) -> int:

@@ -33,9 +33,9 @@ Determinism contract (external, bit-exact):
   Generator(PCG64(seed)): per step one integers(1, size, size=chains)
   batch, then one random(chains) batch; chain c holds when its coin is
   < laziness.  It has two paths, chosen by shape alone: a state-indexed
-  walk over the swap table when count x size is at most 2^16 (the count
-  read from a DP of at most 2^16 words), and an array walk with the cover
-  test otherwise.  The array walk keeps the chains as the rows of one
+  walk over the swap table when count x size is at most 2^16 (build_graph
+  with an enumeration cap of 2^16 // size), and an array walk with the
+  cover test otherwise.  The array walk keeps the chains as the rows of one
   C-ordered array and reads and writes each chain's pair (k - 1, k)
   through its flat row-major view, at index chain x size + k.  Both
   paths consume this draw pattern and make the same moves, so their
@@ -57,7 +57,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts, count_extensions
+from .counting import completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
@@ -224,9 +224,8 @@ _ENSEMBLE_MAX_SIZE = 1 << 17
 # Largest chains x size int64 state array the ensemble allocates, in bytes.
 _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
-# entries; past it the table costs more to build than a walk saves.  The
-# count is asked with this many 64-bit words as its DP state cap, so a
-# shape with a larger lattice tests covers without building its DP.
+# entries, i.e. count <= this // size, the enumeration cap it passes to
+# build_graph; past it the table costs more to build than a walk saves.
 _SWAP_TABLE_ENTRIES = 1 << 16
 
 
@@ -245,13 +244,14 @@ def mcmc_ensemble(
     array of trusted valid extensions) is given.  Uses the documented
     Generator draw pattern, so results are reproducible per seed.
 
-    When count x size is at most 2^16 (the count read from a DP of at most
-    2^16 64-bit words), the states are row numbers into the swap graph's
-    orders, and a step is one gather from its swap table.  Otherwise each
-    step reads the two entries at k - 1 and k of every chain through the
-    flat view of one C-ordered state array, tests the cover with
-    GridShape.cover_arrays, and writes both back, swapped where the chain
-    moves.  Both paths make the same moves, and neither writes to
+    A shape with at most one chain of length > 1 has one extension, so no
+    swap is legal and the starts are returned as they are.  When count x
+    size is at most 2^16 (build_graph with an enumeration cap of 2^16 //
+    size), the states are row numbers into the swap graph's orders, and a
+    step is one gather from its swap table.  Otherwise each step reads the
+    two entries at k - 1 and k of every chain through the flat view of one
+    C-ordered state array, tests the cover with GridShape.cover_arrays,
+    and writes both back, swapped where the chain moves.  Both paths make the same moves, and neither writes to
     `starts`.  Shapes of more than 2^17 points, and state arrays of more
     than 2^28 bytes, raise ResourceCapError before any table is built.
     """
@@ -278,15 +278,14 @@ def mcmc_ensemble(
         starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, size))
     elif np.shape(starts) != (chains, size):
         raise DomainError(f"starts must have shape ({chains}, {size}), got {np.shape(starts)}")
-    if chains == 0 or steps == 0 or size <= 1:
-        return np.array(starts, dtype=np.int64)
+    if chains == 0 or steps == 0 or sum(a > 1 for a in shape.lengths) <= 1:
+        return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
     try:
-        table_fits = count_extensions(shape, cap=_SWAP_TABLE_ENTRIES) * size <= _SWAP_TABLE_ENTRIES
-    except ResourceCapError:  # a lattice past the cap: test covers
-        table_fits = False
-    if table_fits:
-        graph = build_graph(shape)
+        graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
+    except ResourceCapError:  # more extensions than the table takes: test covers
+        pass
+    else:
         table = graph.table.ravel()
         state = order_ids(graph.orders, starts)
         for _ in range(steps):

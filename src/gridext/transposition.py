@@ -80,13 +80,15 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     the cap has at most (size + 1) * cap down-sets.  That many states, of
     ceil(size / 64) 64-bit words each and at most the default state cap in
     all, is the DP's state cap, so a larger lattice is refused before the
-    DP is built.  Where the size + 1 prefixes of one extension fit it, the
-    rank levels are cheap to list, and their factorial product, a lower
-    bound on the count, is compared with `cap` first: 2x2x2x2x2x2, whose
-    7828354 down-sets fit, builds no table.
+    DP is built (a cap below 1 is taken as 1 there, so the rank-level check
+    below refuses instead, naming the cap given).  Where the size + 1
+    prefixes of one extension fit it, the rank levels are cheap to list,
+    and their factorial product, a lower bound on the count, is compared
+    with `cap` first: 2x2x2x2x2x2, whose 7828354 down-sets fit, builds no
+    table.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
-    state_cap = min((shape.size + 1) * max(cap, 0) * _words(shape), DEFAULT_STATE_CAP)
+    state_cap = min((shape.size + 1) * max(cap, 1) * _words(shape), DEFAULT_STATE_CAP)
     if shape.size < state_cap // _words(shape) and factorial_product_lower_bound(shape) > cap:
         total = f"more than {cap}"
     elif (total := count_extensions(shape, cap=state_cap)) <= cap:

@@ -164,6 +164,13 @@ class TestEnumerate:
         assert code == 3 and "enumeration cap" in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("command, cap", [("enumerate", "0"), ("graph", "-1")])
+    def test_cap_below_one_is_named(self, capsys, command, cap):
+        # The refusal names the enumeration cap as given, not a state cap of 0.
+        code, out, err = run(capsys, command, "--shape", "2x2", "--cap", cap)
+        assert (code, out) == (3, "")
+        assert err == f"error: shape 2x2 has more than {cap} extensions, above the enumeration cap of {cap}\n"
+
     def test_rank_levels_refuse_before_the_dp(self, capsys):
         # 7828354 down-sets fit the default state cap; the rank levels'
         # factorial product exceeds the enumeration cap before any is built.

@@ -33,7 +33,7 @@ from gridext import (
     rank_lex_indices,
     tv_distance_from_uniform,
 )
-from gridext import sampling
+from gridext import counting, sampling
 
 
 def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
@@ -274,40 +274,51 @@ class TestMcmc:
                 mcmc_ensemble(shape, 1, 1, seed=0)
 
     def test_swap_table_path_by_shape(self, monkeypatch):
-        # The walk asks the count with a DP state cap of 2^16 words, then
-        # build_graph when count x size <= 2^16: the swap table.  A refused
-        # count, or a larger product, tests covers.  A single point never
-        # moves, so it asks nothing.
+        # The walk asks build_graph with an enumeration cap of 2^16 // size:
+        # the swap table when count x size <= 2^16, else a refusal and the
+        # cover test.  A shape of at most one chain of length > 1 has one
+        # extension and never moves, so it asks nothing.
         asked = []
+        real = sampling.build_graph
 
-        def spy(name):
-            real = getattr(sampling, name)
+        def spy(shape, cap):
+            try:
+                graph = real(shape, cap=cap)
+            except ResourceCapError:
+                asked.append("covers")
+                raise
+            asked.append("table")
+            return graph
 
-            def call(*args, **kwargs):
-                asked.append(name)
-                return real(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(sampling, "count_extensions", spy("count_extensions"))
-        monkeypatch.setattr(sampling, "build_graph", spy("build_graph"))
+        monkeypatch.setattr(sampling, "build_graph", spy)
 
         def path(lengths):
             asked.clear()
             mcmc_ensemble(GridShape(lengths), 1, 2, seed=0)
-            return "table" if "build_graph" in asked else "covers" if asked else None
+            assert len(asked) <= 1
+            return asked[0] if asked else None
 
-        assert path((1,)) is None
-        for lengths in [(256,), (257,), (2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
+        for lengths in [(1,), (256,), (257,), (1, 5, 1)]:
+            assert path(lengths) is None, lengths
+        for lengths in [(2, 2), (3, 3), (2, 2, 2), (2, 8), (1, 3, 4)]:
             assert path(lengths) == "table", lengths
         for lengths in [(2, 9), (4, 4), (2, 2, 2, 2), (4, 4, 4), (2,) * 5, (2,) * 17]:
             assert path(lengths) == "covers", lengths
 
-    def test_long_chain_walks_the_table(self):
-        # 2000 points, one extension: enumerated without a frame per point.
+    def test_long_chain_returns_its_starts(self):
+        # 2000 points, one extension: no swap is legal, so no table is built.
         shape = GridShape((2000,))
         finals = mcmc_ensemble(shape, 10, 3, seed=0)
         assert np.array_equal(finals, np.tile(rank_lex_indices(shape), (3, 1)))
+
+    @pytest.mark.parametrize("lengths", [(4, 4, 3), (8, 8), (2,) * 5])
+    def test_covers_path_builds_no_dp(self, monkeypatch, lengths):
+        # Their rank levels alone show more extensions than the table takes,
+        # so enumeration refuses them before any completion table is built.
+        monkeypatch.setattr(counting, "_tables", {})
+        shape = GridShape(lengths)
+        mcmc_ensemble(shape, 1, 2, seed=0)
+        assert shape not in counting._tables
 
     @given(
         walk_shapes,
