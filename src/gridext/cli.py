@@ -4,10 +4,11 @@ Subcommands: count, enumerate, sample, jumps, pits, graph, bounds, verify,
 conjecture-scan.  Global flags: --seed, --out.  The six grid commands
 require --shape AxBxC; --m and --n are bounds' formula parameters.
 --format is registered by the commands with more than one output format,
-with that command's own choices and default; --cap by the commands that
-build a DP table or list extensions (count, enumerate, sample, graph,
-conjecture-scan).  Flags are taken only as written in full.  Exit codes:
-0 ok, 1 assertion failure, 2 usage error, 3 resource cap exceeded.
+with that command's own choices and default; --cap, at least 1, by the
+commands that build a DP table or list extensions (count, enumerate,
+sample, graph, conjecture-scan).  Flags are taken only as written in
+full.  Exit codes: 0 ok, 1 assertion failure, 2 usage error, 3 resource
+cap exceeded.
 
 Runs are deterministic: fixed flags and seed give byte-identical output.
 """
@@ -17,10 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import heapq
 import io
 import itertools
 import json
-import math
 import os
 import sys
 
@@ -83,37 +84,26 @@ def _csv_table(header: list[str], rows: list[list], comments: list[str] | None =
     return buf.getvalue()
 
 
+def _text(record: dict) -> str:
+    return "".join(f"{key}: {value}\n" for key, value in record.items())
+
+
 def cmd_count(args) -> int:
     shape = _parse_shape_token(args.shape)
-    count = count_extensions(shape, args.cap)
-    lower = factorial_product_lower_bound(shape)
-    upper = width_power_upper_bound(shape)
+    record = {
+        "shape": shape,
+        "count": count_extensions(shape, args.cap),
+        "lower_factorial": factorial_product_lower_bound(shape),
+        "upper_width_power": width_power_upper_bound(shape),
+    }
     if args.format == "json":
-        _emit(
-            args,
-            _json(
-                {
-                    "version": __version__,
-                    "shape": list(shape.lengths),
-                    "count": str(count),
-                    "lower_factorial": str(lower),
-                    "upper_width_power": str(upper),
-                }
-            ),
-        )
+        # Counts are decimal strings; the shape is its list of chain lengths.
+        strings = {key: str(value) for key, value in record.items()}
+        _emit(args, _json({"version": __version__, **strings, "shape": list(shape.lengths)}))
     elif args.format == "csv":
-        _emit(
-            args,
-            _csv_table(
-                ["shape", "count", "lower_factorial", "upper_width_power"],
-                [[str(shape), str(count), str(lower), str(upper)]],
-            ),
-        )
+        _emit(args, _csv_table(list(record), [list(record.values())]))
     else:
-        _emit(
-            args,
-            f"shape: {shape}\ncount: {count}\nlower_factorial: {lower}\nupper_width_power: {upper}\n",
-        )
+        _emit(args, _text(record))
     return 0
 
 
@@ -185,23 +175,20 @@ def cmd_sample(args) -> int:
 def cmd_jumps(args) -> int:
     shape = _parse_shape_token(args.shape)
     extensions = read_extensions_file(args.infile, shape)
+    fields = ("extension", "degree", "jump_times", "pits")
     records = []
     for jumps, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)):
         for flags, counts in zip(jumps.tolist(), pits.tolist()):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
-            records.append((len(records) + 1, len(times), times, counts))
+            records.append(dict(zip(fields, (len(records) + 1, len(times), times, counts))))
     if args.format == "csv":
         rows = [
             [i, degree, " ".join(map(str, times)), " ".join(map(str, counts))]
-            for i, degree, times, counts in records
+            for i, degree, times, counts in map(dict.values, records)
         ]
-        _emit(args, _csv_table(["extension", "degree", "jump_times", "pits"], rows))
+        _emit(args, _csv_table(list(fields), rows))
     else:
-        payload = [
-            {"extension": i, "degree": degree, "jump_times": times, "pits": counts}
-            for i, degree, times, counts in records
-        ]
-        _emit(args, _json(payload))
+        _emit(args, _json(records))
     return 0
 
 
@@ -238,8 +225,7 @@ def cmd_graph(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.writelines(dot_blocks(graph))
-    payload = {
-        "version": __version__,
+    record = {
         "shape": list(shape.lengths),
         "vertices": stats.vertices,
         "edges": stats.edges,
@@ -251,10 +237,9 @@ def cmd_graph(args) -> int:
         "connected": stats.connected,
     }
     if args.format == "json":
-        _emit(args, _json(payload))
+        _emit(args, _json({"version": __version__, **record}))
     else:
-        lines = [f"{key}: {value}" for key, value in payload.items() if key != "version"]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _text(record))
     return 0
 
 
@@ -295,24 +280,25 @@ def cmd_verify(args) -> int:
 def cmd_conjecture_scan(args) -> int:
     if args.samples < 1:  # before any table is built, whether a row is sampled or not
         raise DomainError(f"need --samples >= 1, got {args.samples}")
-    # Two chains alone give about sqrt(max-size) rows.  A run whose largest,
-    # isqrt(max-size) squared, is over the cap would refuse it anyway, so it
-    # is refused before the rows are listed.
-    if args.max_size >= 4:
-        _check_cap(GridShape.equilateral(math.isqrt(args.max_size), 2), args.cap)
-    shapes = []
-    n = 2
-    while 2**n <= args.max_size:
+
+    def grids(n):  # (m**n, n, m) for m = 2, 3, ... while m**n <= max-size
         m = 2
         while m**n <= args.max_size:
-            shapes.append((m, n))
+            yield m**n, n, m
             m += 1
-        n += 1
-    shapes.sort(key=lambda mn: (mn[0] ** mn[1], mn[1], mn[0]))
 
-    rows = []
-    for m, n in shapes:
+    # The rows come in print order, by size, then n, then m.  Each is held
+    # to --cap as it is listed, so the first row over the cap refuses
+    # before any row's table is built.
+    shapes = []
+    for _, n, m in heapq.merge(*map(grids, range(2, args.max_size.bit_length()))):
         shape = GridShape.equilateral(m, n)
+        _check_cap(shape, args.cap)
+        shapes.append((m, n, shape))
+
+    fields = ("m", "n", "size", "count", "method", "samples", "mean_degree", "stderr", "ratio")
+    rows = []
+    for m, n, shape in shapes:
         size = shape.size
         count = count_extensions(shape, args.cap)
         if count <= EXACT_SCAN_LIMIT:
@@ -327,19 +313,7 @@ def cmd_conjecture_scan(args) -> int:
             stderr = stats.degree_stderr
             method = "sampled"
             used = stats.samples
-        rows.append(
-            {
-                "m": m,
-                "n": n,
-                "size": size,
-                "count": str(count),
-                "method": method,
-                "samples": used,
-                "mean_degree": mean,
-                "stderr": stderr,
-                "ratio": mean / size,
-            }
-        )
+        rows.append(dict(zip(fields, (m, n, size, str(count), method, used, mean, stderr, mean / size))))
 
     if args.format == "json":
         _emit(args, _json({"version": __version__, "seed": args.seed, "rows": rows}))
@@ -348,23 +322,16 @@ def cmd_conjecture_scan(args) -> int:
             f"gridext {__version__} conjecture-scan",
             f"max_size={args.max_size} samples={args.samples} seed={args.seed} exact_limit={EXACT_SCAN_LIMIT}",
         ]
-        table = [
-            [
-                r["m"],
-                r["n"],
-                r["size"],
-                r["count"],
-                r["method"],
-                r["samples"],
-                f"{r['mean_degree']:.10g}",
-                f"{r['stderr']:.10g}",
-                f"{r['ratio']:.10g}",
-            ]
-            for r in rows
-        ]
-        header = ["m", "n", "size", "count", "method", "samples", "mean_degree", "stderr", "ratio"]
-        _emit(args, _csv_table(header, table, comments))
+        table = [[f"{v:.10g}" if isinstance(v, float) else v for v in r.values()] for r in rows]
+        _emit(args, _csv_table(list(fields), table, comments))
     return 0
+
+
+def positive_int(text: str) -> int:
+    # A cap below 1 admits nothing: a usage error, not a refusal.
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the primary output to this file")
 
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=int, default=None, help="resource cap override")
+    capped.add_argument("--cap", type=positive_int, default=None, help="resource cap override")
 
     shaped = argparse.ArgumentParser(add_help=False)
     shaped.add_argument("--shape", required=True, help="chain lengths, e.g. 3x3 or 2x2x2")

@@ -217,9 +217,9 @@ class ExactSampler:
 
 
 # The ensemble refuses shapes above this many points by shape alone: its
-# start state and the statistics on its output read per-point Python tables
-# (coordinates, covers) of several hundred bytes a point; `sample --method
-# mcmc` on 2^17 points peaks near 200 MB.
+# start state (rank_lex_indices) reads per-point Python tables (coordinates
+# and ranks, GridShape.coords_table and rank_table) of several hundred bytes
+# a point; `sample --method mcmc` on 2^17 points peaks near 200 MB.
 _ENSEMBLE_MAX_SIZE = 1 << 17
 # Largest chains x size int64 state array the ensemble allocates, in bytes.
 _ENSEMBLE_MAX_BYTES = 1 << 28
@@ -251,9 +251,10 @@ def mcmc_ensemble(
     step is one gather from its swap table.  Otherwise each step reads the
     two entries at k - 1 and k of every chain through the flat view of one
     C-ordered state array, tests the cover with GridShape.cover_arrays,
-    and writes both back, swapped where the chain moves.  Both paths make the same moves, and neither writes to
-    `starts`.  Shapes of more than 2^17 points, and state arrays of more
-    than 2^28 bytes, raise ResourceCapError before any table is built.
+    and writes both back, swapped where the chain moves.  Both paths make
+    the same moves, and neither writes to `starts`.  Shapes of more than
+    2^17 points, and state arrays of more than 2^28 bytes, raise
+    ResourceCapError before any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")

@@ -40,6 +40,9 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 10**6
 DEFAULT_BACKTRACK_CAP = 10**7
+# Points of the longest one-extension shape that enumeration lists; the
+# swap walk refuses shapes past the same size.
+_CHAIN_MAX_SIZE = 1 << 17
 _DOT_ROWS = 1 << 12  # vertices per block of DOT output
 
 
@@ -76,6 +79,8 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
 
     This is the bit-exact stream behind the extension file format.  Refuses
     to start when the shape has more than `cap` extensions (default 10^6).
+    A shape with at most one chain of length > 1 has one extension, 0 1 ...
+    size - 1, returned without the DP when cap >= 1 (up to 2^17 points).
     Every down-set is a prefix of one of the extensions, so a shape within
     the cap has at most (size + 1) * cap down-sets.  That many states, of
     ceil(size / 64) 64-bit words each and at most the default state cap in
@@ -88,6 +93,12 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     table.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
+    if cap >= 1 and sum(a > 1 for a in shape.lengths) <= 1:  # one extension, no table
+        if shape.size > _CHAIN_MAX_SIZE:
+            raise ResourceCapError(
+                f"shape {shape} has one extension, of more than {_CHAIN_MAX_SIZE} points", cap=_CHAIN_MAX_SIZE
+            )
+        return iter([tuple(range(shape.size))])
     state_cap = min((shape.size + 1) * max(cap, 1) * _words(shape), DEFAULT_STATE_CAP)
     if shape.size < state_cap // _words(shape) and factorial_product_lower_bound(shape) > cap:
         total = f"more than {cap}"

@@ -140,45 +140,27 @@ def _check(name: str, relation: str, observed, expected, passed: bool) -> CheckR
 def suite_counting(cfg: VerifyConfig) -> SuiteReport:
     checks = []
 
-    for lengths in ((3, 3), (2, 3)):
-        shape = GridShape(lengths)
+    def listed(shape):
+        return sum(1 for _ in enumerate_index_orders(shape))
+
+    oracles = (
+        (GridShape((3, 3)), "hook oracle", "hook_length_count", hook_length_count),
+        (GridShape((2, 3)), "hook oracle", "hook_length_count", hook_length_count),
+        (GridShape.equilateral(2, 3), "enumeration", "number of enumerated extensions", listed),
+        (GridShape.equilateral(2, 4), "backtracking oracle", "backtracking_count", backtracking_count),
+    )
+    for shape, label, relation, oracle in oracles:
         dp = count_extensions(shape)
-        hook = hook_length_count(shape)
+        value = oracle(shape)
         checks.append(
             _check(
-                f"{shape} count vs hook oracle",
-                "count_extensions == hook_length_count",
+                f"{shape} count vs {label}",
+                f"count_extensions == {relation}",
                 dp,
-                hook,
-                dp == hook,
+                value,
+                dp == value,
             )
         )
-
-    cube = GridShape.equilateral(2, 3)
-    dp = count_extensions(cube)
-    listed = sum(1 for _ in enumerate_index_orders(cube))
-    checks.append(
-        _check(
-            f"{cube} count vs enumeration",
-            "count_extensions == number of enumerated extensions",
-            dp,
-            listed,
-            dp == listed,
-        )
-    )
-
-    tesseract = GridShape.equilateral(2, 4)
-    dp = count_extensions(tesseract)
-    brute = backtracking_count(tesseract)
-    checks.append(
-        _check(
-            f"{tesseract} count vs backtracking oracle",
-            "count_extensions == backtracking_count",
-            dp,
-            brute,
-            dp == brute,
-        )
-    )
 
     ordered_shapes = [GridShape.equilateral(m, n) for m, n in SANDWICH_MN]
     ordered_shapes += [GridShape(lengths) for lengths in MIXED_SHAPES]

@@ -164,12 +164,18 @@ class TestEnumerate:
         assert code == 3 and "enumeration cap" in err
         assert not target.exists()
 
-    @pytest.mark.parametrize("command, cap", [("enumerate", "0"), ("graph", "-1")])
-    def test_cap_below_one_is_named(self, capsys, command, cap):
-        # The refusal names the enumeration cap as given, not a state cap of 0.
-        code, out, err = run(capsys, command, "--shape", "2x2", "--cap", cap)
-        assert (code, out) == (3, "")
-        assert err == f"error: shape 2x2 has more than {cap} extensions, above the enumeration cap of {cap}\n"
+    @pytest.mark.parametrize(
+        "command, cap",
+        itertools.product(("count", "enumerate", "sample", "graph", "conjecture-scan"), ("0", "-1")),
+    )
+    def test_cap_below_one_is_named(self, capsys, tmp_path, command, cap):
+        # A cap below 1 admits nothing: a usage error naming --cap, before --out is opened.
+        target = tmp_path / "out.txt"
+        shaped = [] if command == "conjecture-scan" else ["--shape", "2x2"]
+        code, out, err = run(capsys, command, *shaped, "--cap", cap, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --cap: must be at least 1, got {cap}\n")
+        assert not target.exists()
 
     def test_rank_levels_refuse_before_the_dp(self, capsys):
         # 7828354 down-sets fit the default state cap; the rank levels'
@@ -196,6 +202,24 @@ class TestEnumerate:
     def test_cap_counts_extensions_past_64_points(self, capsys):
         code, out, err = run(capsys, "enumerate", "--shape", "65", "--cap", "1")
         assert (code, out, err) == (0, " ".join(map(str, range(65))) + "\n", "")
+
+    @pytest.mark.parametrize("shape", ["30000", "1x30000x1"])
+    def test_one_extension_needs_no_table(self, capsys, shape):
+        # One chain of length > 1: its one extension is listed without the DP,
+        # whose state cap would refuse 30001 down-sets of 469 words each.
+        from gridext import GridShape, counting
+
+        code, out, err = run(capsys, "enumerate", "--shape", shape)
+        assert (code, out, err) == (0, " ".join(map(str, range(30000))) + "\n", "")
+        assert GridShape(tuple(map(int, shape.split("x")))) not in counting._tables
+        code, out, err = run(capsys, "graph", "--shape", shape)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["vertices"] == 1
+
+    def test_one_extension_past_the_walk_limit_is_refused(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--shape", str(2**17 + 1))
+        assert (code, out) == (3, "")
+        assert err == f"error: shape {2**17 + 1} has one extension, of more than {2**17} points\n"
 
     def test_long_chain_needs_no_recursion(self, capsys):
         # One search level per point: 5000 levels, far past Python's frame limit.
@@ -607,6 +631,30 @@ class TestConjectureScan:
         assert (code, out) == (3, "")
         assert "state cap" in err
         assert not out_file.exists()
+
+    def test_first_row_over_the_cap_refuses_before_any_table(self, capsys, monkeypatch):
+        # Rows in print order: 2x2, 2x2x2, 3x3, 4x4 (70 down-sets), then
+        # 2x2x2x2 (168) over the cap.  Its cap check reads the 2x2x2 table.
+        from gridext import GridShape, counting
+
+        monkeypatch.setattr(counting, "_tables", {})
+        code, out, err = run(capsys, "conjecture-scan", "--max-size", "16", "--cap", "100")
+        assert (code, out) == (3, "")
+        assert "down-set lattice of 2x2x2x2 exceeds the state cap of 100" in err
+        assert set(counting._tables) <= {GridShape((2, 2, 2))}
+
+    def test_four_chain_row_refused_before_six_chains_are_built(self, capsys, monkeypatch):
+        # 2x2x2x2x2x2 (size 64, 7828354 down-sets) is listed before
+        # 3x3x3x3 (size 81, 17792748), which is over the default cap.
+        from gridext import GridShape, counting
+
+        monkeypatch.setattr(counting, "_tables", {})
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "conjecture-scan", "--max-size", "81")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert "down-set lattice of 3x3x3x3 exceeds the state cap" in err
+        assert GridShape((2,) * 6) not in counting._tables
 
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
