@@ -89,14 +89,19 @@ def _down_set_count(lengths: Iterable[int], cap: int) -> int:
     return num // den
 
 
+def _box_is_exact(shape: GridShape) -> bool:
+    """At most three chains of length > 1: the box count is the lattice size."""
+    return sum(a > 1 for a in shape.lengths) <= 3
+
+
 def _lattice_lower_bound(shape: GridShape, cap: int) -> int:
     """Down-sets at least: the box count, the size + 1 prefixes of one
-    extension, then 2^width (each subset of a widest rank level generates
-    its own down-set), computed last so astronomic shapes stop at once.
-    The size term is clipped at cap + 1, so a size of any length prints.
+    extension (clipped at cap + 1, so a size of any length prints), then,
+    where the box count is not exact, 2^width (each subset of a widest rank
+    level generates its own down-set), so astronomic shapes stop at once.
     """
     bound = max(_down_set_count(shape.lengths, cap), min(shape.size, cap) + 1)
-    if bound > cap:
+    if bound > cap or _box_is_exact(shape):
         return bound
     return max(bound, 1 << min(max_antichain_size(shape), cap.bit_length()))
 
@@ -116,9 +121,9 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     than the lattice, so a refusal there is a correct refusal here.
     """
     bound = _lattice_lower_bound(shape, states)
-    *rest, a = sorted(shape.lengths)
-    if bound > states or sum(x > 1 for x in rest) < 3:
+    if bound > states or _box_is_exact(shape):
         return bound
+    *rest, a = sorted(shape.lengths)
     sub = GridShape(tuple(rest))
     try:
         ideals = completion_counts(sub, states * _words(sub)).keys()

@@ -85,6 +85,11 @@ class GridShape:
     def is_equilateral(self) -> bool:
         return len(set(self.lengths)) == 1
 
+    @property
+    def is_chain(self) -> bool:
+        """At most one chain of length > 1: 0 1 ... size - 1 is the one extension."""
+        return sum(a > 1 for a in self.lengths) <= 1
+
     # --- canonical indexing ------------------------------------------------
 
     @cached_property

@@ -202,8 +202,12 @@ def jump_pit_block(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np
     return jumps, pits
 
 
-# Point indices per block of jump_pit_blocks: 32 KB an int64 array.
-_BLOCK_ENTRIES = 1 << 12
+_BLOCK_ENTRIES = 1 << 12  # point indices per block: 32 KB an int64 array
+
+
+def _block_rows(shape: GridShape) -> int:
+    """Orders per block of jump_pit_blocks and of the extension reader."""
+    return max(1, _BLOCK_ENTRIES // shape.size)
 
 
 def jump_pit_blocks(shape: GridShape, orders: Iterable[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -212,7 +216,7 @@ def jump_pit_blocks(shape: GridShape, orders: Iterable[Sequence[int]]) -> Iterat
     counts) per block, rows in stream order.  A (rows, size) array is cut
     into blocks of the same row count, with no list of its rows.
     """
-    rows = max(1, _BLOCK_ENTRIES // shape.size)
+    rows = _block_rows(shape)
     if isinstance(orders, np.ndarray):
         for start in range(0, len(orders), rows):
             yield jump_pit_block(shape, orders[start : start + rows])
@@ -282,7 +286,7 @@ def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
     error, so a bad file gives the error a line-by-line read would.  The
     file is ASCII; a line holding any other byte is rejected by number.
     """
-    rows = max(1, _BLOCK_ENTRIES // shape.size)
+    rows = _block_rows(shape)
     out: list[LinearExtension] = []
     # surrogateescape decodes each non-ASCII byte b to the lone surrogate
     # U+DC00 + b, so the line it sits on can be named.

@@ -61,7 +61,7 @@ from .counting import completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
-from .transposition import build_graph, enumerate_index_orders, order_ids
+from .transposition import _MAX_POINTS, build_graph, enumerate_index_orders, order_ids
 
 __all__ = [
     "WordStream",
@@ -216,11 +216,6 @@ class ExactSampler:
         return LinearExtension(self.shape, self.sample_indices())
 
 
-# The ensemble refuses shapes above this many points by shape alone: its
-# start state (rank_lex_indices) reads per-point Python tables (coordinates
-# and ranks, GridShape.coords_table and rank_table) of several hundred bytes
-# a point; `sample --method mcmc` on 2^17 points peaks near 200 MB.
-_ENSEMBLE_MAX_SIZE = 1 << 17
 # Largest chains x size int64 state array the ensemble allocates, in bytes.
 _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
@@ -244,8 +239,8 @@ def mcmc_ensemble(
     array of trusted valid extensions) is given.  Uses the documented
     Generator draw pattern, so results are reproducible per seed.
 
-    A shape with at most one chain of length > 1 has one extension, so no
-    swap is legal and the starts are returned as they are.  When count x
+    A chain (GridShape.is_chain) has one extension, so no swap is legal
+    and the starts are returned as they are.  When count x
     size is at most 2^16 (build_graph with an enumeration cap of 2^16 //
     size), the states are row numbers into the swap graph's orders, and a
     step is one gather from its swap table.  Otherwise each step reads the
@@ -253,8 +248,8 @@ def mcmc_ensemble(
     C-ordered state array, tests the cover with GridShape.cover_arrays,
     and writes both back, swapped where the chain moves.  Both paths make
     the same moves, and neither writes to `starts`.  Shapes of more than
-    2^17 points, and state arrays of more than 2^28 bytes, raise
-    ResourceCapError before any table is built.
+    2^17 points (enumeration's limit too), and state arrays of more than
+    2^28 bytes, raise ResourceCapError before any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -264,10 +259,9 @@ def mcmc_ensemble(
         raise DomainError(f"laziness must be in [0, 1], got {laziness}")
     _check_seed(seed)
     size = shape.size  # both refusals come before any per-point table is built
-    if size > _ENSEMBLE_MAX_SIZE:
+    if size > _MAX_POINTS:
         raise ResourceCapError(
-            f"the swap walk refuses {shape}: its tables cannot be built above {_ENSEMBLE_MAX_SIZE} points",
-            cap=_ENSEMBLE_MAX_SIZE,
+            f"the swap walk refuses {shape}: its tables cannot be built above {_MAX_POINTS} points", cap=_MAX_POINTS
         )
     if 8 * chains * size > _ENSEMBLE_MAX_BYTES:
         raise ResourceCapError(
@@ -279,7 +273,7 @@ def mcmc_ensemble(
         starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, size))
     elif np.shape(starts) != (chains, size):
         raise DomainError(f"starts must have shape ({chains}, {size}), got {np.shape(starts)}")
-    if chains == 0 or steps == 0 or sum(a > 1 for a in shape.lengths) <= 1:
+    if chains == 0 or steps == 0 or shape.is_chain:
         return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
     try:

@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import DEFAULT_STATE_CAP, _words, count_extensions, factorial_product_lower_bound
+from .counting import _lattice_lower_bound, count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
 from .grid import GridShape
 
@@ -40,9 +40,9 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 10**6
 DEFAULT_BACKTRACK_CAP = 10**7
-# Points of the longest one-extension shape that enumeration lists; the
-# swap walk refuses shapes past the same size.
-_CHAIN_MAX_SIZE = 1 << 17
+# Points up to which enumeration lists a chain or the rank levels; the swap
+# walk, whose start state reads per-point tables, refuses shapes past it.
+_MAX_POINTS = 1 << 17
 _DOT_ROWS = 1 << 12  # vertices per block of DOT output
 
 
@@ -78,31 +78,23 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     """Yield every extension as a raw index tuple, in lexicographic order.
 
     This is the bit-exact stream behind the extension file format.  Refuses
-    to start when the shape has more than `cap` extensions (default 10^6).
-    A shape with at most one chain of length > 1 has one extension, 0 1 ...
-    size - 1, returned without the DP when cap >= 1 (up to 2^17 points).
-    Every down-set is a prefix of one of the extensions, so a shape within
-    the cap has at most (size + 1) * cap down-sets.  That many states, of
-    ceil(size / 64) 64-bit words each and at most the default state cap in
-    all, is the DP's state cap, so a larger lattice is refused before the
-    DP is built (a cap below 1 is taken as 1 there, so the rank-level check
-    below refuses instead, naming the cap given).  Where the size + 1
-    prefixes of one extension fit it, the rank levels are cheap to list,
-    and their factorial product, a lower bound on the count, is compared
-    with `cap` first: 2x2x2x2x2x2, whose 7828354 down-sets fit, builds no
-    table.
+    to start when the shape has more than `cap` extensions (default 10^6),
+    first where a table-free bound shows it: more than (size + 1) * cap
+    down-sets, each a prefix of some extension, or, up to 2^17 points, the
+    rank levels' factorial product; else the count decides, under the
+    default state cap.  A chain (GridShape.is_chain) of up to 2^17 points
+    has one extension, 0 1 ... size - 1, listed without the DP if cap >= 1.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
-    if cap >= 1 and sum(a > 1 for a in shape.lengths) <= 1:  # one extension, no table
-        if shape.size > _CHAIN_MAX_SIZE:
-            raise ResourceCapError(
-                f"shape {shape} has one extension, of more than {_CHAIN_MAX_SIZE} points", cap=_CHAIN_MAX_SIZE
-            )
+    if cap >= 1 and shape.is_chain:  # one extension, no table
+        if shape.size > _MAX_POINTS:
+            raise ResourceCapError(f"shape {shape} has one extension, of more than {_MAX_POINTS} points", cap=_MAX_POINTS)
         return iter([tuple(range(shape.size))])
-    state_cap = min((shape.size + 1) * max(cap, 1) * _words(shape), DEFAULT_STATE_CAP)
-    if shape.size < state_cap // _words(shape) and factorial_product_lower_bound(shape) > cap:
+    prefixes = (shape.size + 1) * cap
+    levels = shape.size <= _MAX_POINTS  # few enough points to list the rank levels
+    if _lattice_lower_bound(shape, prefixes) > prefixes or levels and factorial_product_lower_bound(shape) > cap:
         total = f"more than {cap}"
-    elif (total := count_extensions(shape, cap=state_cap)) <= cap:
+    elif (total := count_extensions(shape)) <= cap:
         return _orders(shape)
     raise ResourceCapError(f"shape {shape} has {total} extensions, above the enumeration cap of {cap}", cap=cap)
 

@@ -199,6 +199,24 @@ class TestEnumerate:
         assert not target.exists()
         assert run(capsys, "enumerate", "--shape", "2x2")[:2] == (0, "0 1 2 3\n0 2 1 3\n")
 
+    @pytest.mark.parametrize(
+        "command, shape, cap",
+        [("enumerate", "1000x1000", "1"), ("enumerate", "100000x2", "5"), ("graph", "300x300", "1000000000")],
+    )
+    def test_refusal_names_the_enumeration_cap(self, capsys, monkeypatch, command, shape, cap):
+        # The lattice bound alone shows more than cap extensions: no table,
+        # and no word of the state cap, which these commands cannot raise.
+        from gridext import counting
+
+        monkeypatch.setattr(counting, "_tables", {})
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, "--shape", shape, "--cap", cap)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert f"has more than {cap} extensions, above the enumeration cap of {cap}" in err
+        assert "state cap" not in err
+        assert counting._tables == {}
+
     def test_cap_counts_extensions_past_64_points(self, capsys):
         code, out, err = run(capsys, "enumerate", "--shape", "65", "--cap", "1")
         assert (code, out, err) == (0, " ".join(map(str, range(65))) + "\n", "")
@@ -622,14 +640,15 @@ class TestConjectureScan:
         code, out, err = run(capsys, "conjecture-scan", "--max-size", max_size, "--samples", samples)
         assert (code, out, err) == (2, "", f"error: need --samples >= 1, got {samples}\n")
 
-    def test_huge_max_size_refused_before_listing_rows(self, capsys, tmp_path):
-        # About 10^9 two-chain rows; the largest, 10^9 x 10^9, is over the cap.
+    def test_huge_max_size_refuses_at_the_first_row_over_the_cap(self, capsys, tmp_path):
+        # Rows are listed lazily in print order, so of the about 10^9 rows up
+        # to 10^18 points only the first 15 are listed: 3x3x3x3 is over the cap.
         out_file = tmp_path / "scan.csv"
         t0 = time.perf_counter()
         code, out, err = run(capsys, "conjecture-scan", "--max-size", str(10**18), "--out", str(out_file))
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (3, "")
-        assert "state cap" in err
+        assert "down-set lattice of 3x3x3x3 exceeds the state cap" in err
         assert not out_file.exists()
 
     def test_first_row_over_the_cap_refuses_before_any_table(self, capsys, monkeypatch):

@@ -174,6 +174,15 @@ class TestCounts:
         shape = GridShape(lengths)
         assert _lattice_size(shape, 10**12) == len(completion_counts(shape))
 
+    def test_exact_box_count_lists_no_rank_levels(self, monkeypatch):
+        # Up to three chains of length > 1 the box count is exact, so a cap
+        # above it needs no width: 2 x 10^9 would list 10^9 rank levels.
+        from gridext import counting
+
+        monkeypatch.setattr(counting, "max_antichain_size", None)
+        c = 10**9
+        assert counting._lattice_lower_bound(GridShape((2, c)), 10**30) == (c + 1) * (c + 2) // 2
+
     def test_lattice_size_of_four_chains_of_three(self):
         # 3x3x3x3 is counted from the 980 down-sets of 3x3x3, and refused
         # with that count before its DP starts.

@@ -101,19 +101,32 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("command", [enumerate_index_orders, build_graph, entropy_profile_exact])
     def test_cap_refuses_before_the_dp(self, command):
-        # 4x4x4 has 232848 down-sets, and its rank levels alone show more
-        # extensions than the cap (10, or 10^5 for the entropy profile).
+        # 4x4x4 has 232848 down-sets, more than 65 prefixes x 10, and for
+        # the entropy profile its rank levels alone show more than 10^5
+        # extensions.
         cube = GridShape.equilateral(4, 3)
         counting._tables.pop(cube, None)
         with pytest.raises(ResourceCapError, match="enumeration cap"):
             command(cube) if command is entropy_profile_exact else command(cube, cap=10)
         assert cube not in counting._tables
 
-    def test_state_cap_still_refuses_astronomic_shapes(self):
-        # Past the state cap's room the rank levels are not listed; the
-        # lattice gate refuses at once.
-        with pytest.raises(ResourceCapError, match="down-set lattice"):
+    def test_astronomic_shapes_refuse_at_once(self):
+        # Far past 2^17 points the rank levels are not listed; the lattice
+        # bound, (10^20 + 1)(10^20 + 2) / 2 down-sets, refuses at once.
+        with pytest.raises(ResourceCapError, match="has more than 1000000 extensions"):
             enumerate_index_orders(GridShape((10**20, 2)))
+
+    @given(small_shapes, st.sampled_from([-1, 0, 1, 2, 5, 10, 42, 100, 10**3]))
+    @settings(deadline=None)
+    def test_lists_iff_the_count_is_within_the_cap(self, shape, cap):
+        count = count_extensions(shape)
+        try:
+            orders = list(enumerate_index_orders(shape, cap))
+        except ResourceCapError as exc:
+            assert count > cap
+            assert f"above the enumeration cap of {cap}" in str(exc)
+        else:
+            assert len(orders) == count <= cap
 
     def test_backtracking_cap(self):
         with pytest.raises(ResourceCapError):
