@@ -44,6 +44,8 @@ DEFAULT_BACKTRACK_CAP = 10**7
 # walk, whose start state reads per-point tables, refuses shapes past it.
 _MAX_POINTS = 1 << 17
 _DOT_ROWS = 1 << 12  # vertices per block of DOT output
+_BACKTRACK_ROWS = 1 << 14  # open branches per block of the backtracking oracle
+_WORD = 64  # points up to which the backtracking oracle's placed set fits a uint64
 
 
 def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
@@ -80,10 +82,12 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     This is the bit-exact stream behind the extension file format.  Refuses
     to start when the shape has more than `cap` extensions (default 10^6),
     first where a table-free bound shows it: more than (size + 1) * cap
-    down-sets, each a prefix of some extension, or, up to 2^17 points, the
-    rank levels' factorial product; else the count decides, under the
-    default state cap.  A chain (GridShape.is_chain) of up to 2^17 points
-    has one extension, 0 1 ... size - 1, listed without the DP if cap >= 1.
+    down-sets, each a prefix of some extension, or the rank levels: up to
+    2^17 points their factorial product, past it 2^(num_ranks - 2), as
+    every inner level of a non-chain is at least 2 wide; else the count
+    decides, under the default state cap.  A chain (GridShape.is_chain) of
+    up to 2^17 points has one extension, 0 1 ... size - 1, listed without
+    the DP if cap >= 1.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
     if cap >= 1 and shape.is_chain:  # one extension, no table
@@ -92,7 +96,12 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
         return iter([tuple(range(shape.size))])
     prefixes = (shape.size + 1) * cap
     levels = shape.size <= _MAX_POINTS  # few enough points to list the rank levels
-    if _lattice_lower_bound(shape, prefixes) > prefixes or levels and factorial_product_lower_bound(shape) > cap:
+    if (
+        _lattice_lower_bound(shape, prefixes) > prefixes
+        or levels and factorial_product_lower_bound(shape) > cap
+        # Not a chain: each inner rank level is at least 2 wide.
+        or not levels and shape.num_ranks - 2 >= cap.bit_length()
+    ):
         total = f"more than {cap}"
     elif (total := count_extensions(shape)) <= cap:
         return _orders(shape)
@@ -147,42 +156,62 @@ def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
 
     Deliberately shares no state with the down-set DP, nor its pit masks,
     so the two counts are independent; the flip side is exponential time,
-    so this is an oracle for small shapes only.  An explicit stack holds
-    (placed, pits, depth) per open branch; with two points left, the
-    branch completes in as many ways as it has pits.  Raises
-    ResourceCapError beyond `cap` leaves (default 10^7).
+    so this is an oracle for small shapes only.  The tree is walked a
+    block of open branches at a time: an explicit stack holds (placed,
+    pits, depth) as uint64 arrays of at most _BACKTRACK_ROWS rows, one
+    branch per row, all at the same depth.  One pop expands every row:
+    for each point v that is a pit of some row, those rows place v and
+    gain each upper cover of v whose lower covers are then all placed.
+    With two points left, the top corner and one point below it, a branch
+    completes in one way, so a block at depth size - 2 adds its rows.
+
+    A chain (GridShape.is_chain) has one extension.  Otherwise a placed
+    set must fit one 64-bit word, so a shape of more than 64 points (at
+    least 2^32 extensions by its rank levels) raises ResourceCapError at
+    once, as does one whose rank levels alone show more than `cap`
+    extensions (default 10^7); the walk itself stops at the first block
+    that takes the count past `cap`.
     """
     cap = DEFAULT_BACKTRACK_CAP if cap is None else int(cap)
-    size = shape.size
-    if size <= 2:  # a single chain: one extension
-        count = 1
-    else:
-        masks = shape.lower_cover_masks
-        # Per point v: (bit, lower-cover mask) of each point covering v.
-        ups = [tuple((1 << u, masks[u]) for u in covers) for covers in shape.upper_covers]
-        last = size - 2
-        count = 0
-        stack = [(0, sum(1 << v for v, m in enumerate(masks) if m == 0), 0)]
-        while stack:
-            placed, pits, depth = stack.pop()
-            if depth == last:
-                count += pits.bit_count()
-                if count > cap:
-                    break
-                continue
-            depth += 1
-            rest = pits
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                now = placed | low
-                nxt = pits ^ low
-                for bit, mask in ups[low.bit_length() - 1]:
-                    if mask & now == mask:
-                        nxt |= bit
-                stack.append((now, nxt, depth))
-    if count > cap:
-        raise ResourceCapError(f"shape {shape} has more than {cap} extensions (backtracking cap)", cap=cap)
+    refusal = ResourceCapError(f"shape {shape} has more than {cap} extensions (backtracking cap)", cap=cap)
+    if shape.is_chain:
+        if cap < 1:
+            raise refusal
+        return 1
+    if shape.size > _WORD:
+        raise ResourceCapError(f"shape {shape} has more than {_WORD} points (backtracking oracle)", cap=_WORD)
+    if factorial_product_lower_bound(shape) > cap:
+        raise refusal
+    masks = np.array(shape.lower_cover_masks, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(shape.size, dtype=np.uint64)
+    # Per point v: (bit, lower-cover mask) of each point covering v.
+    ups = [[(bits[u], masks[u]) for u in covers] for covers in shape.upper_covers]
+    zero = np.uint64(0)
+    last = shape.size - 2
+    count = 0
+    stack = [(np.zeros(1, np.uint64), np.bitwise_or.reduce(bits[masks == 0], keepdims=True), 0)]
+    while stack:
+        placed, pits, depth = stack.pop()
+        if depth == last:
+            count += len(pits)
+            if count > cap:
+                raise refusal
+            continue
+        children = []
+        union = int(np.bitwise_or.reduce(pits))
+        while union:
+            low = union & -union
+            union ^= low
+            v = low.bit_length() - 1
+            rows = np.flatnonzero(pits & bits[v])
+            now = placed[rows] | bits[v]
+            nxt = pits[rows] ^ bits[v]
+            for bit, mask in ups[v]:
+                nxt |= np.where((now & mask) == mask, bit, zero)
+            children.append((now, nxt))
+        now, nxt = map(np.concatenate, zip(*children))
+        for lo in range(0, len(now), _BACKTRACK_ROWS):
+            stack.append((now[lo : lo + _BACKTRACK_ROWS], nxt[lo : lo + _BACKTRACK_ROWS], depth + 1))
     return count
 
 

@@ -28,7 +28,7 @@ from gridext import (
     pits_threshold,
     to_dot,
 )
-from gridext import counting
+from gridext import counting, transposition
 from gridext.transposition import order_ids, swap_table
 
 # Shapes of at most 10 points, chains of length 1 included.
@@ -81,23 +81,48 @@ class TestEnumeration:
         assert list(enumerate_index_orders(GridShape((size,)), cap=1)) == [tuple(range(size))]
 
     def test_backtracking_matches_dp(self):
-        # 2x2x2x2 (1680384 extensions) is compared by acceptance criterion 1
-        # and the verify-counting golden; each run takes about 1.5 s.
-        for lengths in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (4, 2)]:
+        # 2x2x2x2 (1680384 extensions) and 5x4 (1662804) each take well
+        # under a second on blocks of open branches.
+        for lengths in [(2, 2), (3, 3), (2, 3), (2, 2, 2), (4, 2), (2, 2, 2, 2), (5, 4)]:
             s = GridShape(lengths)
             assert backtracking_count(s) == count_extensions(s)
 
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 12))
+    @given(st.lists(st.integers(1, 8), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 16))
     @settings(deadline=None)
     def test_backtracking_property(self, lengths):
         shape = GridShape(lengths)
         assert backtracking_count(shape) == count_extensions(shape)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_backtracking_splits_its_blocks(self, monkeypatch, rows):
+        # Blocks of one or two branches: every expansion is pushed in slices.
+        monkeypatch.setattr(transposition, "_BACKTRACK_ROWS", rows)
+        for lengths in [(3, 3), (2, 2, 2), (4, 3)]:
+            s = GridShape(lengths)
+            assert backtracking_count(s) == count_extensions(s)
+
     def test_backtracking_one_and_two_points(self):
-        for lengths in [(1,), (2,), (1, 1), (1, 2), (2, 1, 1)]:
+        # Chains of any length count 1, past the 64-point word too.
+        for lengths in [(1,), (2,), (1, 1), (1, 2), (2, 1, 1), (100,), (1, 100, 1)]:
             assert backtracking_count(GridShape(lengths)) == 1
         with pytest.raises(ResourceCapError):
             backtracking_count(GridShape((2,)), cap=0)
+
+    @pytest.mark.parametrize(
+        "lengths, cap, match",
+        [
+            ((3, 3, 3, 3), None, "more than 64 points"),  # 81 points
+            ((2, 33), 2**40, "more than 64 points"),  # 66 points, at least 2^32 extensions
+            ((4, 4, 4), None, "more than 10000000 extensions"),  # the rank levels show it
+        ],
+    )
+    def test_backtracking_refuses_before_work(self, lengths, cap, match):
+        shape = GridShape(lengths)
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceCapError, match=match):
+            backtracking_count(shape, cap)
+        assert time.perf_counter() - t0 < 0.5
+        assert "lower_cover_masks" not in shape.__dict__
 
     @pytest.mark.parametrize("command", [enumerate_index_orders, build_graph, entropy_profile_exact])
     def test_cap_refuses_before_the_dp(self, command):
@@ -128,9 +153,19 @@ class TestEnumeration:
         else:
             assert len(orders) == count <= cap
 
+    def test_non_chain_past_the_rank_level_limit(self):
+        # 2x10^8: more than 2^17 points, so the rank levels are not listed,
+        # and its (10^8 + 2 choose 2) down-sets fit (size + 1) x cap
+        # prefixes; its 10^8 - 1 inner levels are each 2 wide.
+        with pytest.raises(ResourceCapError, match="above the enumeration cap of 100000000"):
+            enumerate_index_orders(GridShape((2, 10**8)), cap=10**8)
+
     def test_backtracking_cap(self):
         with pytest.raises(ResourceCapError):
             backtracking_count(GridShape.equilateral(3, 2), cap=10)
+        # 3x3 (42 extensions) passes the rank levels (24) and stops in the walk.
+        with pytest.raises(ResourceCapError, match="more than 30 extensions"):
+            backtracking_count(GridShape.equilateral(3, 2), cap=30)
 
 
 class TestGraph:
