@@ -35,7 +35,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import jump_pit_blocks, read_extensions_file, write_index_orders
+from .jumps import _block_rows, jump_pit_blocks, read_extensions_file, write_index_orders
 from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
@@ -119,13 +119,12 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _written(fh, orders):
-    # Passes the orders on once written to fh, 1024 at a time: no list of all
-    # orders, and one writer call per block, which costs less than one per order.
-    # One iterator over them, so that an array's rows are read once, not the
-    # first 1024 again and again.
-    orders = iter(orders)
-    while block := list(itertools.islice(orders, 1024)):
+def _written(fh, shape, orders):
+    # Passes the orders on once written to fh, a block at a time: no list of
+    # all orders, and one writer call per block.  One iterator over them, so
+    # an array's rows are read once, not the first block again and again.
+    orders, rows = iter(orders), _block_rows(shape)
+    while block := list(itertools.islice(orders, rows)):
         write_index_orders(fh, block)
         yield from block
 
@@ -149,7 +148,7 @@ def cmd_sample(args) -> int:
         orders = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            stats = jump_stats_from_orders(shape, _written(fh, orders))
+            stats = jump_stats_from_orders(shape, _written(fh, shape, orders))
     else:
         stats = jump_stats_from_orders(shape, orders)
     payload = {
@@ -198,17 +197,16 @@ def cmd_pits(args) -> int:
     if not extensions:
         raise DomainError(f"no extensions found in {args.infile}")
     size = shape.size
-    blocks = (pits for _, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)))
+    orders = (ext.indices for ext in extensions)
     if args.mean:
-        totals = sum(pits.sum(axis=0) for pits in blocks).tolist()
-        means = [total / len(extensions) for total in totals]
+        means = jump_stats_from_orders(shape, orders).mean_pits_profile
         if args.format == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
         else:
-            _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
+            _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": list(means)}))
     else:
-        profiles = [profile for pits in blocks for profile in pits.tolist()]
+        profiles = [profile for _, pits in jump_pit_blocks(shape, orders) for profile in pits.tolist()]
         if args.format == "csv":
             header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
             rows = [[i + 1, *profile] for i, profile in enumerate(profiles)]

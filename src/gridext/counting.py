@@ -23,12 +23,12 @@ the level below, and they are dropped before the next level.
 
 One table is kept per shape.  The state space is the full down-set
 lattice; a configurable cap refuses shapes where it would not fit in
-memory, once, before the DP: against the size of the cached table, or else
-against the lattice size (closed form up to three chains of length > 1,
-counted from the lattice of the shape less its longest chain beyond),
-which the DP then fills exactly.  The cap counts 64-bit words, which is
-what a level's mask array holds per state: ceil(size / 64), so the cap
-admits cap // ceil(size / 64) states, one per unit of cap up to 64 points.
+memory, once, before the DP, against the lattice size (closed form up to
+three chains of length > 1, counted from the lattice of the shape less its
+longest chain beyond), which the DP then fills exactly.  The cap counts
+64-bit words, which is what a level's mask array holds per state:
+ceil(size / 64), so the cap admits cap // ceil(size / 64) states, one per
+unit of cap up to 64 points.
 The same table holds f(D), the number of orders of D itself: the point
 reflection (GridShape.reflect) reverses the order, so it maps the orders
 of D onto the completions of full ^ reflect(D), and f(D) = g(full ^
@@ -282,13 +282,12 @@ def _completion_counts(shape: GridShape) -> Mapping[int, int]:
 
 def _check_cap(shape: GridShape, cap: int | None) -> None:
     """Raise ResourceCapError if the down-set lattice of the shape exceeds
-    cap // ceil(size / 64) states (`cap` counts 64-bit words, default 10^7):
-    the size of its cached table, or else _lattice_size.  Builds no table.
+    cap // ceil(size / 64) states (`cap` counts 64-bit words, default 10^7),
+    as _lattice_size shows: from (shape, cap) alone, cached table or not.
     """
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
     words = _words(shape)
-    table = _tables.get(shape)
-    count = _lattice_size(shape, cap // words) if table is None else len(table)
+    count = _lattice_size(shape, cap // words)
     if count <= cap // words:
         return
     # An astronomic word count is too long to print; past the cap it is

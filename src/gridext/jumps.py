@@ -206,7 +206,7 @@ _BLOCK_ENTRIES = 1 << 12  # point indices per block: 32 KB an int64 array
 
 
 def _block_rows(shape: GridShape) -> int:
-    """Orders per block of jump_pit_blocks and of the extension reader."""
+    """Orders per block of every pass that takes orders a block at a time."""
     return max(1, _BLOCK_ENTRIES // shape.size)
 
 

@@ -248,7 +248,7 @@ def mcmc_ensemble(
     C-ordered state array, tests the cover with GridShape.cover_arrays,
     and writes both back, swapped where the chain moves.  Both paths make
     the same moves, and neither writes to `starts`.  Shapes of more than
-    2^17 points (enumeration's limit too), and state arrays of more than
+    2^17 points (enumeration's chain limit too), and state arrays of more than
     2^28 bytes, raise ResourceCapError before any table is built.
     """
     if steps < 0:

@@ -25,6 +25,7 @@ import numpy as np
 from .counting import _lattice_lower_bound, count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
 from .grid import GridShape
+from .jumps import _block_rows
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -40,10 +41,9 @@ __all__ = [
 
 DEFAULT_ENUM_CAP = 10**6
 DEFAULT_BACKTRACK_CAP = 10**7
-# Points up to which enumeration lists a chain or the rank levels; the swap
-# walk, whose start state reads per-point tables, refuses shapes past it.
+# Points up to which enumeration lists a chain; the swap walk, whose start
+# state reads per-point tables, refuses shapes past it.
 _MAX_POINTS = 1 << 17
-_DOT_ROWS = 1 << 12  # vertices per block of DOT output
 _BACKTRACK_ROWS = 1 << 14  # open branches per block of the backtracking oracle
 _WORD = 64  # points up to which the backtracking oracle's placed set fits a uint64
 
@@ -81,13 +81,12 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
 
     This is the bit-exact stream behind the extension file format.  Refuses
     to start when the shape has more than `cap` extensions (default 10^6),
-    first where a table-free bound shows it: more than (size + 1) * cap
-    down-sets, each a prefix of some extension, or the rank levels: up to
-    2^17 points their factorial product, past it 2^(num_ranks - 2), as
-    every inner level of a non-chain is at least 2 wide; else the count
-    decides, under the default state cap.  A chain (GridShape.is_chain) of
-    up to 2^17 points has one extension, 0 1 ... size - 1, listed without
-    the DP if cap >= 1.
+    first where a table-free bound shows it, cheapest first: 2^(num_ranks -
+    2), as each inner rank level of a non-chain is at least 2 wide; over
+    (size + 1) * cap down-sets, each a prefix of some extension; the rank
+    levels' factorial product.  Else the count decides, under the default
+    state cap.  A chain (GridShape.is_chain) of up to 2^17 points has one
+    extension, 0 1 ... size - 1, listed without the DP if cap >= 1.
     """
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
     if cap >= 1 and shape.is_chain:  # one extension, no table
@@ -95,12 +94,10 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
             raise ResourceCapError(f"shape {shape} has one extension, of more than {_MAX_POINTS} points", cap=_MAX_POINTS)
         return iter([tuple(range(shape.size))])
     prefixes = (shape.size + 1) * cap
-    levels = shape.size <= _MAX_POINTS  # few enough points to list the rank levels
     if (
-        _lattice_lower_bound(shape, prefixes) > prefixes
-        or levels and factorial_product_lower_bound(shape) > cap
-        # Not a chain: each inner rank level is at least 2 wide.
-        or not levels and shape.num_ranks - 2 >= cap.bit_length()
+        shape.num_ranks - 2 >= cap.bit_length()  # a chain at cap >= 1 returned above
+        or _lattice_lower_bound(shape, prefixes) > prefixes
+        or factorial_product_lower_bound(shape) > cap
     ):
         total = f"more than {cap}"
     elif (total := count_extensions(shape)) <= cap:
@@ -137,7 +134,7 @@ def swap_table(shape: GridShape, orders: np.ndarray) -> np.ndarray:
     table = np.repeat(np.arange(count, dtype=np.int32)[:, None], size, axis=1)
     up, step = shape.cover_arrays
     keys = _lex_keys(orders)
-    chunk = max(1, (1 << 14) // size)  # rows per pass, to bound the temporaries
+    chunk = _block_rows(shape)  # rows per pass, to bound the temporaries
     for lo in range(0, count, chunk):
         block = orders[lo : lo + chunk]
         a, b = block[:, :-1], block[:, 1:]
@@ -316,12 +313,13 @@ def dot_blocks(g: TranspositionGraph) -> Iterator[str]:
     labelled with the extensions' index sequences, then the edges
     (s, T[s, k] > s) row by row.  No list of all lines is held.
     """
+    chunk = _block_rows(g.shape)
     yield "graph extensions {\n"
-    for lo in range(0, len(g.orders), _DOT_ROWS):
-        block = g.orders[lo : lo + _DOT_ROWS].tolist()
+    for lo in range(0, len(g.orders), chunk):
+        block = g.orders[lo : lo + chunk].tolist()
         yield "".join(f'  v{i} [label="{" ".join(map(str, row))}"];\n' for i, row in enumerate(block, lo))
-    for lo in range(0, len(g.table), _DOT_ROWS):
-        block = g.table[lo : lo + _DOT_ROWS]
+    for lo in range(0, len(g.table), chunk):
+        block = g.table[lo : lo + chunk]
         rows, ks = np.nonzero(block > block[:, :1])
         yield "".join(f"  v{i} -- v{j};\n" for i, j in zip((rows + lo).tolist(), block[rows, ks].tolist()))
     yield "}\n"

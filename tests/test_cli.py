@@ -201,11 +201,17 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "command, shape, cap",
-        [("enumerate", "1000x1000", "1"), ("enumerate", "100000x2", "5"), ("graph", "300x300", "1000000000")],
+        [
+            ("enumerate", "1000x1000", "1"),
+            ("enumerate", "100000x2", "5"),
+            ("graph", "300x300", "1000000000"),
+            *(pytest.param(c, "x".join(["2"] * 4000), "5", id=f"{c}-4000-chains") for c in ("enumerate", "graph")),
+        ],
     )
     def test_refusal_names_the_enumeration_cap(self, capsys, monkeypatch, command, shape, cap):
-        # The lattice bound alone shows more than cap extensions: no table,
-        # and no word of the state cap, which these commands cannot raise.
+        # A table-free bound shows more than cap extensions: no table, and no
+        # word of the state cap, which these commands cannot raise.  The rank
+        # count refuses 4000 chains before the lattice bound sums 4001 levels.
         from gridext import counting
 
         monkeypatch.setattr(counting, "_tables", {})
@@ -293,7 +299,7 @@ class TestSample:
 
     def test_mcmc_out_on_the_array_path(self, capsys, tmp_path):
         # 2^5 tests covers, so sample hands the walk's array on as it is;
-        # its 1500 rows take two writer blocks of 1024.
+        # its 1500 rows take twelve writer blocks of 128.
         from gridext import GridShape, jump_stats_from_orders, mcmc_ensemble
         from gridext.cli import _written
         from gridext.jumps import write_index_orders
@@ -302,7 +308,7 @@ class TestSample:
         finals = mcmc_ensemble(shape, 60, 1500, seed=4)
         # Each row once, not the first block again and again; bounded, so a
         # fault shows here rather than as an endless --out file below.
-        assert len(list(itertools.islice(_written(io.StringIO(), finals), 1501))) == 1500
+        assert len(list(itertools.islice(_written(io.StringIO(), shape, finals), 1501))) == 1500
         argv = ["sample", "--shape", "2x2x2x2x2", "--method", "mcmc", "--samples", "1500", "--mcmc-steps", "60"]
         code, out, err = run(capsys, *argv, "--seed", "4", "--out", str(tmp_path / "walk.txt"))
         assert (code, err) == (0, "")
@@ -701,7 +707,9 @@ class TestArgvFuzz:
         cap=st.integers(-5, 3000),
         extra=st.sampled_from([[], ["--method", "mcmc", "--mcmc-steps", "30"], ["--format", "csv"]]),
     )
-    @settings(deadline=None, max_examples=150)
+    # A slow refusal fails here with its argv named; the slowest example that
+    # does work, the 2^17-point walk, takes well under a second.
+    @settings(deadline=10_000, max_examples=150)
     def test_exits_cleanly(self, command, shape, cap, extra):
         if extra[:1] == ["--method"] and command != "sample":
             extra = []

@@ -236,6 +236,7 @@ class TestCounts:
         words = -(-shape.size // 64)
         cap = data.draw(st.integers(0, 2 * lattice * words))
         refused = lattice > cap // words
+        texts = set()
         for cold in (True, False):
             if cold:
                 del _tables[shape]
@@ -244,10 +245,12 @@ class TestCounts:
                     completion_counts(shape, cap)
                 assert exc.value.cap == cap
                 assert (shape in _tables) == (not cold)
+                texts.add(str(exc.value))
             else:
                 assert len(completion_counts(shape, cap)) == lattice
                 assert shape in _tables
             completion_counts(shape)  # warm for the second round
+        assert len(texts) == refused  # the same words cold and warm
 
     @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
     def test_cap_counts_state_words(self, lengths, words):
