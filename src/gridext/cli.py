@@ -298,14 +298,15 @@ def cmd_conjecture_scan(args) -> int:
     rows = []
     for m, n, shape in shapes:
         size = shape.size
-        count = count_extensions(shape, args.cap)
+        # One table per row: a sampled row draws from the table it counts from.
+        sampler = ExactSampler(shape, args.seed, args.cap)
+        count = sampler.count
         if count <= EXACT_SCAN_LIMIT:
             mean = float(exhaustive_mean_degree(shape))
             stderr = 0.0
             method = "exhaustive"
             used = count
         else:
-            sampler = ExactSampler(shape, args.seed, args.cap)
             stats = jump_stats_from_orders(shape, (sampler.sample_indices() for _ in range(args.samples)))
             mean = stats.mean_degree
             stderr = stats.degree_stderr

@@ -21,14 +21,14 @@ edge finds its child there by searchsorted and adds its count with
 np.add.at.  A level's temporaries are a few words per state of it and of
 the level below, and they are dropped before the next level.
 
-One table is kept per shape.  The state space is the full down-set
-lattice; a configurable cap refuses shapes where it would not fit in
-memory, once, before the DP, against the lattice size (closed form up to
-three chains of length > 1, counted from the lattice of the shape less its
-longest chain beyond), which the DP then fills exactly.  The cap counts
-64-bit words, which is what a level's mask array holds per state:
-ceil(size / 64), so the cap admits cap // ceil(size / 64) states, one per
-unit of cap up to 64 points.
+Each call runs its own pass and keeps no table after it.  The state space
+is the full down-set lattice; a configurable cap refuses shapes where it
+would not fit, before any level is built, against the lattice size
+(closed form up to three chains of length > 1, counted from the lattice
+of the shape less its longest chain beyond), which the DP fills exactly.
+The cap counts 64-bit words, what a level's mask array holds per state:
+ceil(size / 64), so it admits cap // ceil(size / 64) states, one per unit
+of cap up to 64 points.
 The same table holds f(D), the number of orders of D itself: the point
 reflection (GridShape.reflect) reverses the order, so it maps the orders
 of D onto the completions of full ^ reflect(D), and f(D) = g(full ^
@@ -149,11 +149,6 @@ def _words(shape: GridShape) -> int:
     return -(-shape.size // 64)
 
 
-# One completion-count table per shape, the 32 most recently used, oldest first.
-_tables: dict[GridShape, Mapping[int, int]] = {}
-_TABLES_KEPT = 32
-
-
 _ONE, _ALL = np.uint64(1), ~np.uint64(0)
 
 
@@ -267,23 +262,23 @@ def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarr
     return below, sums
 
 
-def _completion_counts(shape: GridShape) -> Mapping[int, int]:
+def _levels(shape: GridShape):
+    """Yield each level (masks, counts) of the completion table, sorted by
+    _keys, from the whole grid down to the empty set; check the cap first."""
     words = _words(shape)
     full, terms = shape._chain_faces
     faces = [(s // 64, s % 64, _word_array(below_top, words)) for s, _, below_top in terms]
     masks = _word_array(full, words).reshape(1, words)
     counts = np.ones(1, dtype=object)
-    g: dict[int, int] = {}
     while len(masks):
-        g.update(zip(_level_ints(masks), counts.tolist()))
+        yield masks, counts
         masks, counts = _level_below(masks, counts, faces)
-    return MappingProxyType(g)
 
 
 def _check_cap(shape: GridShape, cap: int | None) -> None:
     """Raise ResourceCapError if the down-set lattice of the shape exceeds
     cap // ceil(size / 64) states (`cap` counts 64-bit words, default 10^7),
-    as _lattice_size shows: from (shape, cap) alone, cached table or not.
+    as _lattice_size shows from (shape, cap) alone, before any level is built.
     """
     cap = DEFAULT_STATE_CAP if cap is None else int(cap)
     words = _words(shape)
@@ -302,24 +297,22 @@ def _check_cap(shape: GridShape, cap: int | None) -> None:
 
 
 def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, int]:
-    """Read-only map: down-set bitmask -> number of extensions completing it.
-
-    One table per shape is built and shared across calls (results are
-    identical to a private memo, so sharing is sound).  The cap is checked
-    first (_check_cap), whether the table is cached already or not; a
-    refused table is never built.
-    """
+    """Read-only map: down-set bitmask -> number of extensions completing it,
+    a fresh table of every level, built after the cap check (_check_cap)."""
     _check_cap(shape, cap)
-    table = _tables.pop(shape, None)  # re-inserted as the most recently used
-    _tables[shape] = table = _completion_counts(shape) if table is None else table
-    if len(_tables) > _TABLES_KEPT:
-        del _tables[next(iter(_tables))]
-    return table
+    g: dict[int, int] = {}
+    for masks, counts in _levels(shape):
+        g.update(zip(_level_ints(masks), counts.tolist()))
+    return MappingProxyType(g)
 
 
 def count_extensions(shape: GridShape, cap: int | None = None) -> int:
-    """Exactly count the linear extensions of a grid shape."""
-    return completion_counts(shape, cap)[0]
+    """Exactly count the linear extensions of a grid shape: g(empty), from
+    completion_counts' levels under its cap, holding one level at a time."""
+    _check_cap(shape, cap)
+    for _, counts in _levels(shape):
+        pass
+    return counts[0]
 
 
 def hook_length_count(shape: GridShape) -> int:

@@ -131,10 +131,10 @@ class WordStream:
 class ExactSampler:
     """Draws exactly uniform extensions of one shape from a single stream.
 
-    Builds (or reuses) the completion-count table once; each sample walks
-    the lattice from the empty down-set, choosing the next point among the
+    Builds its own completion-count table once; each sample walks the
+    lattice from the empty down-set, choosing the next point among the
     current pits with weight g(D + v).  Samples from one instance form one
-    deterministic sequence per seed.
+    deterministic sequence per seed, of which none is drawn until asked.
 
     On lattices of at most 2^12 down-sets the pits of each visited D and
     their running weight sums are kept, and a draw is one bisect_right over
@@ -146,6 +146,11 @@ class ExactSampler:
         self._stream = WordStream(seed)  # checks the seed before the DP is built
         self._g = completion_counts(shape, state_cap)
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
+
+    @property
+    def count(self) -> int:
+        """The number of extensions of the shape, g(empty), read from the table."""
+        return self._g[0]
 
     def _choices(self, placed: int) -> tuple:
         """The memo entry of the down-set D = placed, built on its first visit:

@@ -11,6 +11,23 @@ from gridext.verify import EXTREMES_MN
 settings.register_profile("ci", derandomize=True)
 
 
+@pytest.fixture()
+def built(monkeypatch):
+    """The shapes whose completion levels are built during the test, one
+    entry per pass, in order; empty when every call was refused first."""
+    from gridext import counting
+
+    shapes = []
+    levels = counting._levels
+
+    def spy(shape):
+        shapes.append(shape)
+        return levels(shape)
+
+    monkeypatch.setattr(counting, "_levels", spy)
+    return shapes
+
+
 @pytest.fixture(scope="session")
 def diamond():
     return GridShape.equilateral(2, 2)

@@ -126,26 +126,24 @@ class TestCount:
         assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("shape, words", [("2x3200", 100), ("1048576", 16384)])
-    def test_cap_counts_state_words(self, capsys, shape, words):
+    def test_cap_counts_state_words(self, capsys, built, shape, words):
         # A state is a size-bit int: the default cap of 10^7 words admits
         # 10^7 // words states, which these lattices exceed at once.
-        from gridext import counting
-
         t0 = time.perf_counter()
         code, out, err = run(capsys, "count", "--shape", shape)
         assert (code, out) == (3, "")
         assert err.startswith("error: down-set lattice") and "Traceback" not in err
         assert f"ideals of {words} 64-bit words each" in err
         assert time.perf_counter() - t0 < 1.0
-        assert all(str(s) != shape for s in counting._tables)
+        assert built == []
 
-    def test_long_chain_within_word_cap(self, capsys):
+    def test_long_chain_within_word_cap(self, capsys, built):
         # 16385 states of 256 words each: within the default cap.
-        from gridext import GridShape, counting
+        from gridext import GridShape
 
         code, out, _ = run(capsys, "count", "--shape", "16384", "--format", "text")
         assert code == 0 and "count: 1\n" in out
-        del counting._tables[GridShape((16384,))]  # 33 MB of states
+        assert built == [GridShape((16384,))]
 
 
 class TestEnumerate:
@@ -177,17 +175,15 @@ class TestEnumerate:
         assert err.endswith(f"error: argument --cap: must be at least 1, got {cap}\n")
         assert not target.exists()
 
-    def test_rank_levels_refuse_before_the_dp(self, capsys):
+    def test_rank_levels_refuse_before_the_dp(self, capsys, built):
         # 7828354 down-sets fit the default state cap; the rank levels'
         # factorial product exceeds the enumeration cap before any is built.
-        from gridext import GridShape, counting
-
         t0 = time.perf_counter()
         code, out, err = run(capsys, "enumerate", "--shape", "2x2x2x2x2x2")
         assert (code, out) == (3, "")
         assert "above the enumeration cap of 1000000" in err
         assert time.perf_counter() - t0 < 1.0
-        assert GridShape((2,) * 6) not in counting._tables
+        assert built == []
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_only_text_format(self, capsys, tmp_path, fmt):
@@ -208,34 +204,29 @@ class TestEnumerate:
             *(pytest.param(c, "x".join(["2"] * 4000), "5", id=f"{c}-4000-chains") for c in ("enumerate", "graph")),
         ],
     )
-    def test_refusal_names_the_enumeration_cap(self, capsys, monkeypatch, command, shape, cap):
+    def test_refusal_names_the_enumeration_cap(self, capsys, built, command, shape, cap):
         # A table-free bound shows more than cap extensions: no table, and no
         # word of the state cap, which these commands cannot raise.  The rank
         # count refuses 4000 chains before the lattice bound sums 4001 levels.
-        from gridext import counting
-
-        monkeypatch.setattr(counting, "_tables", {})
         t0 = time.perf_counter()
         code, out, err = run(capsys, command, "--shape", shape, "--cap", cap)
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (3, "")
         assert f"has more than {cap} extensions, above the enumeration cap of {cap}" in err
         assert "state cap" not in err
-        assert counting._tables == {}
+        assert built == []
 
     def test_cap_counts_extensions_past_64_points(self, capsys):
         code, out, err = run(capsys, "enumerate", "--shape", "65", "--cap", "1")
         assert (code, out, err) == (0, " ".join(map(str, range(65))) + "\n", "")
 
     @pytest.mark.parametrize("shape", ["30000", "1x30000x1"])
-    def test_one_extension_needs_no_table(self, capsys, shape):
+    def test_one_extension_needs_no_table(self, capsys, built, shape):
         # One chain of length > 1: its one extension is listed without the DP,
         # whose state cap would refuse 30001 down-sets of 469 words each.
-        from gridext import GridShape, counting
-
         code, out, err = run(capsys, "enumerate", "--shape", shape)
         assert (code, out, err) == (0, " ".join(map(str, range(30000))) + "\n", "")
-        assert GridShape(tuple(map(int, shape.split("x")))) not in counting._tables
+        assert built == []
         code, out, err = run(capsys, "graph", "--shape", shape)
         assert (code, err) == (0, "")
         assert json.loads(out)["vertices"] == 1
@@ -392,12 +383,9 @@ class TestSample:
             ("--seed", str(2**64)),
         ],
     )
-    def test_bad_sampler_flag_exits_2_before_the_dp(self, capsys, tmp_path, method, flag, value):
-        # 4x4x4's DP takes over a second and leaves its table behind: a check
-        # made after it would show in both.
-        from gridext import GridShape, counting
-
-        counting._tables.pop(GridShape((4, 4, 4)), None)
+    def test_bad_sampler_flag_exits_2_before_the_dp(self, capsys, tmp_path, built, method, flag, value):
+        # 4x4x4's DP takes a quarter of a second: a check made after it would
+        # show in both the time and the levels built.
         target = tmp_path / "draws.txt"
         t0 = time.perf_counter()
         argv = ["sample", "--shape", "4x4x4", "--method", method, flag, value, "--out", str(target)]
@@ -406,7 +394,7 @@ class TestSample:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
         assert not target.exists()
-        assert GridShape((4, 4, 4)) not in counting._tables
+        assert built == []
 
 
 @pytest.fixture()
@@ -635,16 +623,33 @@ class TestConjectureScan:
 
     @pytest.mark.parametrize("max_size", ["9", "16"])
     @pytest.mark.parametrize("samples", ["0", "-3"])
-    def test_bad_samples_exits_2_before_any_table(self, capsys, monkeypatch, max_size, samples):
+    def test_bad_samples_exits_2_before_any_table(self, capsys, built, max_size, samples):
         # 9 is scanned exhaustively, 16 samples its 4x4 row: both refuse.
-        from gridext import cli
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("a table was asked for")
-
-        monkeypatch.setattr(cli, "count_extensions", no_table)
         code, out, err = run(capsys, "conjecture-scan", "--max-size", max_size, "--samples", samples)
         assert (code, out, err) == (2, "", f"error: need --samples >= 1, got {samples}\n")
+        assert built == []
+
+    @pytest.mark.parametrize("max_size", ["9", "16"])
+    def test_bad_seed_exits_2_before_any_table(self, capsys, built, max_size):
+        # Every row's table is built inside its sampler, which checks the
+        # seed first, so a scan that draws nothing refuses the seed too.
+        # Only 2x2x2x2's cap check, as its row is listed, reads a table.
+        from gridext import GridShape
+
+        code, out, err = run(capsys, "conjecture-scan", "--max-size", max_size, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be a 64-bit nonnegative integer")
+        assert set(built) <= {GridShape((2, 2, 2))}
+
+    def test_each_row_builds_its_table_once(self, capsys, built):
+        # A sampled row counts from the table it draws from: 5x5 (25
+        # points), 3x3x3 (27) and 2^5 (32) are each built once.
+        from gridext import GridShape
+
+        code, _, _ = run(capsys, "conjecture-scan", "--max-size", "32", "--samples", "10")
+        assert code == 0
+        for lengths in [(5, 5), (3, 3, 3), (2,) * 5]:
+            assert built.count(GridShape(lengths)) == 1, lengths
 
     def test_huge_max_size_refuses_at_the_first_row_over_the_cap(self, capsys, tmp_path):
         # Rows are listed lazily in print order, so of the about 10^9 rows up
@@ -657,29 +662,27 @@ class TestConjectureScan:
         assert "down-set lattice of 3x3x3x3 exceeds the state cap" in err
         assert not out_file.exists()
 
-    def test_first_row_over_the_cap_refuses_before_any_table(self, capsys, monkeypatch):
+    def test_first_row_over_the_cap_refuses_before_any_table(self, capsys, built):
         # Rows in print order: 2x2, 2x2x2, 3x3, 4x4 (70 down-sets), then
         # 2x2x2x2 (168) over the cap.  Its cap check reads the 2x2x2 table.
-        from gridext import GridShape, counting
+        from gridext import GridShape
 
-        monkeypatch.setattr(counting, "_tables", {})
         code, out, err = run(capsys, "conjecture-scan", "--max-size", "16", "--cap", "100")
         assert (code, out) == (3, "")
         assert "down-set lattice of 2x2x2x2 exceeds the state cap of 100" in err
-        assert set(counting._tables) <= {GridShape((2, 2, 2))}
+        assert set(built) <= {GridShape((2, 2, 2))}
 
-    def test_four_chain_row_refused_before_six_chains_are_built(self, capsys, monkeypatch):
+    def test_four_chain_row_refused_before_six_chains_are_built(self, capsys, built):
         # 2x2x2x2x2x2 (size 64, 7828354 down-sets) is listed before
         # 3x3x3x3 (size 81, 17792748), which is over the default cap.
-        from gridext import GridShape, counting
+        from gridext import GridShape
 
-        monkeypatch.setattr(counting, "_tables", {})
         t0 = time.perf_counter()
         code, out, err = run(capsys, "conjecture-scan", "--max-size", "81")
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (3, "")
         assert "down-set lattice of 3x3x3x3 exceeds the state cap" in err
-        assert GridShape((2,) * 6) not in counting._tables
+        assert GridShape((2,) * 6) not in built
 
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)

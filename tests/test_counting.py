@@ -1,10 +1,11 @@
 """Exact counting: DP vs hook-length and enumeration oracles, bounds, roots."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from gridext import (
     DomainError,
@@ -19,7 +20,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _lattice_size, _tables
+from gridext.counting import _down_set_count, _lattice_size
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -183,14 +184,14 @@ class TestCounts:
         c = 10**9
         assert counting._lattice_lower_bound(GridShape((2, c)), 10**30) == (c + 1) * (c + 2) // 2
 
-    def test_lattice_size_of_four_chains_of_three(self):
+    def test_lattice_size_of_four_chains_of_three(self, built):
         # 3x3x3x3 is counted from the 980 down-sets of 3x3x3, and refused
         # with that count before its DP starts.
         shape = GridShape((3, 3, 3, 3))
         assert _lattice_size(shape, 10**12) == 17_792_748
         with pytest.raises(ResourceCapError, match="at least 17792748 ideals"):
             completion_counts(shape)
-        assert shape not in _tables
+        assert built == [GridShape((3, 3, 3))] * 2
 
     # 65 is the first shape of two-word states; a stride of 70 moves a whole word.
     @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4), (65,), (2, 40), (2, 70)])
@@ -199,15 +200,18 @@ class TestCounts:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[0] == math.prod(lengths) and sizes[-1] == 0
 
-    def test_one_table_per_shape(self):
+    def test_one_table_per_shape(self, built):
+        # Each admitted call builds one table, equal to every other of the
+        # shape; the refused call builds none.
         shape = GridShape((2, 3, 3))
         table = completion_counts(shape)
         for cap in (len(table), len(table) + 1, 10**9):
-            assert completion_counts(GridShape((2, 3, 3)), cap) is table
+            assert completion_counts(GridShape((2, 3, 3)), cap) == table
         with pytest.raises(ResourceCapError) as exc:
             completion_counts(shape, len(table) - 1)
         assert exc.value.cap == len(table) - 1
-        assert completion_counts(shape) is table
+        assert count_extensions(shape, len(table)) == table[0]
+        assert built == [shape] * 5
 
     @given(small_shapes)
     @settings(deadline=None)
@@ -227,37 +231,51 @@ class TestCounts:
         lengths=st.one_of(small_shapes, st.sampled_from([(2, 2, 2, 3), (65,), (2, 33), (200,)])),
         data=st.data(),
     )
-    @settings(deadline=None)
-    def test_refuses_exactly_past_the_lattice(self, lengths, data):
-        # One refusal rule, cold or warm: the lattice against cap // words,
-        # a state being a size-bit int of ceil(size / 64) 64-bit words.
+    # `built` spans every example, so each one reads only what it appended.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_refuses_exactly_past_the_lattice(self, built, lengths, data):
+        # One refusal rule: the lattice against cap // words, a state being
+        # a size-bit int of ceil(size / 64) 64-bit words.  A refused shape
+        # builds no level of its own.
         shape = GridShape(lengths)
         lattice = len(completion_counts(shape))
         words = -(-shape.size // 64)
         cap = data.draw(st.integers(0, 2 * lattice * words))
-        refused = lattice > cap // words
-        texts = set()
-        for cold in (True, False):
-            if cold:
-                del _tables[shape]
-            if refused:
-                with pytest.raises(ResourceCapError) as exc:
-                    completion_counts(shape, cap)
-                assert exc.value.cap == cap
-                assert (shape in _tables) == (not cold)
-                texts.add(str(exc.value))
-            else:
-                assert len(completion_counts(shape, cap)) == lattice
-                assert shape in _tables
-            completion_counts(shape)  # warm for the second round
-        assert len(texts) == refused  # the same words cold and warm
+        start = len(built)
+        if lattice > cap // words:
+            with pytest.raises(ResourceCapError) as exc:
+                completion_counts(shape, cap)
+            assert exc.value.cap == cap
+            assert shape not in built[start:]
+        else:
+            assert len(completion_counts(shape, cap)) == lattice
+            assert built[start:].count(shape) == 1
+
+    def test_count_holds_one_level_at_a_time(self):
+        # 8x8 has 12870 down-sets, at most 70 to a level: the count keeps
+        # two levels and their temporaries, the table every level.
+        shape = GridShape((8, 8))
+        shape._chain_faces  # the shape's own tables, untraced
+
+        def traced_peak(build):
+            tracemalloc.start()
+            try:
+                result = build(shape)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        count_peak, counted = traced_peak(count_extensions)
+        table_peak, table = traced_peak(completion_counts)
+        assert counted == table[0] == hook_length_count(shape)
+        assert count_peak < table_peak / 4
 
     @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
     def test_cap_counts_state_words(self, lengths, words):
         # A state is a size-bit int of ceil(size / 64) words; the cap counts words.
         shape = GridShape(lengths)
         states = len(completion_counts(shape))
-        assert completion_counts(shape, states * words) is completion_counts(shape)
+        assert completion_counts(shape, states * words) == completion_counts(shape)
         with pytest.raises(ResourceCapError) as exc:
             completion_counts(shape, states * words - 1)
         assert exc.value.cap == states * words - 1
