@@ -288,10 +288,16 @@ def mcmc_ensemble(
     else:
         table = graph.table.ravel()
         state = order_ids(graph.orders, starts)
+        # The table cells and the coins go to buffers kept across steps,
+        # which leaves fewer chain-sized temporaries for the allocator to map
+        # and unmap.  random(out=) draws what random(chains) would.
+        cell, coins = np.empty_like(state), np.empty(chains)
         for _ in range(steps):
             ks = rng.integers(1, size, size=chains)
-            coins = rng.random(chains)
-            state = np.where(coins >= laziness, table[state * size + ks], state)
+            rng.random(out=coins)
+            np.multiply(state, size, out=cell)
+            cell += ks
+            state = np.where(coins >= laziness, table[cell], state)
         return graph.orders[state].astype(np.int64)
     # A C-ordered copy, whatever the layout of starts (a broadcast view is
     # F-ordered), so that reshape(-1) is a view of it and not a copy.

@@ -2,16 +2,19 @@
 
 Vertices are all linear extensions of one grid; two are adjacent when they
 differ by swapping a consecutive incomparable pair.  The degree of a vertex
-therefore equals the number of jumps of that extension.  The graph is two
-arrays (TranspositionGraph): `orders`, every extension in enumeration
-order, one per row, and their swap table T (swap_table), whose row s lists
-for each position k the row reached by the swap at k, or s itself when
-that pair is comparable.  Degrees, edges, connectivity and the DOT
-rendering are all read from T, and build_graph asserts that T is an
-involution in each column.  The swap walk on an enumerable shape steps
-through the same table.  The mean degree, the mean jump count, needs
-neither the graph nor the down-set lattice: it is size - num_ranks
-(exhaustive_mean_degree), so it evaluates at any size.
+therefore equals the number of jumps of that extension.  Enumeration runs
+depth-first over blocks of prefixes of one length, each a numpy array, and
+keeps per prefix the number of unplaced lower covers of every point; it
+reads no pit mask (enumerate_index_orders).  The graph is two arrays
+(TranspositionGraph): `orders`, every extension in enumeration order, one
+per row, the enumerator's int32 blocks concatenated, and their swap table
+T (swap_table), whose row s lists for each position k the row reached by
+the swap at k, or s itself when that pair is comparable.  Degrees, edges,
+connectivity and the DOT rendering are all read from T, and build_graph
+asserts that T is an involution in each column.  The swap walk on an
+enumerable shape steps through the same table.  The mean degree, the mean
+jump count, needs neither the graph nor the down-set lattice: it is
+size - num_ranks (exhaustive_mean_degree), so it evaluates at any size.
 """
 
 from __future__ import annotations
@@ -48,51 +51,47 @@ _BACKTRACK_ROWS = 1 << 14  # open branches per block of the backtracking oracle
 _WORD = 64  # points up to which the backtracking oracle's placed set fits a uint64
 
 
-def _orders(shape: GridShape) -> Iterator[tuple[int, ...]]:
-    # Depth-first over pit choices; taking the pits in increasing index
-    # order makes the output lexicographic in the index sequences.  The
-    # depth is one level per point, so the search keeps its own stack: per
-    # level, the pits not yet tried there.
+def _order_blocks(shape: GridShape) -> Iterator[np.ndarray]:
+    # The blocks of enumerate_index_orders, int32 (rows, size) arrays, for
+    # a shape of two or more points.  A stacked block is (prefixes,
+    # waiting): waiting[r, v] counts the unplaced lower covers of point v
+    # after prefix r, or is -1 once v is placed, so the prefix's pits are
+    # its zeros.
     size = shape.size
-    pit_mask = shape.pit_mask
-    prefix: list[int] = []
-    untried = [pit_mask(0)]
-    placed = 0
-    while untried:
-        rest = untried[-1]
-        if not rest:
-            untried.pop()
-            if prefix:
-                placed ^= 1 << prefix.pop()
+    rows = _block_rows(shape)
+    last = size - 1  # the top corner, always placed last
+    index = np.arange(size)
+    # Per chain of length > 1: which points have an upper cover along it, and its stride.
+    chains = [(index // s % a < a - 1, s) for a, s in zip(shape.lengths, shape.strides) if a > 1]
+    waiting = np.array([len(downs) for downs in shape.lower_covers], dtype=np.int64)
+    stack = [(np.zeros((1, 0), dtype=np.int32), waiting[None])]
+    while stack:
+        prefix, waiting = stack.pop()
+        parents, pits = np.nonzero(waiting == 0)
+        depth = prefix.shape[1] + 1
+        child = np.empty((len(pits), depth + (depth == last)), dtype=np.int32)
+        child[:, : depth - 1] = prefix[parents]
+        child[:, depth - 1] = pits
+        if depth == last:
+            child[:, last] = last
+            yield child
             continue
-        low = rest & -rest
-        untried[-1] = rest ^ low
-        prefix.append(low.bit_length() - 1)
-        if len(prefix) < size:
-            placed |= low
-            untried.append(pit_mask(placed))
-        else:
-            yield tuple(prefix)
-            prefix.pop()
+        waiting = waiting[parents]
+        waiting[np.arange(len(pits)), pits] = -1
+        for has_up, stride in chains:
+            up = np.flatnonzero(has_up[pits])
+            waiting[up, pits[up] + stride] -= 1
+        for lo in range((len(pits) - 1) // rows * rows, -1, -rows):
+            stack.append((child[lo : lo + rows], waiting[lo : lo + rows]))
 
 
-def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every extension as a raw index tuple, in lexicographic order.
-
-    This is the bit-exact stream behind the extension file format.  Refuses
-    to start when the shape has more than `cap` extensions (default 10^6),
-    first where a table-free bound shows it, cheapest first: 2^(num_ranks -
-    2), as each inner rank level of a non-chain is at least 2 wide; over
-    (size + 1) * cap down-sets, each a prefix of some extension; the rank
-    levels' factorial product.  Else the count decides, under the default
-    state cap.  A chain (GridShape.is_chain) of up to 2^17 points has one
-    extension, 0 1 ... size - 1, listed without the DP if cap >= 1.
-    """
+def _enumeration(shape: GridShape, cap: int | None) -> Iterator[np.ndarray]:
+    # enumerate_index_orders' refusals, then its orders as int32 blocks.
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
     if cap >= 1 and shape.is_chain:  # one extension, no table
         if shape.size > _MAX_POINTS:
             raise ResourceCapError(f"shape {shape} has one extension, of more than {_MAX_POINTS} points", cap=_MAX_POINTS)
-        return iter([tuple(range(shape.size))])
+        return iter([np.arange(shape.size, dtype=np.int32)[None]])
     prefixes = (shape.size + 1) * cap
     if (
         shape.num_ranks - 2 >= cap.bit_length()  # a chain at cap >= 1 returned above
@@ -101,15 +100,49 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     ):
         total = f"more than {cap}"
     elif (total := count_extensions(shape)) <= cap:
-        return _orders(shape)
+        return _order_blocks(shape)
     raise ResourceCapError(f"shape {shape} has {total} extensions, above the enumeration cap of {cap}", cap=cap)
+
+
+def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield every extension as a raw index tuple, in lexicographic order.
+
+    This is the bit-exact stream behind the extension file format.  The
+    orders are listed depth-first over blocks of prefixes, all of one
+    length, at most 2^12 point indices a block (jumps._block_rows).  A
+    block's children are its rows' pits in (parent row, pit index) order.
+    When the parents are in lexicographic order, so are the children: a
+    parent's children share its prefix and differ in the next point.  The
+    children are pushed in reversed chunks, so the first chunk is expanded
+    first and all descendants of a chunk precede those of the next; the
+    output stays lexicographic.  Per prefix, each point keeps its number
+    of unplaced lower covers; placing v decrements those of v's upper
+    covers, one step per chain of length > 1, and the top corner is
+    appended last.  No pit mask is read, so the listing shares no table
+    with the down-set DP.
+
+    Refuses to start when the shape has more than `cap` extensions (default
+    10^6), first where a table-free bound shows it, cheapest first:
+    2^(num_ranks - 2), as each inner rank level of a non-chain is at least
+    2 wide; over (size + 1) * cap down-sets, each a prefix of some
+    extension; the rank levels' factorial product.  Else the count
+    decides, under the default state cap.  A chain (GridShape.is_chain) of
+    up to 2^17 points has one extension, 0 1 ... size - 1, listed without
+    the DP if cap >= 1.
+    """
+    blocks = _enumeration(shape, cap)
+    return (tuple(row) for block in blocks for row in block.tolist())
 
 
 def _lex_keys(rows: np.ndarray) -> np.ndarray:
     # Big-endian entries compare bytewise in numeric order, so each row
     # becomes one opaque key, and keys sort as the rows do lexicographically.
-    rows = np.ascontiguousarray(rows, dtype=">u4")
-    return rows.view(f"V{4 * rows.shape[1]}").ravel()
+    # The entries are point indices below the row length, so the narrowest
+    # width that holds row length - 1 is enough.
+    top = rows.shape[1] - 1
+    dtype = np.dtype("u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">u4")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(f"V{dtype.itemsize * rows.shape[1]}").ravel()
 
 
 def order_ids(orders: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -254,13 +287,14 @@ class TranspositionGraph:
 
 def build_graph(shape: GridShape, cap: int | None = None) -> TranspositionGraph:
     """Build the full swap graph by exhaustive enumeration: the enumerated
-    orders as one int32 array, and their swap table T.
+    orders as one int32 array, the enumerator's blocks concatenated with no
+    tuple per order, and their swap table T.
 
     A swap undone is the identity, so T must be an involution in each
     column: T[T[s, k], k] == s.  That check, which also makes every edge
     found from both ends, is asserted.
     """
-    orders = np.array(list(enumerate_index_orders(shape, cap)), dtype=np.int32)
+    orders = np.concatenate(list(_enumeration(shape, cap)))
     table = swap_table(shape, orders)
     back = table[table, np.arange(shape.size)]
     assert (back == table[:, :1]).all(), "the swap table must be an involution in each column"
@@ -314,14 +348,15 @@ def dot_blocks(g: TranspositionGraph) -> Iterator[str]:
     (s, T[s, k] > s) row by row.  No list of all lines is held.
     """
     chunk = _block_rows(g.shape)
+    labels = list(map(str, range(g.shape.size)))  # each point's label, formatted once
     yield "graph extensions {\n"
     for lo in range(0, len(g.orders), chunk):
         block = g.orders[lo : lo + chunk].tolist()
-        yield "".join(f'  v{i} [label="{" ".join(map(str, row))}"];\n' for i, row in enumerate(block, lo))
+        yield "".join('  v%d [label="%s"];\n' % (i, " ".join(map(labels.__getitem__, row))) for i, row in enumerate(block, lo))
     for lo in range(0, len(g.table), chunk):
         block = g.table[lo : lo + chunk]
         rows, ks = np.nonzero(block > block[:, :1])
-        yield "".join(f"  v{i} -- v{j};\n" for i, j in zip((rows + lo).tolist(), block[rows, ks].tolist()))
+        yield "".join("  v%d -- v%d;\n" % pair for pair in zip((rows + lo).tolist(), block[rows, ks].tolist()))
     yield "}\n"
 
 

@@ -1,3 +1,4 @@
+import functools
 import time
 
 import pytest
@@ -26,6 +27,17 @@ def built(monkeypatch):
 
     monkeypatch.setattr(counting, "_levels", spy)
     return shapes
+
+
+@pytest.fixture(scope="session")
+def shared_tables():
+    """completion_counts keeping one read-only table per (shape, cap) for
+    the session.  A property test that builds an ExactSampler per example
+    patches it into gridext.sampling within its body, so one shape's table
+    is built once, not once per example."""
+    from gridext import counting
+
+    return functools.lru_cache(maxsize=None)(counting.completion_counts)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -327,10 +328,11 @@ class TestMcmc:
         st.booleans(),
     )
     @settings(deadline=None)
-    def test_ensemble_matches_dense_table_oracle(self, shape, seed, steps, chains, laziness, from_draws):
+    def test_ensemble_matches_dense_table_oracle(self, shared_tables, shape, seed, steps, chains, laziness, from_draws):
         starts = None
         if from_draws:
-            sampler = ExactSampler(shape, seed)
+            with mock.patch.object(sampling, "completion_counts", shared_tables):  # one table per shape
+                sampler = ExactSampler(shape, seed)
             starts = np.array([sampler.sample_indices() for _ in range(chains)], dtype=np.int64)
             starts = starts.reshape(chains, shape.size)
         got = mcmc_ensemble(shape, steps, chains, seed, laziness, starts=starts)

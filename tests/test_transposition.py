@@ -1,9 +1,11 @@
 """Enumeration, swap graphs, exhaustive degree statistics."""
 
+import functools
 import math
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,46 @@ small_shapes = st.lists(st.integers(1, 5), min_size=1, max_size=4).filter(
 ).map(GridShape)
 
 
+# Shapes of at most about 3000 extensions, chains of length 1 and unequal chains included.
+enumerable_shapes = (
+    st.lists(st.integers(1, 8), min_size=1, max_size=4)
+    .filter(lambda lengths: math.prod(lengths) <= 16)
+    .map(GridShape)
+    .filter(lambda shape: count_extensions(shape) <= 3000)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def dfs_orders(shape):
+    """Reference for the block enumerator: every extension as an index
+    tuple, one order at a time.  Depth-first over pit choices, read through
+    GridShape.pit_mask; taking the pits in increasing index order makes the
+    output lexicographic.  The search keeps its own stack: per level, the
+    pits not yet tried there."""
+    size = shape.size
+    out = []
+    prefix: list[int] = []
+    untried = [shape.pit_mask(0)]
+    placed = 0
+    while untried:
+        rest = untried[-1]
+        if not rest:
+            untried.pop()
+            if prefix:
+                placed ^= 1 << prefix.pop()
+            continue
+        low = rest & -rest
+        untried[-1] = rest ^ low
+        prefix.append(low.bit_length() - 1)
+        if len(prefix) < size:
+            placed |= low
+            untried.append(shape.pit_mask(placed))
+        else:
+            out.append(tuple(prefix))
+            prefix.pop()
+    return tuple(out)
+
+
 def swap_oracle(shape):
     """Every extension, and per extension its (k, neighbour id) pairs in
     increasing k: each jump pair swapped and the result looked up."""
@@ -53,6 +95,22 @@ class TestEnumeration:
     def test_diamond(self, diamond):
         orders = list(enumerate_index_orders(diamond))
         assert orders == [(0, 1, 2, 3), (0, 2, 1, 3)]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @given(enumerable_shapes)
+    @settings(deadline=None, max_examples=30)
+    def test_blocks_match_the_reference(self, rows, shape):
+        # Blocks of one to three prefixes split every expansion, so the
+        # stack order decides the output order; None keeps the default size.
+        block_rows = transposition._block_rows if rows is None else lambda shape: rows
+        with mock.patch.object(transposition, "_block_rows", block_rows):
+            assert tuple(enumerate_index_orders(shape)) == dfs_orders(shape)
+
+    def test_graph_orders_match_the_reference(self):
+        shape = GridShape((5, 3))
+        orders = build_graph(shape).orders
+        assert orders.dtype == np.int32
+        assert orders.tolist() == [list(o) for o in dfs_orders(shape)]
 
     def test_lexicographic_order(self, square3, square3_orders):
         assert list(square3_orders) == sorted(square3_orders)
