@@ -68,6 +68,20 @@ def _require_mn(m: int, n: int) -> tuple[int, int]:
     return m, n
 
 
+def _require_n(n: int) -> int:
+    n = int(n)
+    if n < 2:
+        raise DomainError(f"need n >= 2, got n={n}")
+    return n
+
+
+def _require_R(R: float) -> float:
+    R = float(R)
+    if not R > 0:  # also rejects NaN
+        raise DomainError(f"need R > 0, got R={R}")
+    return R
+
+
 def _scaled_grid_size(m: int, n: int, coeff: int, factor: float) -> float:
     """coeff * m^n * factor as a double, for m >= 2 and coeff <= n.
 
@@ -91,9 +105,7 @@ def entropy_deficit_rate(n: int) -> float:
     Divided exactly and rounded once: the float quotient for n <= 2^53,
     and no float conversion of an astronomic n (the value underflows to 0).
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got n={n}")
+    n = _require_n(n)
     return float(Fraction(1 + math.log2(n)) / (n - 1))
 
 
@@ -151,9 +163,7 @@ def almost_regular_fraction(m: int, n: int) -> BoundReport:
 def pits_threshold(m: int, n: int, R: float) -> float:
     """2^{-R} (m e / 2)^{n-1}: the low-pits cutoff at depth parameter R."""
     m, n = _require_mn(m, n)
-    R = float(R)
-    if not R > 0:  # also rejects NaN
-        raise DomainError(f"need R > 0, got R={R}")
+    R = _require_R(R)
     try:
         return 2.0**-R * (m * math.e / 2.0) ** (n - 1)
     except OverflowError:
@@ -166,12 +176,7 @@ def pits_fraction_bound(n: int, R: float) -> BoundReport:
     Applies to the fraction of times k at which the pit count drops below
     pits_threshold(m, n, R); vacuous at 1 or above (fractions never exceed 1).
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got n={n}")
-    R = float(R)
-    if not R > 0:  # also rejects NaN
-        raise DomainError(f"need R > 0, got R={R}")
+    n, R = _require_n(n), _require_R(R)
     value = (1 + math.log2(n)) / R
     return BoundReport(
         name="pits_fraction_bound",

@@ -54,7 +54,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DomainError, ResourceCapError
-from .grid import GridShape, max_antichain_size, whitney_numbers
+from .grid import GridShape, _bit_indices, max_antichain_size, whitney_numbers
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -117,25 +117,21 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     down-sets topped by D into that of i + 1: for each point p in
     canonical index order (a linear extension), add z[D] to z[D + p]
     whenever p is a pit of D.  After a - 1 passes the values sum to the
-    count.  J(P), read from P's completion table, is never larger
-    than the lattice, so a refusal there is a correct refusal here.
+    count.  J(P), sized by this rule and listed from P's levels, is never
+    larger than the lattice, so a refusal there is a correct refusal here.
     """
     bound = _lattice_lower_bound(shape, states)
     if bound > states or _box_is_exact(shape):
         return bound
     *rest, a = sorted(shape.lengths)
     sub = GridShape(tuple(rest))
-    try:
-        ideals = completion_counts(sub, states * _words(sub)).keys()
-    except ResourceCapError:
+    if _lattice_size(sub, states) > states:
         return states + 1
+    ideals = [bits for masks, _ in _levels(sub) for bits in _level_ints(masks)]
     by_pit = [[] for _ in range(sub.size)]  # down-sets by each of their pits
     for bits in ideals:
-        left = sub.pit_mask(bits)
-        while left:
-            low = left & -left
-            by_pit[low.bit_length() - 1].append(bits)
-            left ^= low
+        for p in _bit_indices(sub.pit_mask(bits)):
+            by_pit[p].append(bits)
     z = dict.fromkeys(ideals, 1)
     for _ in range(a - 1):
         for p, downs in enumerate(by_pit):
@@ -264,7 +260,7 @@ def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarr
 
 def _levels(shape: GridShape):
     """Yield each level (masks, counts) of the completion table, sorted by
-    _keys, from the whole grid down to the empty set; check the cap first."""
+    _keys, from the whole grid down to the empty set; callers check the cap."""
     words = _words(shape)
     full, terms = shape._chain_faces
     faces = [(s // 64, s % 64, _word_array(below_top, words)) for s, _, below_top in terms]

@@ -28,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -160,13 +161,7 @@ class GridShape:
         consecutive points is `a in lower_covers[b]`, and the extension
         validator loops over lower_covers.
         """
-        out = []
-        for downs in self.lower_covers:
-            mask = 0
-            for d in downs:
-                mask |= 1 << d
-            out.append(mask)
-        return tuple(out)
+        return tuple(sum(1 << d for d in downs) for downs in self.lower_covers)
 
     @cached_property
     def cover_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +227,14 @@ class GridShape:
 
     def __str__(self) -> str:
         return "x".join(str(a) for a in self.lengths)
+
+
+def _bit_indices(bits: int) -> Iterator[int]:
+    """The indices of the set bits of a point set `bits`, increasing."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def whitney_numbers(shape: GridShape) -> tuple[int, ...]:

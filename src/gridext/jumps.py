@@ -240,14 +240,22 @@ def rank_lex_indices(shape: GridShape) -> tuple[int, ...]:
     return tuple(sorted(range(shape.size), key=shape.rank_table.__getitem__))
 
 
+def _labels(size: int) -> list[str]:
+    """The decimal text of each point index 0..size-1, formatted once."""
+    return list(map(str, range(size)))
+
+
 def write_index_orders(fh, orders: Iterable[Sequence[int]]) -> int:
     """Stream index orders to an open text file in the extension file format.
 
     The one writer behind every extension file; returns the number written.
+    Trusted orders of one shape: one label list, from the first order's length.
     """
     count = 0
     for count, order in enumerate(orders, start=1):
-        fh.write(" ".join(map(str, order)) + "\n")
+        if count == 1:
+            text = _labels(len(order)).__getitem__
+        fh.write(" ".join(map(text, order)) + "\n")
     return count
 
 

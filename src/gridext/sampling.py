@@ -59,7 +59,7 @@ import numpy as np
 from .bounds import pits_threshold
 from .counting import completion_counts
 from .errors import DomainError, ResourceCapError
-from .grid import GridShape
+from .grid import GridShape, _bit_indices
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
 from .transposition import _MAX_POINTS, build_graph, enumerate_index_orders, order_ids
 
@@ -158,17 +158,12 @@ class ExactSampler:
         shift is 64 - bit_length(g(D)) when one word draws below g(D), and
         -1 when it takes more."""
         g = self._g
-        nexts = []
-        rest = self.shape.pit_mask(placed)
-        while rest:
-            low = rest & -rest
-            nexts.append(placed | low)
-            rest ^= low
+        pits = tuple(_bit_indices(self.shape.pit_mask(placed)))
+        nexts = tuple(placed | 1 << v for v in pits)
         total = g[placed]
         shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
         sums = tuple(itertools.accumulate(g[d] for d in nexts))
-        pits = tuple((d ^ placed).bit_length() - 1 for d in nexts)
-        self._memo[placed] = entry = (total, shift, sums, tuple(nexts), pits)
+        self._memo[placed] = entry = (total, shift, sums, nexts, pits)
         return entry
 
     def sample_indices(self) -> tuple[int, ...]:
@@ -241,8 +236,8 @@ def mcmc_ensemble(
 
     Returns an int64 array of final states, one row per chain.  All chains
     start at the rank-sorted extension unless `starts` (a (chains, size)
-    array of trusted valid extensions) is given.  Uses the documented
-    Generator draw pattern, so results are reproducible per seed.
+    array or nested list of trusted extensions) is given.  Uses the
+    documented Generator draw pattern, so results are reproducible per seed.
 
     A chain (GridShape.is_chain) has one extension, so no swap is legal
     and the starts are returned as they are.  When count x
@@ -276,8 +271,8 @@ def mcmc_ensemble(
         )
     if starts is None:
         starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, size))
-    elif np.shape(starts) != (chains, size):
-        raise DomainError(f"starts must have shape ({chains}, {size}), got {np.shape(starts)}")
+    elif (starts := np.asarray(starts)).shape != (chains, size):
+        raise DomainError(f"starts must have shape ({chains}, {size}), got {starts.shape}")
     if chains == 0 or steps == 0 or shape.is_chain:
         return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
@@ -366,19 +361,15 @@ def jump_stats_from_orders(shape: GridShape, orders: Iterable[Sequence[int]]) ->
     if n == 0:
         raise DomainError("need at least one order")
     mean_deg, se_deg = _mean_stderr(float(deg_total), float(deg_total_sq), n)
-    profile = []
-    profile_se = []
-    for total, total_sq in zip(pit_total.tolist(), pit_total_sq.tolist()):
-        mean_k, se_k = _mean_stderr(float(total), float(total_sq), n)
-        profile.append(mean_k)
-        profile_se.append(se_k)
+    sums = zip(pit_total.tolist(), pit_total_sq.tolist())
+    profile, profile_se = zip(*(_mean_stderr(float(total), float(total_sq), n) for total, total_sq in sums))
     return JumpStats(
         samples=n,
         mean_degree=mean_deg,
         degree_stderr=se_deg,
         degree_histogram={d: c for d, c in enumerate(histogram.tolist()) if c},
-        mean_pits_profile=tuple(profile),
-        pits_profile_stderr=tuple(profile_se),
+        mean_pits_profile=profile,
+        pits_profile_stderr=profile_se,
     )
 
 
@@ -444,24 +435,23 @@ def pits_deficit_stats(shape: GridShape, seed: int, samples: int, R: float) -> t
     """Monte-Carlo mean and standard error of the low-pits time fraction.
 
     For each of `samples` exact draws (ExactSampler with `seed`), the
-    fraction of times k in [1, size] whose pit count falls below the
-    threshold 2^{-R} (m e / 2)^{n-1}.
+    fraction t / size of times k in [1, size] whose pit count falls below
+    the threshold 2^{-R} (m e / 2)^{n-1}.  The sums of t and t^2 are exact
+    integers, read a block of draws at a time; the standard error, as in
+    jump_stats_from_orders, uses the sample standard deviation.
     """
     threshold = _deficit_threshold(shape, R)
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
     sampler = ExactSampler(shape, seed)
     size = shape.size
-    total = 0.0
-    total_sq = 0.0
-    n = 0
+    total = total_sq = n = 0
     for _, pits in jump_pit_blocks(shape, (sampler.sample_indices() for _ in range(samples))):
-        for t in (pits < threshold).sum(axis=1).tolist():
-            frac = t / size  # float sums in draw order: the figures repeat bit for bit
-            total += frac
-            total_sq += frac * frac
-            n += 1
-    return _mean_stderr(total, total_sq, n)
+        t = (pits < threshold).sum(axis=1)
+        total += int(t.sum())
+        total_sq += int((t * t).sum())
+        n += len(t)
+    return _mean_stderr(total / size, total_sq / size**2, n)
 
 
 def exact_pits_deficit_fractions(shape: GridShape, Rs: Sequence[float]) -> dict[float, Fraction]:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .counting import _lattice_lower_bound, count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
-from .grid import GridShape
-from .jumps import _block_rows
+from .grid import GridShape, _bit_indices
+from .jumps import _block_rows, _labels
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -228,11 +228,7 @@ def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
                 raise refusal
             continue
         children = []
-        union = int(np.bitwise_or.reduce(pits))
-        while union:
-            low = union & -union
-            union ^= low
-            v = low.bit_length() - 1
+        for v in _bit_indices(int(np.bitwise_or.reduce(pits))):
             rows = np.flatnonzero(pits & bits[v])
             now = placed[rows] | bits[v]
             nxt = pits[rows] ^ bits[v]
@@ -348,11 +344,11 @@ def dot_blocks(g: TranspositionGraph) -> Iterator[str]:
     (s, T[s, k] > s) row by row.  No list of all lines is held.
     """
     chunk = _block_rows(g.shape)
-    labels = list(map(str, range(g.shape.size)))  # each point's label, formatted once
+    text = _labels(g.shape.size).__getitem__
     yield "graph extensions {\n"
     for lo in range(0, len(g.orders), chunk):
         block = g.orders[lo : lo + chunk].tolist()
-        yield "".join('  v%d [label="%s"];\n' % (i, " ".join(map(labels.__getitem__, row))) for i, row in enumerate(block, lo))
+        yield "".join('  v%d [label="%s"];\n' % (i, " ".join(map(text, row))) for i, row in enumerate(block, lo))
     for lo in range(0, len(g.table), chunk):
         block = g.table[lo : lo + chunk]
         rows, ks = np.nonzero(block > block[:, :1])

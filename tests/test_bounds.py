@@ -157,6 +157,21 @@ class TestPits:
         with pytest.raises(DomainError):
             pits_fraction_bound(1, 1.0)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: entropy_deficit_rate(1), "need n >= 2, got n=1"),
+            (lambda: pits_fraction_bound(1, 0.0), "need n >= 2, got n=1"),
+            (lambda: pits_fraction_bound(2, -1), "need R > 0, got R=-1.0"),
+            (lambda: pits_threshold(3, 2, math.nan), "need R > 0, got R=nan"),
+        ],
+    )
+    def test_one_message_per_check(self, call, message):
+        # n is checked before R, and each check words its refusal one way.
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert str(exc.value) == message
+
     def test_exhaustive_deficit_below_bound(self, square3):
         for R in (1.0, 2.0, 4.0):
             frac = exact_pits_deficit_fractions(square3, [R])[R]

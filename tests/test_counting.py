@@ -193,6 +193,19 @@ class TestCounts:
             completion_counts(shape)
         assert built == [GridShape((3, 3, 3))] * 2
 
+    @pytest.mark.parametrize("lengths", [(2,) * 5, (2,) * 6])
+    def test_cap_check_builds_no_table(self, monkeypatch, built, lengths):
+        # The sub-lattice's size asks the same rule, then lists the
+        # down-sets from its levels: no completion table, one level pass
+        # per sub-shape, from 2^3 (its lattice a box count) up.
+        from gridext import counting
+
+        tables = []
+        monkeypatch.setattr(counting, "completion_counts", lambda *args: tables.append(args))
+        counting._check_cap(GridShape(lengths), None)
+        assert tables == []
+        assert built == [GridShape((2,) * k) for k in range(3, len(lengths))]
+
     # 65 is the first shape of two-word states; a stride of 70 moves a whole word.
     @pytest.mark.parametrize("lengths", [(3, 3), (1,), (2, 1, 3), (2, 2, 2, 2), (2, 3, 4), (65,), (2, 40), (2, 70)])
     def test_table_stored_by_decreasing_size(self, lengths):

@@ -1,5 +1,6 @@
 """Linear extensions: validation, jump times, pit counts, the rank-sorted order."""
 
+import io
 import itertools
 import math
 import tempfile
@@ -237,6 +238,29 @@ class TestRankWalks:
 
 
 class TestFiles:
+    @pytest.mark.parametrize(
+        "orders",
+        [
+            [(0, 1, 2, 3), (0, 2, 1, 3)],
+            [[0, 1, 2, 3], [0, 2, 1, 3]],
+            np.array([[0, 1, 2, 3], [0, 2, 1, 3]], dtype=np.int32),
+            np.array([[0, 1, 2, 3], [0, 2, 1, 3]], dtype=np.int64),
+            [(0,)],
+            list(itertools.islice(enumerate_index_orders(GridShape((4, 4))), 50)),
+        ],
+        ids=["tuples", "lists", "int32", "int64", "one-point", "4x4"],
+    )
+    def test_writer_bytes(self, orders):
+        # The label list gives the bytes str() gives, one line per order.
+        fh = io.StringIO()
+        assert jumps.write_index_orders(fh, orders) == len(orders)
+        assert fh.getvalue() == "".join(" ".join(map(str, order)) + "\n" for order in orders)
+
+    def test_writer_empty_stream(self):
+        fh = io.StringIO()
+        assert jumps.write_index_orders(fh, iter(())) == 0
+        assert fh.getvalue() == ""
+
     def test_round_trip(self, tmp_path, square3, square3_orders):
         exts = [LinearExtension(square3, idxs) for idxs in square3_orders[:5]]
         path = tmp_path / "exts.txt"

@@ -362,6 +362,14 @@ class TestMcmc:
             assert np.array_equal(starts, before), name
             assert got.flags.c_contiguous and got.dtype == np.int64, name
 
+    @pytest.mark.parametrize("lengths", [(3, 3), (4, 4, 4)])
+    def test_list_starts_walk_as_array_starts(self, lengths):
+        # 3x3 walks the swap table, 4x4x4 tests covers: both take nested lists.
+        shape = GridShape(lengths)
+        starts = mcmc_ensemble(shape, 40, 6, seed=1)
+        got = mcmc_ensemble(shape, 30, 6, 7, starts=starts.tolist())
+        assert np.array_equal(got, mcmc_ensemble(shape, 30, 6, 7, starts=starts))
+
     def test_state_array_refused_before_allocation(self):
         shape = GridShape((2,) * 17)  # 131072 points: walks, but not with 10^6 chains
         with pytest.raises(ResourceCapError):
@@ -486,7 +494,20 @@ class TestPitsDeficit:
         mean, se = pits_deficit_stats(square3, 27, 3000, 2.0)
         assert abs(mean - exact) < 5 * se + 1e-12
         # The figures of 3000 exact draws with seed 27, bit for bit.
-        assert (mean, se) == (0.4178148148148113, 0.0013724395684949875)
+        assert (mean, se) == (0.4178148148148148, 0.0013724395684954526)
+
+    @pytest.mark.parametrize("m, seed, samples, R", [(3, 27, 3000, 2.0), (4, 5, 400, 1.0), (3, 8, 1, 2.0)])
+    def test_monte_carlo_matches_exact_fractions(self, m, seed, samples, R):
+        # The same draws, the fractions summed as exact rationals: equal to
+        # within float rounding, and a standard error of 0 for one draw.
+        shape = GridShape.equilateral(m, 2)
+        sampler, threshold = ExactSampler(shape, seed), pits_threshold(m, 2, R)
+        draws = [sampler.sample_indices() for _ in range(samples)]
+        fracs = [Fraction(sum(p < threshold for p in pits_counts(shape, d)), shape.size) for d in draws]
+        mean = sum(fracs) / samples
+        var = (sum(f * f for f in fracs) - samples * mean * mean) / (samples - 1) if samples > 1 else 0
+        expected = (float(mean), math.sqrt(var / samples))
+        assert pits_deficit_stats(shape, seed, samples, R) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_monte_carlo_rejects_zero_samples(self, square3):
         with pytest.raises(DomainError):
