@@ -25,6 +25,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from ._version import __version__
 from .bounds import bound_reports
 from .counting import (
@@ -35,7 +37,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import _block_rows, jump_pit_blocks, read_extensions_file, write_index_orders
+from .jumps import _block_rows, _read_blocks, jump_pit_block, write_index_orders
 from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
@@ -173,10 +175,9 @@ def cmd_sample(args) -> int:
 
 def cmd_jumps(args) -> int:
     shape = _parse_shape_token(args.shape)
-    extensions = read_extensions_file(args.infile, shape)
     fields = ("extension", "degree", "jump_times", "pits")
     records = []
-    for jumps, pits in jump_pit_blocks(shape, (ext.indices for ext in extensions)):
+    for jumps, pits in (jump_pit_block(shape, block) for block in _read_blocks(args.infile, shape)):
         for flags, counts in zip(jumps.tolist(), pits.tolist()):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
             records.append(dict(zip(fields, (len(records) + 1, len(times), times, counts))))
@@ -193,20 +194,19 @@ def cmd_jumps(args) -> int:
 
 def cmd_pits(args) -> int:
     shape = _parse_shape_token(args.shape)
-    extensions = read_extensions_file(args.infile, shape)
-    if not extensions:
+    blocks = list(_read_blocks(args.infile, shape))
+    if not blocks:
         raise DomainError(f"no extensions found in {args.infile}")
     size = shape.size
-    orders = (ext.indices for ext in extensions)
     if args.mean:
-        means = jump_stats_from_orders(shape, orders).mean_pits_profile
+        means = jump_stats_from_orders(shape, np.concatenate(blocks)).mean_pits_profile
         if args.format == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
         else:
             _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": list(means)}))
     else:
-        profiles = [profile for _, pits in jump_pit_blocks(shape, orders) for profile in pits.tolist()]
+        profiles = [profile for block in blocks for profile in jump_pit_block(shape, block)[1].tolist()]
         if args.format == "csv":
             header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
             rows = [[i + 1, *profile] for i, profile in enumerate(profiles)]

@@ -240,12 +240,12 @@ def _bit_indices(bits: int) -> Iterator[int]:
 def whitney_numbers(shape: GridShape) -> tuple[int, ...]:
     """Level sizes by rank, entry s = number of points of rank s+1.
 
-    Computed by convolving the all-ones vectors of the chain lengths, which
-    counts vectors by coordinate sum directly; counting rank_table gives
-    an independent route for cross-checking.
+    Convolving the all-ones vectors of the chain lengths (a chain of length
+    1 changes nothing, so it is skipped) counts vectors by coordinate sum
+    directly; counting rank_table gives an independent route for checking.
     """
     w = [1]
-    for a in shape.lengths:
+    for a in filter((1).__lt__, shape.lengths):
         out = [0] * (len(w) + a - 1)
         for i, x in enumerate(w):
             for d in range(a):

@@ -19,12 +19,12 @@ come from the positions of the points and, per point, the last position
 of a lower cover: one maximum per chain, then one comparison for the
 jumps and one bincount and one cumsum for the pits.  jump_times and
 pits_counts are the per-order reference the kernel is tested against.
-read_extensions_file checks a block of lines at once with the same two
-arrays: a row is an extension iff its indices are in range, each point
-keeps the position it was scattered to (none repeats), and every point
-but 0 sits after its last lower cover (ready < pos).  A block that fails
-is read again line by line through LinearExtension.from_line, whose
-_validate_order names the first bad line's error.
+read_extensions_file and the jumps and pits commands read a file as
+validated int64 blocks (_read_blocks): a token is a point iff it is that
+point's label (_labels, the writer's table), and a row is an extension iff
+no point repeats and every point but 0 sits after its last lower cover
+(ready < pos).  A block that fails is read again line by line through
+LinearExtension.from_line, which names the first bad line's error.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.  An index is a decimal numeral of ASCII
@@ -265,53 +265,54 @@ def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
         return write_index_orders(fh, (ext.indices for ext in extensions))
 
 
-def _block_orders(shape: GridShape, lines: list[str]) -> list[tuple[int, ...]] | None:
-    """The orders of a block of lines if every line is an extension of the
-    shape, else None: one check for the whole block."""
+def _block_orders(shape: GridShape, lines: list[str], index: dict[str, int]) -> np.ndarray | None:
+    """The (rows, size) int64 orders of a block of lines if every line is an
+    extension of the shape, else None.  `index` inverts _labels(size)."""
     size = shape.size
-    try:
-        orders = [_parse_line(line) for line in lines]  # refuses non-ASCII too
-        block = np.array(orders, dtype=np.int64)  # ragged, or an index past int64: refused
-    except (ValueError, OverflowError):
-        return None
-    if block.shape[1] != size or block.max() >= size:
+    try:  # a token that is no label, ragged lines or lines of another length: refused
+        block = np.array([list(map(index.__getitem__, line.split())) for line in lines], dtype=np.int64)
+        block = block.reshape(len(lines), size)
+    except (KeyError, ValueError):
         return None
     pos, ready = _positions(shape, block)
     # A repeated point keeps only one of its positions; a point placed no
     # later than its last lower cover is out of order.
     if (np.take_along_axis(pos, block, axis=1) != np.arange(size)).any() or (ready[:, 1:] >= pos[:, 1:]).any():
         return None
-    return orders
+    return block
 
 
-def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
-    """Read and validate an extension file against a shape.
-
-    Nonblank lines are read in blocks of the jump_pit_blocks row count.  A
-    block whose lines all pass one check, with the positions jump_pit_block
-    reads, becomes extensions at once; any other block is read again in
-    file order through LinearExtension.from_line, which raises the first
-    error, so a bad file gives the error a line-by-line read would.  The
-    file is ASCII; a line holding any other byte is rejected by number.
+def _read_blocks(path, shape: GridShape) -> Iterator[np.ndarray]:
+    """The nonblank lines of an extension file as validated (rows, size)
+    int64 blocks of the jump_pit_blocks row count.  A block that fails
+    _block_orders' check is read again in file order through
+    LinearExtension.from_line, which raises the first error, as a
+    line-by-line read would.  The file is ASCII; a line holding any other
+    byte is rejected by number.
     """
-    rows = _block_rows(shape)
-    out: list[LinearExtension] = []
+    index = {label: v for v, label in enumerate(_labels(shape.size))}
     # surrogateescape decodes each non-ASCII byte b to the lone surrogate
     # U+DC00 + b, so the line it sits on can be named.
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         stripped = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
         lines = filter(operator.itemgetter(1), stripped)  # nonblank lines, numbered
-        while block := list(itertools.islice(lines, rows)):
-            orders = _block_orders(shape, [line for _, line in block])
-            if orders is not None:
-                out += [LinearExtension._trusted(shape, order) for order in orders]
-                continue
-            for lineno, line in block:
-                try:
-                    if not line.isascii():
-                        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
-                        raise InvalidExtensionError(f"non-ASCII byte 0x{byte:02x}")
-                    out.append(LinearExtension.from_line(shape, line))
-                except InvalidExtensionError as exc:
-                    raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
-    return out
+        while block := list(itertools.islice(lines, _block_rows(shape))):
+            orders = _block_orders(shape, [line for _, line in block], index)
+            if orders is None:
+                orders = []
+                for lineno, line in block:
+                    try:
+                        if not line.isascii():
+                            byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+                            raise InvalidExtensionError(f"non-ASCII byte 0x{byte:02x}")
+                        orders.append(LinearExtension.from_line(shape, line).indices)
+                    except InvalidExtensionError as exc:
+                        raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
+            yield np.asarray(orders, dtype=np.int64)
+
+
+def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
+    """Read and validate an extension file against a shape: the extensions
+    of _read_blocks' blocks, or the first bad line's error."""
+    blocks = _read_blocks(path, shape)
+    return [LinearExtension._trusted(shape, order) for block in blocks for order in map(tuple, block.tolist())]

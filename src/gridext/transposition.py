@@ -19,15 +19,16 @@ size - num_ranks (exhaustive_mean_degree), so it evaluates at any size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import _lattice_lower_bound, count_extensions, factorial_product_lower_bound
+from .counting import count_extensions, factorial_product_lower_bound
 from .errors import ResourceCapError
-from .grid import GridShape, _bit_indices
+from .grid import GridShape, _bit_indices, whitney_numbers
 from .jumps import _block_rows, _labels
 
 __all__ = [
@@ -92,11 +93,10 @@ def _enumeration(shape: GridShape, cap: int | None) -> Iterator[np.ndarray]:
         if shape.size > _MAX_POINTS:
             raise ResourceCapError(f"shape {shape} has one extension, of more than {_MAX_POINTS} points", cap=_MAX_POINTS)
         return iter([np.arange(shape.size, dtype=np.int32)[None]])
-    prefixes = (shape.size + 1) * cap
     if (
         shape.num_ranks - 2 >= cap.bit_length()  # a chain at cap >= 1 returned above
-        or _lattice_lower_bound(shape, prefixes) > prefixes
-        or factorial_product_lower_bound(shape) > cap
+        # The factorial product, each factor stopped where it alone passes the cap: w! >= 2^(w - 1).
+        or math.prod(math.factorial(min(w, cap.bit_length() + 1)) for w in whitney_numbers(shape)) > cap
     ):
         total = f"more than {cap}"
     elif (total := count_extensions(shape)) <= cap:
@@ -122,13 +122,12 @@ def enumerate_index_orders(shape: GridShape, cap: int | None = None) -> Iterator
     with the down-set DP.
 
     Refuses to start when the shape has more than `cap` extensions (default
-    10^6), first where a table-free bound shows it, cheapest first:
-    2^(num_ranks - 2), as each inner rank level of a non-chain is at least
-    2 wide; over (size + 1) * cap down-sets, each a prefix of some
-    extension; the rank levels' factorial product.  Else the count
-    decides, under the default state cap.  A chain (GridShape.is_chain) of
-    up to 2^17 points has one extension, 0 1 ... size - 1, listed without
-    the DP if cap >= 1.
+    10^6), first where one of two table-free bounds shows it, cheapest
+    first: 2^(num_ranks - 2), as each inner rank level of a non-chain is at
+    least 2 wide; the rank levels' factorial product, each factorial stopped
+    once it alone passes the cap.  Else the count decides, under the default
+    state cap.  A chain (GridShape.is_chain) of up to 2^17 points has one
+    extension, 0 1 ... size - 1, listed without the DP if cap >= 1.
     """
     blocks = _enumeration(shape, cap)
     return (tuple(row) for block in blocks for row in block.tolist())

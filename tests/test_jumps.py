@@ -25,7 +25,8 @@ from gridext import (
     read_extensions_file,
     write_extensions_file,
 )
-from gridext import jumps, sampling
+from gridext import cli, jumps, sampling
+from gridext.cli import main
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -344,7 +345,11 @@ class TestBlockReader:
             st.one_of(
                 st.integers(0, shape.size + 1).map(str),
                 st.sampled_from(toks).map(lambda t: f"{t} {t}"),
-                st.sampled_from(["", "01", "-1", "x", "\u00e9", str(2**63), "9" * 30]),
+                # A looser parser takes several of these; no point is written as any of them.
+                st.sampled_from(
+                    ["", "01", "-1", "x", "\u00e9", str(2**63), "9" * 30]
+                    + ["+1", "1_0", "0x1", "1.0", "-0", "\uff11", str(shape.size)]
+                ),
             )
         )
         lines[row] = " ".join(toks)
@@ -384,6 +389,38 @@ class TestBlockReader:
         with pytest.raises(InvalidExtensionError) as exc:
             read_extensions_file(path, diamond)
         assert (str(exc.value), exc.value.position) == ("line 2: point (2, 2) at time 2 precedes its lower cover (1, 2)", 2)
+
+    @pytest.mark.parametrize("lengths, count", [((3, 3), 2000), ((4, 4, 4), 300)])
+    def test_commands_print_oracle_bytes(self, capsys, tmp_path, shared_tables, lengths, count):
+        # jumps and pits on a file of five blocks print the bytes they print
+        # when handed the per-line oracle's orders as one block; a bad line
+        # in the second block exits 2 with the oracle's message.
+        shape = GridShape(lengths)
+        with mock.patch.object(sampling, "completion_counts", shared_tables):
+            sampler = ExactSampler(shape, 5)
+        lines = [" ".join(map(str, sampler.sample_indices())) for _ in range(count)]
+        path = tmp_path / "exts.txt"
+        path.write_text("\n".join(lines) + "\n")
+        oracle = np.array([ext.indices for ext in read_line_by_line(path, shape)])
+        for argv in (["jumps"], ["pits"], ["pits", "--mean"]):
+            for fmt in ("csv", "json"):
+                args = [*argv, "--shape", str(shape), "--in", str(path), "--format", fmt]
+                assert main(args) == 0
+                got = capsys.readouterr()
+                with mock.patch.object(cli, "_read_blocks", lambda *_: iter([oracle])):
+                    assert main(args) == 0
+                assert got == capsys.readouterr()
+        bad = jumps._block_rows(shape) + 7  # a line of the second block
+        toks = lines[bad - 1].split()
+        toks[2] = toks[1]
+        lines[bad - 1] = " ".join(toks)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidExtensionError) as exc:
+            read_line_by_line(path, shape)
+        assert str(exc.value).startswith(f"line {bad}: point ")
+        for argv in (["jumps"], ["pits", "--mean"]):
+            assert main([*argv, "--shape", str(shape), "--in", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {exc.value}\n")
 
     def test_blocks_read_back_as_written(self, tmp_path):
         # 300 4x4x4 lines span five blocks of 64 rows.
