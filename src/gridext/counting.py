@@ -35,21 +35,29 @@ of D onto the completions of full ^ reflect(D), and f(D) = g(full ^
 reflect(D)).  A uniform extension passes through D with probability
 f(D) g(D) / g(empty), so exact expectations are sums over this one table.
 
-The table maps each down-set's bitmask, as a Python int, to its count, by
-levels of decreasing cardinality.  The int is read from the row's
-little-endian bytes ('<u8'), so it is bit-for-bit the little-endian byte
-string of the bitset under the canonical point-index contract (see grid
-module).  Within a level the states are sorted by _keys: by the word up to
-64 points, by those bytes past it.  Neither the keys nor their order
-depend on the platform's byte order.
+The table (CompletionTable) maps each down-set's bitmask, as a Python int,
+to its count.  It keeps the DP's levels as they come, one sorted key
+array and one list of counts per cardinality, and iterates them in
+decreasing cardinality; on 8x8 it takes 56 B a state, where a dict took
+128 B.  The int is read from the row's little-endian bytes ('<u8'), so it
+is bit-for-bit the little-endian byte string of the bitset under the
+canonical point-index contract (see grid module).  Within a level the
+states are sorted by _keys: by the word up to 64 points, by those bytes
+past it, which is the order of Python bytes.  So a lookup is one
+bisect_left in the level of the key's bit count, on the word or on the
+bytes.  Neither the keys nor their order depend on the platform's byte
+order.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
+from collections.abc import ItemsView
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from functools import partial
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -292,14 +300,94 @@ def _check_cap(shape: GridShape, cap: int | None) -> None:
     )
 
 
+class CompletionTable(Mapping[int, int]):
+    """Read-only map: down-set bitmask -> g(D), kept as the DP's levels.
+
+    _levels[k] holds the down-sets of k points as (keys, counts): the keys
+    sorted by _keys, the counts the level's object array as a list (8 B a
+    state, like the array, and quicker to index).  Up to 64 points the keys
+    are the level's uint64 words through a memoryview, which bisect reads
+    as Python ints; past 64 they are the rows' little-endian bytes (_Rows),
+    whose order is _keys' order.  A down-set's key is _key(bits): the int
+    itself, or its little-endian bytes.  So a lookup is one bisect_left in
+    level bits.bit_count(), and iteration yields the down-sets as ints from
+    the whole grid down to the empty set, each level in _keys order.
+    """
+
+    def __init__(self, shape: GridShape, levels: Iterable[tuple[np.ndarray, np.ndarray]]):
+        words = _words(shape)
+        # operator.index is the identity on ints.
+        self._key = operator.index if words == 1 else partial(int.to_bytes, length=8 * words, byteorder="little")
+        self._levels = []
+        for masks, counts in levels:  # from the whole grid down
+            if words == 1:
+                keys = memoryview(masks[:, 0]).cast("B").cast("Q")
+            else:
+                keys = _Rows(masks.astype("<u8", copy=False).tobytes(), 8 * words)
+            self._levels.append((keys, counts.tolist()))
+        self._levels.reverse()
+        self._len = sum(len(counts) for _, counts in self._levels)
+
+    def __getitem__(self, bits: int) -> int:
+        try:
+            bits = operator.index(bits)
+            keys, counts = self._levels[bits.bit_count()]
+            key = self._key(bits)
+        except (TypeError, IndexError, OverflowError):
+            raise KeyError(bits) from None
+        i = bisect_left(keys, key)
+        if i == len(counts) or keys[i] != key:
+            raise KeyError(bits)
+        return counts[i]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        for keys, _ in reversed(self._levels):
+            yield from _key_ints(keys)
+
+    def items(self) -> ItemsView[int, int]:
+        return _Items(self)
+
+
+class _Items(ItemsView):
+    """The table's (bits, count) pairs, read level by level, with no lookup."""
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for keys, counts in reversed(self._mapping._levels):
+            yield from zip(_key_ints(keys), counts)
+
+
+class _Rows:
+    """A multi-word level's keys for bisect: row i is the i-th `step` bytes."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.step = data, step
+
+    def __len__(self) -> int:
+        return len(self.data) // self.step
+
+    def __getitem__(self, i: int) -> bytes:
+        return self.data[i * self.step : (i + 1) * self.step]
+
+
+def _key_ints(keys: memoryview | _Rows) -> Iterator[int]:
+    """A level's keys as size-bit ints, in order."""
+    if isinstance(keys, memoryview):
+        return iter(keys)
+    return (int.from_bytes(keys[i], "little") for i in range(len(keys)))
+
+
 def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, int]:
-    """Read-only map: down-set bitmask -> number of extensions completing it,
-    a fresh table of every level, built after the cap check (_check_cap)."""
+    """Read-only map: down-set bitmask -> number of extensions completing it.
+
+    A fresh CompletionTable, built after the cap check (_check_cap): every
+    level of the DP, kept sorted, so a lookup is one bisect and iteration
+    runs from the whole grid down to the empty set.
+    """
     _check_cap(shape, cap)
-    g: dict[int, int] = {}
-    for masks, counts in _levels(shape):
-        g.update(zip(_level_ints(masks), counts.tolist()))
-    return MappingProxyType(g)
+    return CompletionTable(shape, _levels(shape))
 
 
 def count_extensions(shape: GridShape, cap: int | None = None) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +89,8 @@ _WORD_BUFFER = 4096
 # The exact sampler keeps its per-down-set draw tables when the completion
 # table has at most this many down-sets.  Past it few visits repeat: 500
 # draws on 4x4x4 (232848 down-sets) visit 15922 of them, and keeping their
-# tables added 12 MB to the peak and made a draw slower (403 against 315 us).
+# tables added 14.5 MB to the peak and made a draw slower (median of five
+# runs on two cores: 933 against 473 us).
 _MEMO_MAX_STATES = 1 << 12
 
 
@@ -192,21 +193,23 @@ class ExactSampler:
     def _scan_indices(self) -> tuple[int, ...]:
         # The documented scan itself, for lattices past the memo: building
         # every pit's running sum costs more than stopping at the chosen one.
-        g = self._g
+        # The weights are read straight from the table's next level, one
+        # bisect_left each (see counting.CompletionTable).
+        levels, key = self._g._levels, self._g._key
         pit_mask = self.shape.pit_mask
         below = self._stream.below
-        placed = 0
+        placed, total = 0, self._g[0]
         out = []
-        for _ in range(self.shape.size):
-            r = below(g[placed])
+        for keys, counts in levels[1:]:
+            r = below(total)
             rest = pit_mask(placed)
             while True:
                 assert rest, "weights of the pits must sum to g(D)"
                 low = rest & -rest
-                w = g[placed | low]
-                if r < w:
+                total = counts[bisect_left(keys, key(placed | low))]
+                if r < total:
                     break
-                r -= w
+                r -= total
                 rest ^= low
             placed |= low
             out.append(low.bit_length() - 1)

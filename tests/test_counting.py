@@ -20,7 +20,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _lattice_size
+from gridext.counting import _down_set_count, _lattice_size, _level_ints, _levels
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -51,6 +51,27 @@ def check_table(shape):
     assert len(g) == _lattice_size(shape, 10**12)
     if shape.num_chains == 2:
         assert g[0] == hook_length_count(shape)
+
+
+def dict_table_oracle(shape):
+    """Oracle: the completion table as a plain dict, the rule completion_counts
+    once used, filled from the DP's levels in the order they come."""
+    table = {}
+    for masks, counts in _levels(shape):
+        table.update(zip(_level_ints(masks), counts.tolist()))
+    return table
+
+
+def traced_peak(build, shape):
+    """build(shape) and the tracemalloc peak it reached, the shape's own
+    tables built beforehand, untraced."""
+    shape._chain_faces
+    tracemalloc.start()
+    try:
+        result = build(shape)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def forward_oracle(shape):
@@ -268,20 +289,17 @@ class TestCounts:
         # 8x8 has 12870 down-sets, at most 70 to a level: the count keeps
         # two levels and their temporaries, the table every level.
         shape = GridShape((8, 8))
-        shape._chain_faces  # the shape's own tables, untraced
-
-        def traced_peak(build):
-            tracemalloc.start()
-            try:
-                result = build(shape)
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
-
-        count_peak, counted = traced_peak(count_extensions)
-        table_peak, table = traced_peak(completion_counts)
+        count_peak, counted = traced_peak(count_extensions, shape)
+        table_peak, table = traced_peak(completion_counts, shape)
         assert counted == table[0] == hook_length_count(shape)
         assert count_peak < table_peak / 4
+
+    def test_table_takes_under_80_bytes_a_state(self):
+        # A state is a key word, a count pointer and its int (a dict of the
+        # same table took 128 B a state on 8x8).
+        shape = GridShape((8, 8))
+        peak, table = traced_peak(completion_counts, shape)
+        assert peak < 80 * len(table) == 80 * 12870
 
     @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
     def test_cap_counts_state_words(self, lengths, words):
@@ -293,6 +311,42 @@ class TestCounts:
             completion_counts(shape, states * words - 1)
         assert exc.value.cap == states * words - 1
         assert ("64-bit words each" in str(exc.value)) == (words > 1)
+
+
+class TestCompletionTable:
+    # The table keeps the DP's levels; the dict oracle copies them.
+    # 65, 2x33 and 9x9 have two-word states, 8x8 and 3x3x3x2 one-word ones.
+    @pytest.mark.parametrize("lengths", [(8, 8), (65,), (2, 33), (9, 9), (3, 3, 3, 2)])
+    def test_matches_the_dict_oracle(self, lengths):
+        self.check(GridShape(lengths))
+
+    @given(modest_shapes())
+    @settings(deadline=None)
+    def test_matches_the_dict_oracle_on_any_shape(self, lengths):
+        shape = GridShape(lengths)
+        assume(_lattice_size(shape, 5000) <= 5000)
+        self.check(shape)
+
+    @staticmethod
+    def check(shape):
+        table, oracle = completion_counts(shape), dict_table_oracle(shape)
+        assert len(table) == len(oracle)
+        assert list(table) == list(oracle)  # the same keys in the same order
+        assert list(table.items()) == list(oracle.items())
+        assert all(table[bits] == here for bits, here in oracle.items())
+        assert table == oracle
+
+    @pytest.mark.parametrize("lengths", [(3, 3), (4, 4, 4), (65,), (2, 33), (9, 9)])
+    def test_only_down_sets_are_keys(self, lengths):
+        shape = GridShape(lengths)
+        table, full = completion_counts(shape), (1 << shape.size) - 1
+        top = 1 << shape.size - 1  # the top point alone, and all but the bottom
+        for bits in (top, full ^ 1, top | 1, 1 << shape.size, full << 1, -1, -top):
+            assert bits not in table
+            with pytest.raises(KeyError):
+                table[bits]
+        assert table[full] == 1 and table[1] == table[0]
+        assert table.get("0") is None and table.get(1.5) is None
 
 
 class TestBounds:

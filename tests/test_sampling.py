@@ -190,8 +190,9 @@ class TestExactSampler:
     @pytest.mark.parametrize(
         "lengths, seed, draws",
         # 3x3 and 2x40 keep per-down-set tables (20 and 861 down-sets);
-        # 8x8 (12870) scans.  2x40's counts reach 72 bits: two-word draws.
-        [((3, 3), 7, 300), ((2, 40), 3, 40), ((8, 8), 5, 20)],
+        # 8x8 (12870) scans, and 3x30 (5456 of two words) scans by bytes.
+        # 2x40's counts reach 72 bits: two-word draws.
+        [((3, 3), 7, 300), ((2, 40), 3, 40), ((8, 8), 5, 20), ((3, 30), 9, 20)],
     )
     def test_matches_written_out_contract(self, lengths, seed, draws):
         shape = GridShape(lengths)
