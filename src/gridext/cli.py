@@ -176,19 +176,16 @@ def cmd_sample(args) -> int:
 def cmd_jumps(args) -> int:
     shape = _parse_shape_token(args.shape)
     fields = ("extension", "degree", "jump_times", "pits")
-    records = []
+    as_csv = args.format == "csv"
+    rows = []
     for jumps, pits in (jump_pit_block(shape, block) for block in _read_blocks(args.infile, shape)):
         for flags, counts in zip(jumps.tolist(), pits.tolist()):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
-            records.append(dict(zip(fields, (len(records) + 1, len(times), times, counts))))
-    if args.format == "csv":
-        rows = [
-            [i, degree, " ".join(map(str, times)), " ".join(map(str, counts))]
-            for i, degree, times, counts in map(dict.values, records)
-        ]
-        _emit(args, _csv_table(list(fields), rows))
-    else:
-        _emit(args, _json(records))
+            if as_csv:
+                rows.append([len(rows) + 1, len(times), " ".join(map(str, times)), " ".join(map(str, counts))])
+            else:
+                rows.append(dict(zip(fields, (len(rows) + 1, len(times), times, counts))))
+    _emit(args, _csv_table(list(fields), rows) if as_csv else _json(rows))
     return 0
 
 

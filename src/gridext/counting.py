@@ -135,7 +135,7 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     sub = GridShape(tuple(rest))
     if _lattice_size(sub, states) > states:
         return states + 1
-    ideals = [bits for masks, _ in _levels(sub) for bits in _level_ints(masks)]
+    ideals = list(CompletionTable(sub, _levels(sub)))
     by_pit = [[] for _ in range(sub.size)]  # down-sets by each of their pits
     for bits in ideals:
         for p in _bit_indices(sub.pit_mask(bits)):
@@ -159,15 +159,6 @@ _ONE, _ALL = np.uint64(1), ~np.uint64(0)
 def _word_array(bits: int, words: int) -> np.ndarray:
     """A size-bit int as `words` uint64 words, least significant first."""
     return np.frombuffer(bits.to_bytes(8 * words, "little"), dtype="<u8").astype(np.uint64)
-
-
-def _level_ints(masks: np.ndarray) -> list[int]:
-    """The rows of an (n, words) uint64 array as size-bit ints."""
-    if masks.shape[1] == 1:
-        return masks.ravel().tolist()
-    data = masks.astype("<u8", copy=False).tobytes()
-    step = 8 * masks.shape[1]
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
 
 
 def _keys(masks: np.ndarray) -> np.ndarray:
@@ -310,11 +301,13 @@ class CompletionTable(Mapping[int, int]):
     as Python ints; past 64 they are the rows' little-endian bytes (_Rows),
     whose order is _keys' order.  A down-set's key is _key(bits): the int
     itself, or its little-endian bytes.  So a lookup is one bisect_left in
-    level bits.bit_count(), and iteration yields the down-sets as ints from
-    the whole grid down to the empty set, each level in _keys order.
+    level bits.bit_count(); iteration yields the down-sets as ints from the
+    whole grid down to the empty set, each level in _keys order; and
+    pit_weights(D) reads the weights g(D + v) the exact sampler draws from.
     """
 
     def __init__(self, shape: GridShape, levels: Iterable[tuple[np.ndarray, np.ndarray]]):
+        self._pit_mask = shape.pit_mask
         words = _words(shape)
         # operator.index is the identity on ints.
         self._key = operator.index if words == 1 else partial(int.to_bytes, length=8 * words, byteorder="little")
@@ -339,6 +332,19 @@ class CompletionTable(Mapping[int, int]):
         if i == len(counts) or keys[i] != key:
             raise KeyError(bits)
         return counts[i]
+
+    def pit_weights(self, bits: int) -> Iterator[tuple[int, int]]:
+        """(v, g(D + v)) for each pit v of the down-set D = bits, in
+        increasing index, each one bisect_left in level |D| + 1, read as the
+        caller asks; the whole grid has no pits.  Trusts `bits` to be a key."""
+        rest = self._pit_mask(bits)
+        if rest:
+            keys, counts = self._levels[bits.bit_count() + 1]
+            key = self._key
+            while rest:
+                low = rest & -rest
+                yield low.bit_length() - 1, counts[bisect_left(keys, key(bits | low))]
+                rest ^= low
 
     def __len__(self) -> int:
         return self._len

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +59,7 @@ import numpy as np
 from .bounds import pits_threshold
 from .counting import completion_counts
 from .errors import DomainError, ResourceCapError
-from .grid import GridShape, _bit_indices
+from .grid import GridShape
 from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
 from .transposition import _MAX_POINTS, build_graph, enumerate_index_orders, order_ids
 
@@ -137,9 +137,10 @@ class ExactSampler:
     current pits with weight g(D + v).  Samples from one instance form one
     deterministic sequence per seed, of which none is drawn until asked.
 
-    On lattices of at most 2^12 down-sets the pits of each visited D and
-    their running weight sums are kept, and a draw is one bisect_right over
-    them, the pit the documented scan stops at (see the module docstring).
+    Both paths read the pits of D and their weights from the table's one
+    reader, CompletionTable.pit_weights.  On lattices of at most 2^12
+    down-sets they are kept, as running sums, per visited D, and a draw is
+    one bisect_right over them, the pit the documented scan stops at.
     """
 
     def __init__(self, shape: GridShape, seed: int, state_cap: int | None = None):
@@ -154,16 +155,15 @@ class ExactSampler:
         return self._g[0]
 
     def _choices(self, placed: int) -> tuple:
-        """The memo entry of the down-set D = placed, built on its first visit:
-        (g(D), shift, running weight sums, next down-sets, pit indices).
-        shift is 64 - bit_length(g(D)) when one word draws below g(D), and
-        -1 when it takes more."""
-        g = self._g
-        pits = tuple(_bit_indices(self.shape.pit_mask(placed)))
-        nexts = tuple(placed | 1 << v for v in pits)
-        total = g[placed]
+        """The memo entry of D = placed, built from the table's pit weights on
+        its first visit: (g(D), shift, running weight sums, next down-sets,
+        pit indices), g(D) the last sum; shift is 64 - bit_length(g(D)) when
+        one word draws below g(D), and -1 when it takes more."""
+        pits, weights = zip(*self._g.pit_weights(placed))
+        sums = tuple(itertools.accumulate(weights))
+        total = sums[-1]
         shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
-        sums = tuple(itertools.accumulate(g[d] for d in nexts))
+        nexts = tuple(placed | 1 << v for v in pits)
         self._memo[placed] = entry = (total, shift, sums, nexts, pits)
         return entry
 
@@ -191,28 +191,23 @@ class ExactSampler:
         return tuple(out)
 
     def _scan_indices(self) -> tuple[int, ...]:
-        # The documented scan itself, for lattices past the memo: building
-        # every pit's running sum costs more than stopping at the chosen one.
-        # The weights are read straight from the table's next level, one
-        # bisect_left each (see counting.CompletionTable).
-        levels, key = self._g._levels, self._g._key
-        pit_mask = self.shape.pit_mask
-        below = self._stream.below
+        """The documented scan itself, for lattices past the memo: building
+        every pit's running sum costs more than stopping at the chosen one.
+        It reads the table's pit weights (CompletionTable.pit_weights) up
+        to the first that exceeds r, whose weight is g of the next D."""
+        weights, below = self._g.pit_weights, self._stream.below
         placed, total = 0, self._g[0]
         out = []
-        for keys, counts in levels[1:]:
+        for _ in range(self.shape.size):
             r = below(total)
-            rest = pit_mask(placed)
-            while True:
-                assert rest, "weights of the pits must sum to g(D)"
-                low = rest & -rest
-                total = counts[bisect_left(keys, key(placed | low))]
+            for v, total in weights(placed):
                 if r < total:
                     break
                 r -= total
-                rest ^= low
-            placed |= low
-            out.append(low.bit_length() - 1)
+            else:
+                raise AssertionError("weights of the pits must sum to g(D)")
+            placed |= 1 << v
+            out.append(v)
         return tuple(out)
 
     def sample(self) -> LinearExtension:

@@ -20,7 +20,7 @@ from gridext import (
     normalized_count_root,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _lattice_size, _level_ints, _levels
+from gridext.counting import _down_set_count, _lattice_size, _levels
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -53,12 +53,22 @@ def check_table(shape):
         assert g[0] == hook_length_count(shape)
 
 
+def level_ints(masks):
+    """The rows of an (n, words) uint64 array as size-bit ints, read apart
+    from the table's own key reader."""
+    if masks.shape[1] == 1:
+        return masks.ravel().tolist()
+    data = masks.astype("<u8", copy=False).tobytes()
+    step = 8 * masks.shape[1]
+    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+
+
 def dict_table_oracle(shape):
     """Oracle: the completion table as a plain dict, the rule completion_counts
     once used, filled from the DP's levels in the order they come."""
     table = {}
     for masks, counts in _levels(shape):
-        table.update(zip(_level_ints(masks), counts.tolist()))
+        table.update(zip(level_ints(masks), counts.tolist()))
     return table
 
 
@@ -347,6 +357,18 @@ class TestCompletionTable:
                 table[bits]
         assert table[full] == 1 and table[1] == table[0]
         assert table.get("0") is None and table.get(1.5) is None
+
+    # 3x3 and 2x2x2x2 have one-word states, 2x33 and 3x30 two-word ones.
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2, 2), (2, 33), (3, 30)])
+    def test_pit_weights_on_every_down_set(self, lengths):
+        shape = GridShape(lengths)
+        table, full = completion_counts(shape), (1 << shape.size) - 1
+        for bits, here in table.items():
+            pairs, mask = list(table.pit_weights(bits)), shape.pit_mask(bits)
+            assert [v for v, _ in pairs] == [v for v in range(shape.size) if mask >> v & 1]
+            assert all(weight == table[bits | 1 << v] for v, weight in pairs)
+            assert bits == full or sum(weight for _, weight in pairs) == here
+        assert list(table.pit_weights(full)) == []
 
 
 class TestBounds:
