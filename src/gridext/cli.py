@@ -30,6 +30,7 @@ import numpy as np
 from ._version import __version__
 from .bounds import bound_reports
 from .counting import (
+    CompletionTable,
     _check_cap,
     count_extensions,
     factorial_product_lower_bound,
@@ -38,7 +39,7 @@ from .counting import (
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
 from .jumps import _block_rows, _read_blocks, jump_pit_block, write_index_orders
-from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
+from .sampling import ExactSampler, _check_seed, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
     dot_blocks,
@@ -283,20 +284,23 @@ def cmd_conjecture_scan(args) -> int:
             m += 1
 
     # The rows come in print order, by size, then n, then m.  Each is held
-    # to --cap as it is listed, so the first row over the cap refuses
-    # before any row's table is built.
+    # to --cap as it is listed, which sizes its lattice, so the first row
+    # over the cap refuses before any row's table is built.  The seed is
+    # checked next, also before any table.
     shapes = []
     for _, n, m in heapq.merge(*map(grids, range(2, args.max_size.bit_length()))):
         shape = GridShape.equilateral(m, n)
         _check_cap(shape, args.cap)
         shapes.append((m, n, shape))
+    _check_seed(args.seed)
 
     fields = ("m", "n", "size", "count", "method", "samples", "mean_degree", "stderr", "ratio")
     rows = []
     for m, n, shape in shapes:
         size = shape.size
-        # One table per row: a sampled row draws from the table it counts from.
-        sampler = ExactSampler(shape, args.seed, args.cap)
+        # One table per row, held to --cap above and not sized again: a
+        # sampled row draws from the table it counts from.
+        sampler = ExactSampler(shape, args.seed, table=CompletionTable(shape))
         count = sampler.count
         if count <= EXACT_SCAN_LIMIT:
             mean = float(exhaustive_mean_degree(shape))

@@ -135,7 +135,7 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     sub = GridShape(tuple(rest))
     if _lattice_size(sub, states) > states:
         return states + 1
-    ideals = list(CompletionTable(sub, _levels(sub)))
+    ideals = list(CompletionTable(sub))
     by_pit = [[] for _ in range(sub.size)]  # down-sets by each of their pits
     for bits in ideals:
         for p in _bit_indices(sub.pit_mask(bits)):
@@ -304,15 +304,18 @@ class CompletionTable(Mapping[int, int]):
     level bits.bit_count(); iteration yields the down-sets as ints from the
     whole grid down to the empty set, each level in _keys order; and
     pit_weights(D) reads the weights g(D + v) the exact sampler draws from.
+
+    The constructor runs the DP and checks no cap: completion_counts holds
+    the shape to its cap first.
     """
 
-    def __init__(self, shape: GridShape, levels: Iterable[tuple[np.ndarray, np.ndarray]]):
+    def __init__(self, shape: GridShape):
         self._pit_mask = shape.pit_mask
         words = _words(shape)
         # operator.index is the identity on ints.
         self._key = operator.index if words == 1 else partial(int.to_bytes, length=8 * words, byteorder="little")
         self._levels = []
-        for masks, counts in levels:  # from the whole grid down
+        for masks, counts in _levels(shape):  # from the whole grid down
             if words == 1:
                 keys = memoryview(masks[:, 0]).cast("B").cast("Q")
             else:
@@ -393,7 +396,7 @@ def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, 
     runs from the whole grid down to the empty set.
     """
     _check_cap(shape, cap)
-    return CompletionTable(shape, _levels(shape))
+    return CompletionTable(shape)
 
 
 def count_extensions(shape: GridShape, cap: int | None = None) -> int:

@@ -35,11 +35,15 @@ Determinism contract (external, bit-exact):
   < laziness.  It has two paths, chosen by shape alone: a state-indexed
   walk over the swap table when count x size is at most 2^16 (build_graph
   with an enumeration cap of 2^16 // size), and an array walk with the
-  cover test otherwise.  The array walk keeps the chains as the rows of one
-  C-ordered array and reads and writes each chain's pair (k - 1, k)
-  through its flat row-major view, at index chain x size + k.  Both
-  paths consume this draw pattern and make the same moves, so their
-  output is byte-identical.
+  cover test otherwise.  The state walk reads a lazy table whose cell
+  2 (s size + k) + [coin >= laziness] holds s, or T[s, k] when the coin
+  moves.  The array walk keeps the chains as the rows of one C-ordered
+  array of the narrowest unsigned dtype that holds size - 1, reads each
+  chain's pair (k - 1, k) through its flat row-major view, at index
+  chain x size + k, and writes back only the pairs that swap.  Both paths
+  consume this draw pattern and make the same moves, so their output is
+  byte-identical; neither the draws nor the bytes depend on how a step
+  is computed.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
@@ -141,12 +145,18 @@ class ExactSampler:
     reader, CompletionTable.pit_weights.  On lattices of at most 2^12
     down-sets they are kept, as running sums, per visited D, and a draw is
     one bisect_right over them, the pit the documented scan stops at.
+
+    A caller that has already held the shape to its cap passes the
+    shape's CompletionTable as `table`, which is then read as it is:
+    state_cap is not read and no cap is checked.
     """
 
-    def __init__(self, shape: GridShape, seed: int, state_cap: int | None = None):
+    def __init__(
+        self, shape: GridShape, seed: int, state_cap: int | None = None, *, table: Mapping[int, int] | None = None
+    ):
         self.shape = shape
         self._stream = WordStream(seed)  # checks the seed before the DP is built
-        self._g = completion_counts(shape, state_cap)
+        self._g = completion_counts(shape, state_cap) if table is None else table
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
 
     @property
@@ -214,7 +224,7 @@ class ExactSampler:
         return LinearExtension(self.shape, self.sample_indices())
 
 
-# Largest chains x size int64 state array the ensemble allocates, in bytes.
+# Largest chains x size int64 array the ensemble allocates (its result), in bytes.
 _ENSEMBLE_MAX_BYTES = 1 << 28
 # The ensemble walks the swap table when count x size fits in this many
 # entries, i.e. count <= this // size, the enumeration cap it passes to
@@ -241,13 +251,18 @@ def mcmc_ensemble(
     and the starts are returned as they are.  When count x
     size is at most 2^16 (build_graph with an enumeration cap of 2^16 //
     size), the states are row numbers into the swap graph's orders, and a
-    step is one gather from its swap table.  Otherwise each step reads the
-    two entries at k - 1 and k of every chain through the flat view of one
-    C-ordered state array, tests the cover with GridShape.cover_arrays,
-    and writes both back, swapped where the chain moves.  Both paths make
-    the same moves, and neither writes to `starts`.  Shapes of more than
-    2^17 points (enumeration's chain limit too), and state arrays of more than
-    2^28 bytes, raise ResourceCapError before any table is built.
+    step adds 2k and the coin to each state and gathers once from a lazy
+    table built once from the swap table T: cell 2 (s size + k) + [coin >=
+    laziness] holds s when the coin holds and T[s, k] when it moves.  Otherwise the chains are held in
+    the narrowest unsigned dtype that holds size - 1 (uint8 up to 256
+    points, then uint16, then uint32), and each step reads the two entries
+    at k - 1 and k of every chain through the flat view of one C-ordered
+    state array, tests the cover with GridShape.cover_arrays, and writes
+    back, swapped, only the pairs of the chains that move.  Both paths
+    make the same moves from the same draws, and neither writes to
+    `starts`.  Shapes of more than 2^17 points (enumeration's chain limit
+    too), and int64 results of more than 2^28 bytes, raise
+    ResourceCapError before any table is built.
     """
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
@@ -274,43 +289,55 @@ def mcmc_ensemble(
     if chains == 0 or steps == 0 or shape.is_chain:
         return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
+    # The coins go to a buffer kept across steps; random(out=) draws what
+    # random(chains) would.
+    coins = np.empty(chains)
     try:
         graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
     except ResourceCapError:  # more extensions than the table takes: test covers
         pass
     else:
-        table = graph.table.ravel()
-        state = order_ids(graph.orders, starts)
-        # The table cells and the coins go to buffers kept across steps,
-        # which leaves fewer chain-sized temporaries for the allocator to map
-        # and unmap.  random(out=) draws what random(chains) would.
-        cell, coins = np.empty_like(state), np.empty(chains)
+        # The lazy table folds the coin into the cell: cell 2 (s size + k) +
+        # [coin >= laziness] holds s when even and T[s, k] when odd.  Its
+        # entries, like the states, are pre-multiplied by 2 size, so a step
+        # is one add of 2k plus the coin and one gather.
+        table = graph.table.astype(np.int64) * (2 * size)
+        lazy = np.stack([np.repeat(table[:, :1], size, axis=1), table], axis=2).ravel()
+        state = order_ids(graph.orders, starts) * (2 * size)
+        cell, move = np.empty_like(state), np.empty(chains, dtype=bool)
         for _ in range(steps):
             ks = rng.integers(1, size, size=chains)
             rng.random(out=coins)
-            np.multiply(state, size, out=cell)
-            cell += ks
-            state = np.where(coins >= laziness, table[cell], state)
+            np.greater_equal(coins, laziness, out=move)
+            np.add(ks, ks, out=ks)
+            np.add(state, ks, out=cell)
+            cell += move
+            np.take(lazy, cell, out=state)
+        state //= 2 * size
         return graph.orders[state].astype(np.int64)
-    # A C-ordered copy, whatever the layout of starts (a broadcast view is
+    # The chains in the narrowest unsigned dtype that holds a point index,
+    # as a C-ordered copy whatever the layout of starts (a broadcast view is
     # F-ordered), so that reshape(-1) is a view of it and not a copy.
-    arr = np.array(starts, dtype=np.int64, order="C")
+    arr = np.array(starts, dtype=np.min_scalar_type(size - 1), order="C")
     flat = arr.reshape(-1)
+    right = flat[1:]  # right[i] is flat[i + 1]
     up, step = shape.cover_arrays
-    base = np.arange(0, chains * size, size)  # flat index of each chain's first point
+    before = np.arange(-1, chains * size - 1, size)  # flat index of each chain's first point, less 1
     for _ in range(steps):
-        ks = rng.integers(1, size, size=chains)
-        coins = rng.random(chains)
-        hi = base + ks
-        lo = hi - 1
-        a = flat[lo]
-        b = flat[hi]
-        move = (coins >= laziness) & (up[b] & step[b - a + size] == 0)
-        # Every chain writes its pair back, swapped or not: no two chains
-        # share an index, so no compress and no scatter of the movers.
-        flat[lo] = np.where(move, b, a)
-        flat[hi] = np.where(move, a, b)
-    return arr
+        lo = rng.integers(1, size, size=chains)
+        rng.random(out=coins)
+        lo += before  # flat index of the pair's first entry, at k - 1
+        a, b = flat.take(lo), right.take(lo)
+        # b - a + size in a signed wide dtype: unsigned subtraction wraps.
+        diff = np.subtract(b, a, dtype=np.intp)
+        diff += size
+        moved = np.flatnonzero((coins >= laziness) & (up.take(b) & step.take(diff) == 0))
+        # Only the chains that move write, each its pair swapped.  No two
+        # chains share an index.
+        lo = lo[moved]
+        flat[lo] = b[moved]
+        right[lo] = a[moved]
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -631,8 +631,8 @@ class TestConjectureScan:
 
     @pytest.mark.parametrize("max_size", ["9", "16"])
     def test_bad_seed_exits_2_before_any_table(self, capsys, built, max_size):
-        # Every row's table is built inside its sampler, which checks the
-        # seed first, so a scan that draws nothing refuses the seed too.
+        # The seed is checked once every row is listed and before any row's
+        # table is built, so a scan that draws nothing refuses it too.
         # Only 2x2x2x2's cap check, as its row is listed, reads a table.
         from gridext import GridShape
 
@@ -650,6 +650,28 @@ class TestConjectureScan:
         assert code == 0
         for lengths in [(5, 5), (3, 3, 3), (2,) * 5]:
             assert built.count(GridShape(lengths)) == 1, lengths
+
+    def test_each_row_is_sized_once(self, capsys, monkeypatch):
+        # The rows of --max-size 32 are held to the cap as they are listed,
+        # and their samplers read the tables built then without sizing the
+        # lattices again.  _lattice_size recurses on four chains or more,
+        # so the spy sees what one cap check per row asks, sub-shapes too.
+        from gridext import GridShape, counting
+
+        calls = []
+        real = counting._lattice_size
+
+        def spy(shape, states):
+            calls.append(shape.lengths)
+            return real(shape, states)
+
+        monkeypatch.setattr(counting, "_lattice_size", spy)
+        code, _, _ = run(capsys, "conjecture-scan", "--max-size", "32", "--samples", "10")
+        assert code == 0
+        scanned, calls[:] = calls[:], []
+        for lengths in [(2, 2), (2, 2, 2), (3, 3), (4, 4), (2,) * 4, (5, 5), (3, 3, 3), (2,) * 5]:
+            counting._check_cap(GridShape(lengths), None)
+        assert scanned == calls
 
     def test_huge_max_size_refuses_at_the_first_row_over_the_cap(self, capsys, tmp_path):
         # Rows are listed lazily in print order, so of the about 10^9 rows up

@@ -60,6 +60,23 @@ def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
     return arr
 
 
+def loop_ensemble(shape, steps, chains, seed, laziness=0.5):
+    """Oracle for mcmc_ensemble on shapes too large for the dense table:
+    one chain at a time in Python lists, the cover read from
+    shape.lower_covers, from the rank-sorted start."""
+    size, covers = shape.size, shape.lower_covers
+    rows = [list(rank_lex_indices(shape)) for _ in range(chains)]
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        ks = rng.integers(1, size, size=chains).tolist()
+        coins = rng.random(chains).tolist()
+        for row, k, coin in zip(rows, ks, coins):
+            a, b = row[k - 1], row[k]
+            if coin >= laziness and a not in covers[b]:
+                row[k - 1], row[k] = b, a
+    return np.array(rows, dtype=np.int64)
+
+
 def contract_sampler(shape, seed):
     """The sampler contract of the README, written out: raw PCG64 words one
     at a time, top-bits rejection, and the increasing-index subtractive
@@ -362,6 +379,43 @@ class TestMcmc:
             assert np.array_equal(got, dense_table_ensemble(shape, 30, chains, 7, laziness, starts)), name
             assert np.array_equal(starts, before), name
             assert got.flags.c_contiguous and got.dtype == np.int64, name
+
+    @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2)])
+    def test_swap_table_path_matches_dense_oracle(self, lengths, laziness):
+        # Both shapes walk the lazy table, whose cell the coin picks: s to
+        # hold, T[s, k] to move.  Laziness 0 always reads T, 1 never does.
+        shape = GridShape(lengths)
+        starts = mcmc_ensemble(shape, 20, 60, seed=3)  # rows differ
+        for begin in (None, starts):
+            got = mcmc_ensemble(shape, 40, 60, 11, laziness, starts=begin)
+            assert np.array_equal(got, dense_table_ensemble(shape, 40, 60, 11, laziness, begin))
+            assert got.flags.c_contiguous and got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "lengths, state", [((16, 16), np.uint8), ((2, 129), np.uint16)], ids=["256-points", "258-points"]
+    )
+    def test_cover_path_state_dtypes_match_dense_oracle(self, lengths, state):
+        # The cover path holds the chains in the narrowest unsigned dtype
+        # of a point index: 256 points are the most that uint8 holds.
+        shape = GridShape(lengths)
+        assert np.min_scalar_type(shape.size - 1) == state
+        got = mcmc_ensemble(shape, 400, 20, seed=5)
+        assert np.array_equal(got, dense_table_ensemble(shape, 400, 20, 5))
+        assert got.flags.c_contiguous and got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "lengths, state", [((2,) * 16, np.uint16), ((2, 32769), np.uint32)], ids=["65536-points", "65538-points"]
+    )
+    def test_cover_path_wide_state_dtypes_match_loop_oracle(self, lengths, state):
+        # Past what a dense pair table holds: 65536 points are the most that
+        # uint16 holds.  Their differences b - a, negative too, are taken
+        # in a signed dtype.
+        shape = GridShape(lengths)
+        assert np.min_scalar_type(shape.size - 1) == state
+        got = mcmc_ensemble(shape, 30, 4, seed=6)
+        assert np.array_equal(got, loop_ensemble(shape, 30, 4, 6))
+        assert got.flags.c_contiguous and got.dtype == np.int64
 
     @pytest.mark.parametrize("lengths", [(3, 3), (4, 4, 4)])
     def test_list_starts_walk_as_array_starts(self, lengths):
