@@ -29,11 +29,13 @@ of the shape less its longest chain beyond), which the DP fills exactly.
 The cap counts 64-bit words, what a level's mask array holds per state:
 ceil(size / 64), so it admits cap // ceil(size / 64) states, one per unit
 of cap up to 64 points.
-The same table holds f(D), the number of orders of D itself: the point
-reflection (GridShape.reflect) reverses the order, so it maps the orders
-of D onto the completions of full ^ reflect(D), and f(D) = g(full ^
-reflect(D)).  A uniform extension passes through D with probability
-f(D) g(D) / g(empty), so exact expectations are sums over this one table.
+The same levels hold f(D), the number of orders of D itself: the point
+reflection v -> size - 1 - v reverses the order, so it maps the orders of
+D onto the completions of E = full ^ reflect(D), and the pits of D onto
+the maximal points of E.  So f(D) = g(E), and a uniform extension passes
+through D with probability f(D) g(D) / g(empty).  _paired_levels pairs
+level k with level size - k, reflected as a whole, so exact expectations
+are sums over whole levels, with no lookup per down-set.
 
 The table (CompletionTable) maps each down-set's bitmask, as a Python int,
 to its count.  It keeps the DP's levels as they come, one sorted key
@@ -54,7 +56,6 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from collections.abc import ItemsView
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator, Mapping
@@ -154,6 +155,8 @@ def _words(shape: GridShape) -> int:
 
 
 _ONE, _ALL = np.uint64(1), ~np.uint64(0)
+# Byte b with its eight bits in reverse order, for _reflected.
+_BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _word_array(bits: int, words: int) -> np.ndarray:
@@ -208,6 +211,18 @@ def _flipped(masks: np.ndarray, rows: np.ndarray, cols: np.ndarray, bit: np.ndar
     return kids
 
 
+def _tops(masks: np.ndarray, faces) -> np.ndarray:
+    """The maximal points of each row's down-set: v is maximal unless its
+    upper cover v + stride_j along some chain (x_j < a_j) is in the set."""
+    tops = masks.copy()
+    for q, r, below_top in faces:
+        moved = _shifted_down(masks, q, r)
+        moved &= below_top
+        tops &= np.invert(moved, out=moved)
+        del moved
+    return tops
+
+
 def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
     """The down-sets one point smaller than the rows of `masks` (sorted by
     _keys), sorted the same way, with their completion counts: each state
@@ -221,12 +236,7 @@ def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarr
     and every other edge finds its child there by searchsorted.
     """
     words = masks.shape[1]
-    tops = masks.copy()
-    for q, r, below_top in faces:
-        moved = _shifted_down(masks, q, r)
-        moved &= below_top
-        tops &= np.invert(moved, out=moved)
-        del moved
+    tops = _tops(masks, faces)
     first = masks + _ONE  # the trailing ones of each word ...
     np.invert(first, out=first)
     first &= masks
@@ -257,17 +267,47 @@ def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarr
     return below, sums
 
 
+def _faces(shape: GridShape) -> list:
+    """(q, r, below_top words) per chain of length > 1, its stride 64q + r."""
+    words = _words(shape)
+    return [(s // 64, s % 64, _word_array(below_top, words)) for s, _, below_top in shape._chain_faces[1]]
+
+
 def _levels(shape: GridShape):
     """Yield each level (masks, counts) of the completion table, sorted by
     _keys, from the whole grid down to the empty set; callers check the cap."""
-    words = _words(shape)
-    full, terms = shape._chain_faces
-    faces = [(s // 64, s % 64, _word_array(below_top, words)) for s, _, below_top in terms]
-    masks = _word_array(full, words).reshape(1, words)
+    faces = _faces(shape)
+    masks = _word_array(shape._chain_faces[0], _words(shape)).reshape(1, -1)
     counts = np.ones(1, dtype=object)
     while len(masks):
         yield masks, counts
         masks, counts = _level_below(masks, counts, faces)
+
+
+def _reflected(masks: np.ndarray, size: int) -> np.ndarray:
+    """full ^ reflect(D) for each row D: its little-endian bytes reversed,
+    each bit-reversed, shifted down past the padding, then complemented."""
+    words = masks.shape[1]
+    flipped = _BIT_REVERSED[masks.astype("<u8", copy=False).view(np.uint8)[:, ::-1]]
+    out = _shifted_down(flipped.view("<u8").astype(np.uint64, copy=False), 0, 64 * words - size)
+    out ^= _word_array((1 << size) - 1, words)
+    return out
+
+
+def _paired_levels(shape: GridShape, cap: int | None = None):
+    """Yield, for k = 1..size, arrays over the down-sets D of k points in
+    _keys order: g(D); f(D) = g(E), E = full ^ reflect(D), by one
+    searchsorted in E's level; and the pits of D, E's tops, counted.
+    Checks the cap before any level is built, then holds every level."""
+    _check_cap(shape, cap)
+    levels = list(_levels(shape))  # levels[i] holds the down-sets of size - i points
+    size, faces = shape.size, _faces(shape)
+    for k in range(1, size + 1):
+        (masks, g), (below, counts) = levels[size - k], levels[k]
+        reflected = _reflected(masks, size)
+        f = counts[np.searchsorted(_keys(below), _keys(reflected))]
+        pits = np.unpackbits(_tops(reflected, faces).view(np.uint8), axis=1).sum(axis=1)
+        yield g, f, pits
 
 
 def _check_cap(shape: GridShape, cap: int | None) -> None:
@@ -354,18 +394,9 @@ class CompletionTable(Mapping[int, int]):
 
     def __iter__(self) -> Iterator[int]:
         for keys, _ in reversed(self._levels):
-            yield from _key_ints(keys)
-
-    def items(self) -> ItemsView[int, int]:
-        return _Items(self)
-
-
-class _Items(ItemsView):
-    """The table's (bits, count) pairs, read level by level, with no lookup."""
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        for keys, counts in reversed(self._mapping._levels):
-            yield from zip(_key_ints(keys), counts)
+            yield from keys if isinstance(keys, memoryview) else (
+                int.from_bytes(keys[i], "little") for i in range(len(keys))
+            )
 
 
 class _Rows:
@@ -379,13 +410,6 @@ class _Rows:
 
     def __getitem__(self, i: int) -> bytes:
         return self.data[i * self.step : (i + 1) * self.step]
-
-
-def _key_ints(keys: memoryview | _Rows) -> Iterator[int]:
-    """A level's keys as size-bit ints, in order."""
-    if isinstance(keys, memoryview):
-        return iter(keys)
-    return (int.from_bytes(keys[i], "little") for i in range(len(keys)))
 
 
 def completion_counts(shape: GridShape, cap: int | None = None) -> Mapping[int, int]:

@@ -36,10 +36,6 @@ from .errors import DomainError
 
 __all__ = ["GridShape", "whitney_numbers", "max_antichain_size"]
 
-# Byte b with its eight bits in reverse order, for GridShape.reflect.
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 @dataclass(frozen=True)
 class GridShape:
     """Chain lengths (a_1, ..., a_k) of a product-of-chains poset."""
@@ -213,17 +209,6 @@ class GridShape:
         for stride, bottom, _ in terms:
             mask &= bits << stride | bottom
         return mask
-
-    def reflect(self, bits: int) -> int:
-        """The point reflection of the point set `bits`: point v goes to
-        size - 1 - v, i.e. x_j -> a_j + 1 - x_j, which reverses the order.
-        So a down-set goes to an up-set, and back.  On the bitmask this is
-        a reversal of its size bits: the little-endian bytes, each one
-        bit-reversed, read big-endian, less the padding bits.
-        """
-        nbytes = -(-self.size // 8)
-        flipped = bits.to_bytes(nbytes, "little").translate(_BIT_REVERSED)
-        return int.from_bytes(flipped, "big") >> (8 * nbytes - self.size)
 
     def __str__(self) -> str:
         return "x".join(str(a) for a in self.lengths)

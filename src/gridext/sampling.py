@@ -11,8 +11,8 @@ Two samplers are provided:
   distribution is uniform; no mixing-time guarantee is asserted, callers
   choose the step count and the code reports empirical distances only.
 
-Exact low-pits fractions are sums over the down-set lattice (see the
-counting module); the exact entropy profile enumerates, as an oracle.
+Exact low-pits fractions are sums over the counting module's paired
+levels, a level at a time; the exact entropy profile enumerates, as an oracle.
 
 Determinism contract (external, bit-exact):
 
@@ -61,10 +61,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bounds import pits_threshold
-from .counting import completion_counts
+from .counting import _paired_levels, completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
-from .jumps import LinearExtension, jump_pit_blocks, rank_lex_indices
+from .jumps import jump_pit_blocks, rank_lex_indices
 from .transposition import _MAX_POINTS, build_graph, enumerate_index_orders, order_ids
 
 __all__ = [
@@ -219,9 +219,6 @@ class ExactSampler:
             placed |= 1 << v
             out.append(v)
         return tuple(out)
-
-    def sample(self) -> LinearExtension:
-        return LinearExtension(self.shape, self.sample_indices())
 
 
 # Largest chains x size int64 array the ensemble allocates (its result), in bytes.
@@ -484,22 +481,16 @@ def exact_pits_deficit_fractions(shape: GridShape, Rs: Sequence[float]) -> dict[
 
     Sums f(D) g(D), the number of extensions whose first |D| points form D,
     over the nonempty down-sets D with few pits; no extension is listed.
-    Both factors come from the completion table: f(D) = g(full ^
-    reflect(D)) (see the counting module).  Exact rational output
-    (denominator count * size), under the default DP state cap.
+    The counting module's paired levels give f, g and the pit counts a
+    whole level at a time, under the default DP state cap.  All terms sum
+    to the denominator count * size (an extension passes one D per size).
     """
-    thresholds = {float(R): _deficit_threshold(shape, R) for R in Rs}
-    g = completion_counts(shape)
-    full = (1 << shape.size) - 1
-    reflect, pit_mask = shape.reflect, shape.pit_mask
-    by_pits: Counter[int] = Counter()  # (extension, time) pairs by pit count
-    for bits, here in g.items():
-        if bits:
-            by_pits[pit_mask(bits).bit_count()] += g[full ^ reflect(bits)] * here
-    return {
-        R: Fraction(sum(w for c, w in by_pits.items() if c < t), g[0] * shape.size)
-        for R, t in thresholds.items()
-    }
+    thresholds = [(float(R), _deficit_threshold(shape, R)) for R in Rs]
+    by_pits = np.zeros(shape.size + 1, dtype=object)  # (extension, time) pairs by pit count
+    for g, f, pits in _paired_levels(shape):
+        np.add.at(by_pits, pits, f * g)
+    total = sum(by_pits)
+    return {R: Fraction(sum(w for c, w in enumerate(by_pits) if c < t), total) for R, t in thresholds}
 
 
 @dataclass(frozen=True)

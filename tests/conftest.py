@@ -41,6 +41,32 @@ def shared_tables():
 
 
 @pytest.fixture(scope="session")
+def reflect():
+    """Oracle for the point reflection x_j -> a_j + 1 - x_j, which reverses
+    the order: reflect(shape, bits) maps each point of the set `bits` through
+    coords_of and index_of.  The images are tabled once per shape, per byte
+    of the set, so a call is one lookup per byte."""
+
+    @functools.lru_cache(maxsize=None)
+    def byte_images(shape):
+        image = [
+            shape.index_of(tuple(a + 1 - x for a, x in zip(shape.lengths, shape.coords_of(v))))
+            for v in range(shape.size)
+        ]
+        chunks = [image[i : i + 8] for i in range(0, len(image), 8)]
+        return [[sum(1 << w for j, w in enumerate(chunk) if b >> j & 1) for b in range(256)] for chunk in chunks]
+
+    def reflect(shape, bits):
+        tables = byte_images(shape)
+        out = 0
+        for table, b in zip(tables, bits.to_bytes(len(tables), "little")):
+            out |= table[b]
+        return out
+
+    return reflect
+
+
+@pytest.fixture(scope="session")
 def diamond():
     return GridShape.equilateral(2, 2)
 

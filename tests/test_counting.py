@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,14 @@ from gridext import (
     count_extensions,
     count_root_window,
     enumerate_index_orders,
+    exact_pits_deficit_fractions,
     factorial_product_lower_bound,
     hook_length_count,
     normalized_count_root,
+    pits_threshold,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _lattice_size, _levels
+from gridext.counting import _down_set_count, _faces, _lattice_size, _levels, _paired_levels, _reflected, _tops
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -259,14 +262,14 @@ class TestCounts:
 
     @given(small_shapes)
     @settings(deadline=None)
-    def test_reflection_gives_forward_counts(self, lengths):
+    def test_reflection_gives_forward_counts(self, reflect, lengths):
         # f(D) = g(full ^ reflect(D)): the reflection reverses the order.
         shape = GridShape(lengths)
         g = completion_counts(shape)
         f = forward_oracle(shape)
         full = (1 << shape.size) - 1
         assert f.keys() == g.keys()
-        assert all(g[full ^ shape.reflect(bits)] == here for bits, here in f.items())
+        assert all(g[full ^ reflect(shape, bits)] == here for bits, here in f.items())
         # Every extension passes through exactly one down-set of each size.
         for k in range(shape.size + 1):
             assert sum(here * g[b] for b, here in f.items() if b.bit_count() == k) == g[0]
@@ -369,6 +372,64 @@ class TestCompletionTable:
             assert all(weight == table[bits | 1 << v] for v, weight in pairs)
             assert bits == full or sum(weight for _, weight in pairs) == here
         assert list(table.pit_weights(full)) == []
+
+
+def mapping_deficit_oracle(shape, Rs, reflect):
+    """Oracle: the exact low-pits fractions by the per-down-set loop
+    exact_pits_deficit_fractions once ran, over a dict table: f(D) by one
+    lookup of full ^ reflect(D), the pits by pit_mask."""
+    g = dict_table_oracle(shape)
+    full = (1 << shape.size) - 1
+    by_pits = Counter()
+    for bits, here in g.items():
+        if bits:
+            by_pits[shape.pit_mask(bits).bit_count()] += g[full ^ reflect(shape, bits)] * here
+    thresholds = {R: pits_threshold(shape.lengths[0], shape.num_chains, R) for R in Rs}
+    return {R: Fraction(sum(w for c, w in by_pits.items() if c < t), g[0] * shape.size) for R, t in thresholds.items()}
+
+
+class TestPairedLevels:
+    # 3x3, 2x2x2x2 and 3x3x3x2 have one-word states; 9x9, 2x33 and 3x30
+    # two-word ones.
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2, 2), (3, 3, 3, 2), (9, 9), (2, 33), (3, 30)])
+    def test_matches_lookups_on_every_down_set(self, reflect, lengths):
+        shape = GridShape(lengths)
+        table, full = dict_table_oracle(shape), (1 << shape.size) - 1
+        by_size = [[] for _ in range(shape.size + 1)]
+        for bits in table:  # each level in the generator's order
+            by_size[bits.bit_count()].append(bits)
+        paired = list(_paired_levels(shape))
+        assert len(paired) == shape.size
+        for downs, (g, f, pits) in zip(by_size[1:], paired):
+            assert g.tolist() == [table[bits] for bits in downs]
+            assert f.tolist() == [table[full ^ reflect(shape, bits)] for bits in downs]
+            assert pits.tolist() == [shape.pit_mask(bits).bit_count() for bits in downs]
+
+    # Sizes 64, 65, 66, 81 and 200: the reflection shifts out 0, 63, 62, 47
+    # and 56 padding bits, carrying across one to four words.
+    @pytest.mark.parametrize("lengths", [(4, 4, 4), (65,), (2, 33), (3, 22), (2, 3, 11), (9, 9), (200,)])
+    def test_reflected_levels_match_coordinates(self, reflect, lengths):
+        # full ^ reflect(D) row by row, and its tops are the reflected pits of D.
+        shape = GridShape(lengths)
+        full, faces = (1 << shape.size) - 1, _faces(shape)
+        for masks, _ in _levels(shape):
+            downs, reflected = level_ints(masks), _reflected(masks, shape.size)
+            assert level_ints(reflected) == [full ^ reflect(shape, bits) for bits in downs]
+            assert level_ints(_tops(reflected, faces)) == [reflect(shape, shape.pit_mask(bits)) for bits in downs]
+
+    @pytest.mark.parametrize("lengths", [(4, 4, 4), (9, 9)])
+    def test_deficit_fractions_match_the_mapping_loop(self, reflect, lengths):
+        shape, Rs = GridShape(lengths), [0.5, 1.0, 2.0, 4.0, 8.0]
+        assert exact_pits_deficit_fractions(shape, Rs) == mapping_deficit_oracle(shape, Rs, reflect)
+
+    def test_refuses_before_any_level(self, built):
+        shape = GridShape((2, 3, 3))
+        cap = len(completion_counts(shape)) - 1
+        del built[:]
+        with pytest.raises(ResourceCapError) as exc:
+            next(_paired_levels(shape, cap))
+        assert exc.value.cap == cap
+        assert built == []
 
 
 class TestBounds:

@@ -176,7 +176,7 @@ class TestExactSampler:
     def test_deterministic_per_seed(self, square3):
         def draws(seed):
             sampler = ExactSampler(square3, seed)
-            return [sampler.sample() for _ in range(20)]
+            return [LinearExtension(square3, sampler.sample_indices()) for _ in range(20)]
 
         a = draws(99)
         assert a == draws(99)
@@ -185,7 +185,7 @@ class TestExactSampler:
     def test_samples_are_valid(self, cube2):
         sampler = ExactSampler(cube2, 17)
         for _ in range(50):
-            sampler.sample()  # LinearExtension constructor validates
+            LinearExtension(cube2, sampler.sample_indices())  # the constructor validates
 
     def test_full_support_small(self, diamond):
         seen = {ExactSampler(diamond, s).sample_indices() for s in range(40)}

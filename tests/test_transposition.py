@@ -315,7 +315,7 @@ class TestGraph:
         assert built == []
 
     @pytest.mark.parametrize("lengths", [(5, 5), (3, 3, 3), (2,) * 5, (8, 8)])
-    def test_mean_degree_matches_pit_pair_sum(self, lengths):
+    def test_mean_degree_matches_pit_pair_sum(self, reflect, lengths):
         # Oracle: after a prefix D, the next pair (v, u) is a jump exactly
         # when u was already a pit of D, so all extensions together have
         # 2 * sum_D f(D) * sum_{v < u pits of D} g(D + v + u) jumps.
@@ -329,7 +329,7 @@ class TestGraph:
                 pits.append(rest & -rest)
                 rest ^= pits[-1]
             pairs = sum(g[bits | a | b] for i, a in enumerate(pits) for b in pits[i + 1 :])
-            total += g[full ^ shape.reflect(bits)] * pairs
+            total += g[full ^ reflect(shape, bits)] * pairs
         assert exhaustive_mean_degree(shape) == Fraction(2 * total, g[0])
 
     @given(small_shapes, st.floats(0.05, 8.0))
