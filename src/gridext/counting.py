@@ -155,8 +155,9 @@ def _words(shape: GridShape) -> int:
 
 
 _ONE, _ALL = np.uint64(1), ~np.uint64(0)
-# Byte b with its eight bits in reverse order, for _reflected.
+# Byte b bit-reversed, for _reflected, and its set bits, for the pit counts.
 _BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 
 
 def _word_array(bits: int, words: int) -> np.ndarray:
@@ -294,19 +295,18 @@ def _reflected(masks: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _paired_levels(shape: GridShape, cap: int | None = None):
-    """Yield, for k = 1..size, arrays over the down-sets D of k points in
-    _keys order: g(D); f(D) = g(E), E = full ^ reflect(D), by one
-    searchsorted in E's level; and the pits of D, E's tops, counted.
-    Checks the cap before any level is built, then holds every level."""
-    _check_cap(shape, cap)
+def _paired_levels(shape: GridShape):
+    """After the default cap check, hold every level and yield, for k = 1..size,
+    arrays over the down-sets D of k points in _keys order: g(D); f(D) = g(E),
+    E = full ^ reflect(D), by one searchsorted in E's level; D's pits, E's tops, counted."""
+    _check_cap(shape, None)
     levels = list(_levels(shape))  # levels[i] holds the down-sets of size - i points
     size, faces = shape.size, _faces(shape)
     for k in range(1, size + 1):
         (masks, g), (below, counts) = levels[size - k], levels[k]
         reflected = _reflected(masks, size)
         f = counts[np.searchsorted(_keys(below), _keys(reflected))]
-        pits = np.unpackbits(_tops(reflected, faces).view(np.uint8), axis=1).sum(axis=1)
+        pits = _POPCOUNT[_tops(reflected, faces).view(np.uint8)].sum(axis=1)
         yield g, f, pits
 
 

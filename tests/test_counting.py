@@ -422,14 +422,20 @@ class TestPairedLevels:
         shape, Rs = GridShape(lengths), [0.5, 1.0, 2.0, 4.0, 8.0]
         assert exact_pits_deficit_fractions(shape, Rs) == mapping_deficit_oracle(shape, Rs, reflect)
 
-    def test_refuses_before_any_level(self, built):
-        shape = GridShape((2, 3, 3))
+    def test_refuses_before_any_level(self, built, monkeypatch, reflect):
+        # The paired levels check the default cap, read at each call.
+        from gridext import counting
+
+        shape = GridShape((3, 3, 3))
         cap = len(completion_counts(shape)) - 1
         del built[:]
+        monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", cap)
         with pytest.raises(ResourceCapError) as exc:
-            next(_paired_levels(shape, cap))
+            exact_pits_deficit_fractions(shape, [1.0])
         assert exc.value.cap == cap
         assert built == []
+        monkeypatch.setattr(counting, "DEFAULT_STATE_CAP", cap + 1)
+        assert exact_pits_deficit_fractions(shape, [1.0]) == mapping_deficit_oracle(shape, [1.0], reflect)
 
 
 class TestBounds:
