@@ -20,7 +20,6 @@ import csv
 import functools
 import heapq
 import io
-import itertools
 import json
 import os
 import sys
@@ -38,7 +37,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import _block_rows, _read_blocks, jump_pit_block, write_index_orders
+from .jumps import _block_rows, _blocks, _read_blocks, jump_pit_block, write_index_orders
 from .sampling import ExactSampler, _check_seed, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
@@ -124,10 +123,8 @@ def cmd_enumerate(args) -> int:
 
 def _written(fh, shape, orders):
     # Passes the orders on once written to fh, a block at a time: no list of
-    # all orders, and one writer call per block.  One iterator over them, so
-    # an array's rows are read once, not the first block again and again.
-    orders, rows = iter(orders), _block_rows(shape)
-    while block := list(itertools.islice(orders, rows)):
+    # all orders, and one writer call per block.
+    for block in _blocks(orders, _block_rows(shape)):
         write_index_orders(fh, block)
         yield from block
 
@@ -192,25 +189,23 @@ def cmd_jumps(args) -> int:
 
 def cmd_pits(args) -> int:
     shape = _parse_shape_token(args.shape)
-    blocks = list(_read_blocks(args.infile, shape))
-    if not blocks:
+    pits = [jump_pit_block(shape, block)[1] for block in _read_blocks(args.infile, shape)]
+    if not pits:
         raise DomainError(f"no extensions found in {args.infile}")
-    size = shape.size
+    pits, size = np.concatenate(pits), shape.size
     if args.mean:
-        means = jump_stats_from_orders(shape, np.concatenate(blocks)).mean_pits_profile
+        means = [total / len(pits) for total in pits.sum(axis=0).tolist()]  # exact integer sums
         if args.format == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
         else:
-            _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": list(means)}))
+            _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
+    elif args.format == "csv":
+        header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
+        rows = [[i, *profile] for i, profile in enumerate(pits.tolist(), start=1)]
+        _emit(args, _csv_table(header, rows))
     else:
-        profiles = [profile for block in blocks for profile in jump_pit_block(shape, block)[1].tolist()]
-        if args.format == "csv":
-            header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
-            rows = [[i + 1, *profile] for i, profile in enumerate(profiles)]
-            _emit(args, _csv_table(header, rows))
-        else:
-            _emit(args, _json(profiles))
+        _emit(args, _json(pits.tolist()))
     return 0
 
 
@@ -298,16 +293,17 @@ def cmd_conjecture_scan(args) -> int:
     rows = []
     for m, n, shape in shapes:
         size = shape.size
-        # One table per row, held to --cap above and not sized again: a
-        # sampled row draws from the table it counts from.
-        sampler = ExactSampler(shape, args.seed, table=CompletionTable(shape))
-        count = sampler.count
+        # One table per row, held to --cap above and not sized again: it
+        # gives the count, g(empty), and a sampled row draws from it.
+        table = CompletionTable(shape)
+        count = table[0]
         if count <= EXACT_SCAN_LIMIT:
             mean = float(exhaustive_mean_degree(shape))
             stderr = 0.0
             method = "exhaustive"
             used = count
         else:
+            sampler = ExactSampler(shape, args.seed, table=table)
             stats = jump_stats_from_orders(shape, (sampler.sample_indices() for _ in range(args.samples)))
             mean = stats.mean_degree
             stderr = stats.degree_stderr

@@ -19,6 +19,7 @@ come from the positions of the points and, per point, the last position
 of a lower cover: one maximum per chain, then one comparison for the
 jumps and one bincount and one cumsum for the pits.  jump_times and
 pits_counts are the per-order reference the kernel is tested against.
+One cutter, _blocks, cuts every stream of orders or lines into blocks.
 read_extensions_file and the jumps and pits commands read a file as
 validated int64 blocks (_read_blocks): a token is a point iff it is that
 point's label (_labels, the writer's table), and a row is an extension iff
@@ -210,20 +211,21 @@ def _block_rows(shape: GridShape) -> int:
     return max(1, _BLOCK_ENTRIES // shape.size)
 
 
+def _blocks(items: Iterable, rows: int) -> Iterator:
+    """The one stream cutter: blocks of `rows` items, the last shorter; row slices
+    (views) of an array, else lists, reading the iterable once."""
+    if isinstance(items, np.ndarray):
+        return (items[lo : lo + rows] for lo in range(0, len(items), rows))
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, rows)), [])
+
+
 def jump_pit_blocks(shape: GridShape, orders: Iterable[Sequence[int]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """jump_pit_block over a stream of trusted orders, in blocks of at most
+    """jump_pit_block over a stream of trusted orders, in _blocks of at most
     2^12 point indices (one order if it is longer): (jump flags, pit
-    counts) per block, rows in stream order.  A (rows, size) array is cut
-    into blocks of the same row count, with no list of its rows.
+    counts) per block, rows in stream order.
     """
-    rows = _block_rows(shape)
-    if isinstance(orders, np.ndarray):
-        for start in range(0, len(orders), rows):
-            yield jump_pit_block(shape, orders[start : start + rows])
-        return
-    orders = iter(orders)
-    while block := list(itertools.islice(orders, rows)):
-        yield jump_pit_block(shape, np.array(block, dtype=np.int64))
+    return (jump_pit_block(shape, block) for block in _blocks(orders, _block_rows(shape)))
 
 
 def rank_lex_indices(shape: GridShape) -> tuple[int, ...]:
@@ -296,7 +298,7 @@ def _read_blocks(path, shape: GridShape) -> Iterator[np.ndarray]:
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         stripped = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
         lines = filter(operator.itemgetter(1), stripped)  # nonblank lines, numbered
-        while block := list(itertools.islice(lines, _block_rows(shape))):
+        for block in _blocks(lines, _block_rows(shape)):
             orders = _block_orders(shape, [line for _, line in block], index)
             if orders is None:
                 orders = []

@@ -41,8 +41,8 @@ Determinism contract (external, bit-exact):
   array of the narrowest unsigned dtype that holds size - 1, reads each
   chain's pair (k - 1, k) through its flat row-major view, at index
   chain x size + k, and writes back only the pairs that swap.  Both paths
-  consume this draw pattern and make the same moves, so their output is
-  byte-identical; neither the draws nor the bytes depend on how a step
+  read the draws from one loop and make the same moves, so their output
+  is byte-identical; neither the draws nor the bytes depend on how a step
   is computed.
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
@@ -158,11 +158,6 @@ class ExactSampler:
         self._stream = WordStream(seed)  # checks the seed before the DP is built
         self._g = completion_counts(shape, state_cap) if table is None else table
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
-
-    @property
-    def count(self) -> int:
-        """The number of extensions of the shape, g(empty), read from the table."""
-        return self._g[0]
 
     def _choices(self, placed: int) -> tuple:
         """The memo entry of D = placed, built from the table's pit weights on
@@ -286,9 +281,14 @@ def mcmc_ensemble(
     if chains == 0 or steps == 0 or shape.is_chain:
         return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
-    # The coins go to a buffer kept across steps; random(out=) draws what
-    # random(chains) would.
-    coins = np.empty(chains)
+    coins, move = np.empty(chains), np.empty(chains, dtype=bool)  # made later, they raise the peak RSS
+
+    def draws():  # the documented draw pattern, for both paths: per step, positions k and who moves
+        for _ in range(steps):
+            ks = rng.integers(1, size, size=chains)
+            rng.random(out=coins)  # into a kept buffer: draws what random(chains) would
+            yield ks, np.greater_equal(coins, laziness, out=move)
+
     try:
         graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
     except ResourceCapError:  # more extensions than the table takes: test covers
@@ -301,17 +301,14 @@ def mcmc_ensemble(
         table = graph.table.astype(np.int64) * (2 * size)
         lazy = np.stack([np.repeat(table[:, :1], size, axis=1), table], axis=2).ravel()
         state = order_ids(graph.orders, starts) * (2 * size)
-        cell, move = np.empty_like(state), np.empty(chains, dtype=bool)
-        for _ in range(steps):
-            ks = rng.integers(1, size, size=chains)
-            rng.random(out=coins)
-            np.greater_equal(coins, laziness, out=move)
+        cell = np.empty_like(state)
+        for ks, move in draws():
             np.add(ks, ks, out=ks)
             np.add(state, ks, out=cell)
             cell += move
             np.take(lazy, cell, out=state)
         state //= 2 * size
-        return graph.orders[state].astype(np.int64)
+        return graph.orders.astype(np.int64)[state]  # no int32 copy of the result
     # The chains in the narrowest unsigned dtype that holds a point index,
     # as a C-ordered copy whatever the layout of starts (a broadcast view is
     # F-ordered), so that reshape(-1) is a view of it and not a copy.
@@ -320,15 +317,13 @@ def mcmc_ensemble(
     right = flat[1:]  # right[i] is flat[i + 1]
     up, step = shape.cover_arrays
     before = np.arange(-1, chains * size - 1, size)  # flat index of each chain's first point, less 1
-    for _ in range(steps):
-        lo = rng.integers(1, size, size=chains)
-        rng.random(out=coins)
+    for lo, move in draws():
         lo += before  # flat index of the pair's first entry, at k - 1
         a, b = flat.take(lo), right.take(lo)
         # b - a + size in a signed wide dtype: unsigned subtraction wraps.
         diff = np.subtract(b, a, dtype=np.intp)
         diff += size
-        moved = np.flatnonzero((coins >= laziness) & (up.take(b) & step.take(diff) == 0))
+        moved = np.flatnonzero(move & (up.take(b) & step.take(diff) == 0))
         # Only the chains that move write, each its pair swapped.  No two
         # chains share an index.
         lo = lo[moved]

@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .counting import count_extensions, factorial_product_lower_bound
+from .counting import count_extensions
 from .errors import ResourceCapError
 from .grid import GridShape, _bit_indices, whitney_numbers
 from .jumps import _block_rows, _labels
@@ -86,6 +86,14 @@ def _order_blocks(shape: GridShape) -> Iterator[np.ndarray]:
             stack.append((child[lo : lo + rows], waiting[lo : lo + rows]))
 
 
+def _ranks_exceed(shape: GridShape, cap: int) -> bool:
+    # The rank levels alone show more than cap extensions: 2^(num_ranks - 2), each inner level of a
+    # non-chain being 2 wide or more, then their factorial product, each factor stopped at (bits + 1)! > cap.
+    if shape.num_ranks - 2 >= (bits := cap.bit_length()):
+        return True
+    return math.prod(math.factorial(min(w, bits + 1)) for w in whitney_numbers(shape)) > cap
+
+
 def _enumeration(shape: GridShape, cap: int | None) -> Iterator[np.ndarray]:
     # enumerate_index_orders' refusals, then its orders as int32 blocks.
     cap = DEFAULT_ENUM_CAP if cap is None else int(cap)
@@ -93,11 +101,7 @@ def _enumeration(shape: GridShape, cap: int | None) -> Iterator[np.ndarray]:
         if shape.size > _MAX_POINTS:
             raise ResourceCapError(f"shape {shape} has one extension, of more than {_MAX_POINTS} points", cap=_MAX_POINTS)
         return iter([np.arange(shape.size, dtype=np.int32)[None]])
-    if (
-        shape.num_ranks - 2 >= cap.bit_length()  # a chain at cap >= 1 returned above
-        # The factorial product, each factor stopped where it alone passes the cap: w! >= 2^(w - 1).
-        or math.prod(math.factorial(min(w, cap.bit_length() + 1)) for w in whitney_numbers(shape)) > cap
-    ):
+    if _ranks_exceed(shape, cap):
         total = f"more than {cap}"
     elif (total := count_extensions(shape)) <= cap:
         return _order_blocks(shape)
@@ -209,7 +213,7 @@ def backtracking_count(shape: GridShape, cap: int | None = None) -> int:
         return 1
     if shape.size > _WORD:
         raise ResourceCapError(f"shape {shape} has more than {_WORD} points (backtracking oracle)", cap=_WORD)
-    if factorial_product_lower_bound(shape) > cap:
+    if _ranks_exceed(shape, cap):
         raise refusal
     masks = np.array(shape.lower_cover_masks, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(shape.size, dtype=np.uint64)

@@ -450,6 +450,31 @@ class TestJumpsAndPits:
         assert len(rows) == 9
         assert rows[0]["mean_pits"] == "2"  # two pits after the forced bottom
 
+    def test_pits_over_many_blocks(self, capsys, tmp_path):
+        # 1500 3x3 lines are four blocks of at most 455 rows: every row's
+        # profile is its pits_counts, and the means are the exact column
+        # means, rounded once.
+        from fractions import Fraction
+
+        from gridext import ExactSampler, GridShape, pits_counts
+
+        shape = GridShape((3, 3))
+        sampler = ExactSampler(shape, 11)
+        orders = [sampler.sample_indices() for _ in range(1500)]
+        path = tmp_path / "e.txt"
+        path.write_text("".join(" ".join(map(str, order)) + "\n" for order in orders))
+        profiles = [pits_counts(shape, order) for order in orders]
+        code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path))
+        assert code == 0
+        assert [tuple(int(row[f"t{k}"]) for k in range(1, 10)) for row in parse_csv(out)] == profiles
+        code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path), "--format", "json")
+        assert json.loads(out) == [list(p) for p in profiles]
+        means = [float(Fraction(sum(column), len(profiles))) for column in zip(*profiles)]
+        code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path), "--mean", "--format", "json")
+        assert json.loads(out) == {"times": list(range(1, 10)), "mean_pits": means}
+        code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path), "--mean")
+        assert [row["mean_pits"] for row in parse_csv(out)] == [f"{mean:.10g}" for mean in means]
+
     @pytest.mark.parametrize("command", ["jumps", "pits"])
     def test_non_ascii_byte_names_its_line(self, capsys, tmp_path, command):
         path = tmp_path / "bad.txt"
@@ -650,6 +675,24 @@ class TestConjectureScan:
         assert code == 0
         for lengths in [(5, 5), (3, 3, 3), (2,) * 5]:
             assert built.count(GridShape(lengths)) == 1, lengths
+
+    def test_only_sampled_rows_build_a_sampler(self, capsys, monkeypatch):
+        # Of --max-size 16, only 2x2x2x2 (1680384 extensions) is sampled;
+        # the exhaustive rows read their count from the table alone.
+        from gridext import GridShape, cli
+
+        built = []
+        real = cli.ExactSampler
+
+        def spy(shape, *args, **kwargs):
+            built.append(shape)
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ExactSampler", spy)
+        code, out, _ = run(capsys, "conjecture-scan", "--max-size", "16", "--samples", "5")
+        assert code == 0
+        assert [r["method"] for r in parse_csv(out)] == ["exhaustive"] * 4 + ["sampled"]
+        assert built == [GridShape((2, 2, 2, 2))]
 
     def test_each_row_is_sized_once(self, capsys, monkeypatch):
         # The rows of --max-size 32 are held to the cap as they are listed,

@@ -215,6 +215,31 @@ class TestBlockKernel:
         ]
 
 
+class TestCutter:
+    def test_array_gives_views_in_order(self):
+        items = np.arange(14).reshape(7, 2)
+        blocks = list(jumps._blocks(items, 3))
+        assert [block.tolist() for block in blocks] == [items[:3].tolist(), items[3:6].tolist(), items[6:].tolist()]
+        assert all(np.shares_memory(block, items) for block in blocks)
+
+    def test_generator_gives_lists_read_once(self):
+        reads = []
+
+        def items():
+            for i in range(7):
+                reads.append(i)
+                yield i
+
+        blocks = jumps._blocks(items(), 3)
+        assert next(blocks) == [0, 1, 2] and reads == [0, 1, 2]  # no read ahead
+        assert list(blocks) == [[3, 4, 5], [6]]
+        assert reads == list(range(7))
+
+    @pytest.mark.parametrize("items", [np.empty((0, 4)), [], iter(())], ids=["array", "list", "iterator"])
+    def test_empty_input_gives_no_block(self, items):
+        assert list(jumps._blocks(items, 3)) == []
+
+
 class TestRankWalks:
     def test_rank_lex_indices_any_shape(self):
         s = GridShape((2, 3))

@@ -1,6 +1,7 @@
 """Enumeration, swap graphs, exhaustive degree statistics."""
 
 import functools
+import itertools
 import math
 import time
 from collections import Counter
@@ -216,6 +217,59 @@ class TestEnumeration:
         # prefixes; its 10^8 - 1 inner levels are each 2 wide.
         with pytest.raises(ResourceCapError, match="above the enumeration cap of 100000000"):
             enumerate_index_orders(GridShape((2, 10**8)), cap=10**8)
+
+    @given(
+        st.lists(st.integers(1, 8), min_size=1, max_size=6)
+        .filter(lambda lengths: math.prod(lengths) <= 64)
+        .map(GridShape)
+        .filter(lambda shape: not shape.is_chain),
+        st.data(),
+    )
+    @settings(deadline=None)
+    def test_rank_level_refusal_is_the_factorial_product(self, shape, data):
+        # The table-free test reads 2^(num_ranks - 2) first and stops each
+        # factorial past the cap; on a non-chain it still decides
+        # factorial_product_lower_bound(shape) > cap, near that bound too.
+        bound = counting.factorial_product_lower_bound(shape)
+        cap = data.draw(st.one_of(st.integers(-3, 2**80), st.integers(bound - 2, bound + 2)))
+        assert transposition._ranks_exceed(shape, cap) == (bound > cap)
+
+    def test_refusals_sweep(self):
+        # Every shape of at most 12 points, chains of length 1 included, at
+        # caps around its rank-level bound and its count: enumeration, the
+        # graph and the backtracking oracle refuse when the count is over
+        # the cap, naming it "more than cap" when the rank levels show it.
+        shapes = {
+            GridShape(lengths)
+            for n in (1, 2, 3)
+            for lengths in itertools.product(range(1, 13), repeat=n)
+            if math.prod(lengths) <= 12
+        }
+        for shape in sorted(shapes, key=lambda s: s.lengths):
+            count, bound = count_extensions(shape), counting.factorial_product_lower_bound(shape)
+            for cap in sorted({-1, 0, 1, 2, 3, bound - 1, bound, bound + 1, count - 1, count, count + 1}) + [None]:
+                listed = 10**6 if cap is None else cap
+                if shape.is_chain and listed >= 1:
+                    refusal = None
+                else:
+                    total = f"more than {listed}" if bound > listed else count
+                    refusal = f"shape {shape} has {total} extensions, above the enumeration cap of {listed}"
+                    refusal = refusal if count > listed else None
+                for command in (enumerate_index_orders, build_graph):
+                    try:
+                        listing = command(shape, cap)
+                    except ResourceCapError as exc:
+                        assert (str(exc), exc.cap) == (refusal, listed), (command, shape, cap)
+                    else:
+                        assert refusal is None, (command, shape, cap)
+                        assert len(list(listing) if command is enumerate_index_orders else listing.orders) == count
+                walked = 10**7 if cap is None else cap
+                try:
+                    assert backtracking_count(shape, cap) == count <= walked, (shape, cap)
+                except ResourceCapError as exc:
+                    assert count > walked, (shape, cap)
+                    message = f"shape {shape} has more than {walked} extensions (backtracking cap)"
+                    assert (str(exc), exc.cap) == (message, walked)
 
     def test_backtracking_cap(self):
         with pytest.raises(ResourceCapError):
