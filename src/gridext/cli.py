@@ -37,7 +37,7 @@ from .counting import (
 )
 from .errors import DomainError, GridextError, ResourceCapError
 from .grid import GridShape
-from .jumps import _block_rows, _blocks, _read_blocks, jump_pit_block, write_index_orders
+from .jumps import _block_rows, _blocks, _jump_pit, _read_blocks, write_index_orders
 from .sampling import ExactSampler, _check_seed, jump_stats_from_orders, mcmc_ensemble
 from .transposition import (
     build_graph,
@@ -122,11 +122,22 @@ def cmd_enumerate(args) -> int:
 
 
 def _written(fh, shape, orders):
-    # Passes the orders on once written to fh, a block at a time: no list of
-    # all orders, and one writer call per block.
-    for block in _blocks(orders, _block_rows(shape)):
-        write_index_orders(fh, block)
-        yield from block
+    # Writes the orders to fh, one writer call per block, and returns what
+    # the statistics read: the walk's array itself, written as int lists
+    # first, or a stream that passes each block on once written (no list
+    # of all orders).
+    blocks = _blocks(orders, _block_rows(shape))
+    if isinstance(orders, np.ndarray):
+        for block in blocks:
+            write_index_orders(fh, block.tolist())
+        return orders
+
+    def passed():
+        for block in blocks:
+            write_index_orders(fh, block)
+            yield from block
+
+    return passed()
 
 
 def cmd_sample(args) -> int:
@@ -176,7 +187,7 @@ def cmd_jumps(args) -> int:
     fields = ("extension", "degree", "jump_times", "pits")
     as_csv = args.format == "csv"
     rows = []
-    for jumps, pits in (jump_pit_block(shape, block) for block in _read_blocks(args.infile, shape)):
+    for jumps, pits in (_jump_pit(*block) for block in _read_blocks(args.infile, shape)):
         for flags, counts in zip(jumps.tolist(), pits.tolist()):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
             if as_csv:
@@ -189,7 +200,7 @@ def cmd_jumps(args) -> int:
 
 def cmd_pits(args) -> int:
     shape = _parse_shape_token(args.shape)
-    pits = [jump_pit_block(shape, block)[1] for block in _read_blocks(args.infile, shape)]
+    pits = [_jump_pit(*block)[1] for block in _read_blocks(args.infile, shape)]
     if not pits:
         raise DomainError(f"no extensions found in {args.infile}")
     pits, size = np.concatenate(pits), shape.size

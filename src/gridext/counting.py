@@ -9,17 +9,22 @@ where a pit is a minimal element of the complement.  The answer is g(empty).
 The table is built in one top-down pass, level by level (by ideal
 cardinality) from the whole grid, on arrays.  A level is an (n, w) uint64
 array of down-set masks, one row of w = ceil(size / 64) little-endian
-words per state, with an object array of their counts beside it, so every
-count is an exact Python int.  Each state E pushes g(E) onto E - v for every
-maximal point v of E, found for the whole level at once by one
-shift-and-AND per chain (a shift by a stride carries across words), so
-g(D) is complete before D is expanded.  The lowest index missing from a
-down-set is one of its pits, so each down-set of the level below comes
-from exactly one edge, the one that removes that index: those edges list
-the level below with no duplicate, one argsort orders it, and every other
-edge finds its child there by searchsorted and adds its count with
-np.add.at.  A level's temporaries are a few words per state of it and of
-the level below, and they are dropped before the next level.
+words per state, with their exact counts beside it as an (L, n) uint64
+array of 32-bit limbs, least significant row first; L is what the level's
+largest count needs, and grows down the levels.  Each state E pushes g(E)
+onto E - v for every maximal point v of E, found for the whole level at
+once by one shift-and-AND per chain (a shift by a stride carries across
+words), so g(D) is complete before D is expanded.  The lowest index
+missing from a down-set is one of its pits, so each down-set of the level
+below comes from exactly one edge, the one that removes that index: those
+edges list the level below with no duplicate, one argsort orders it, and
+every other edge finds its child there by searchsorted and adds its count
+with np.add.at, one contiguous limb row at a time in uint64 lanes.  A
+target takes at most size adds of limbs below 2^32, so no lane overflows,
+and one carry pass a level normalizes the sums (_carried).  A level's
+temporaries are a few words per state of it and of the level below, and
+they are dropped before the next level.  No Python int is made per
+down-set: count_extensions reads g(empty) from the last level's limbs.
 
 Each call runs its own pass and keeps no table after it.  The state space
 is the full down-set lattice; a configurable cap refuses shapes where it
@@ -39,16 +44,18 @@ are sums over whole levels, with no lookup per down-set.
 
 The table (CompletionTable) maps each down-set's bitmask, as a Python int,
 to its count.  It keeps the DP's levels as they come, one sorted key
-array and one list of counts per cardinality, and iterates them in
-decreasing cardinality; on 8x8 it takes 56 B a state, where a dict took
-128 B.  The int is read from the row's little-endian bytes ('<u8'), so it
-is bit-for-bit the little-endian byte string of the bitset under the
-canonical point-index contract (see grid module).  Within a level the
-states are sorted by _keys: by the word up to 64 points, by those bytes
-past it, which is the order of Python bytes.  So a lookup is one
-bisect_left in the level of the key's bit count, on the word or on the
-bytes.  Neither the keys nor their order depend on the platform's byte
-order.
+array and one bytes buffer of little-endian limbs per cardinality, and
+iterates them in decreasing cardinality; on 8x8 it takes 21 B a state,
+where a list of int counts took 56 B and a dict 128 B.  A count becomes
+a Python int only when it is read, by one int.from_bytes on its slice of
+the buffer.  The key int is read from the row's little-endian bytes
+('<u8'), so it is bit-for-bit the little-endian byte string of the bitset
+under the canonical point-index contract (see grid module).  Within a
+level the states are sorted by _keys: by the word up to 64 points, by
+those bytes past it, which is the order of Python bytes.  So a lookup is
+one bisect_left in the level of the key's bit count, on the word or on
+the bytes.  Neither the keys, their order nor the count buffers depend on
+the platform's byte order.
 """
 
 from __future__ import annotations
@@ -185,30 +192,33 @@ def _shifted_down(masks: np.ndarray, q: int, r: int) -> np.ndarray:
 
 
 def _bits(marks: np.ndarray):
-    """Yield (rows, cols, bit) rounds until each set bit of `marks` has been
-    yielded once: a round holds the lowest bit left in every nonzero
-    (row, word) pair, so a row appears once per nonzero word.
+    """Yield (rows, col, bit) rounds until each set bit of `marks` has been
+    yielded once, word by word: a round holds the lowest bit left in word
+    col of every row where that word is nonzero.  The nonzero words are
+    taken first, so `marks` is not held while the rounds run.
     """
-    rows, cols = marks.nonzero()
-    left = marks[rows, cols]
+    words = []
+    for col in np.flatnonzero(marks.any(axis=0)).tolist():
+        rows = marks[:, col].nonzero()[0]
+        words.append((col, rows, marks[rows, col]))
     del marks
-    while rows.size:
-        bit = ~left
-        bit += _ONE
-        bit &= left
-        yield rows, cols, bit
-        left ^= bit
-        del bit
-        keep = left.nonzero()[0]
-        if not keep.size:
-            return
-        rows, cols, left = rows[keep], cols[keep], left[keep]
+    while words:
+        col, rows, left = words.pop(0)
+        while rows.size:
+            bit = ~left
+            bit += _ONE
+            bit &= left
+            yield rows, col, bit
+            left ^= bit
+            del bit
+            keep = left.nonzero()[0]
+            rows, left = rows[keep], left[keep]
 
 
-def _flipped(masks: np.ndarray, rows: np.ndarray, cols: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """The rows `rows` of `masks`, each with `bit` flipped in word `cols`."""
+def _flipped(masks: np.ndarray, rows: np.ndarray, col: int, bit: np.ndarray) -> np.ndarray:
+    """The rows `rows` of `masks`, each with `bit` flipped in word `col`."""
     kids = masks[rows]
-    kids[np.arange(len(rows)), cols] ^= bit
+    kids[:, col] ^= bit
     return kids
 
 
@@ -226,8 +236,9 @@ def _tops(masks: np.ndarray, faces) -> np.ndarray:
 
 def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarray, np.ndarray]:
     """The down-sets one point smaller than the rows of `masks` (sorted by
-    _keys), sorted the same way, with their completion counts: each state
-    E pushes g(E) onto E - v for every maximal point v of E.
+    _keys), sorted the same way, with their completion counts as limbs
+    (_carried): each state E pushes g(E) onto E - v for every maximal point
+    v of E, one limb row at a time.
 
     The lowest index m missing from a down-set C is a pit of C, as its
     lower covers have lower indices.  So C comes from exactly one edge
@@ -246,26 +257,58 @@ def _level_below(masks: np.ndarray, counts: np.ndarray, faces) -> tuple[np.ndarr
     first &= tops
     tops ^= first
     parents, below = [], []
-    for rows, cols, bit in _bits(first):
+    for rows, col, bit in _bits(first):
         parents.append(rows)
-        below.append(_flipped(masks, rows, cols, bit))
+        below.append(_flipped(masks, rows, col, bit))
     del first
     if not below:
-        return masks[:0], counts[:0]
+        return masks[:0], counts[:, :0]
     below, parents = np.concatenate(below), np.concatenate(parents)
     if len(below) > 1:
         order = np.argsort(_keys(below))
         below, parents = below[order], parents[order]
         del order
-    sums = counts[parents]
+    sums = np.take(counts, parents, axis=1)
     del parents
     if tops.any():
         keys, rest = _keys(below), _bits(tops)
         del tops
-        for rows, cols, bit in rest:
-            at = np.searchsorted(keys, _keys(_flipped(masks, rows, cols, bit)))
-            np.add.at(sums, at, counts[rows])
-    return below, sums
+        for rows, col, bit in rest:
+            at = np.searchsorted(keys, _keys(_flipped(masks, rows, col, bit)))
+            for limb, out in zip(counts, sums):
+                np.add.at(out, at, limb[rows])
+    return below, _carried(sums)
+
+
+_LIMB_BITS, _LIMB_MAX = np.uint64(32), np.uint64(0xFFFFFFFF)
+
+
+def _carried(sums: np.ndarray) -> np.ndarray:
+    """(L, n) uint64 limb sums, least significant row first, normalized in
+    place to limbs below 2^32 by one carry pass, with a row more when the
+    top one carries.  A DP target takes at most size adds of limbs below
+    2^32, so no lane overflows and one row more always suffices."""
+    for low, high in zip(sums, sums[1:]):
+        high += low >> _LIMB_BITS
+        low &= _LIMB_MAX
+    carry = sums[-1] >> _LIMB_BITS
+    if not carry.any():
+        return sums
+    sums[-1] &= _LIMB_MAX
+    return np.concatenate((sums, carry[None]))
+
+
+def _limb_bytes(counts: np.ndarray) -> tuple[bytes, int]:
+    """Normalized (L, n) limbs as one buffer of n little-endian counts, 4L
+    bytes each, and that step: count i is int.from_bytes of bytes
+    [i * step, (i + 1) * step)."""
+    return counts.astype("<u4").T.tobytes(), 4 * len(counts)
+
+
+def _ints(counts: np.ndarray) -> np.ndarray:
+    """Normalized (L, n) limbs as an object array of n exact Python ints."""
+    data, step = _limb_bytes(counts)
+    return np.array([int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)], dtype=object)
 
 
 def _faces(shape: GridShape) -> list:
@@ -276,10 +319,11 @@ def _faces(shape: GridShape) -> list:
 
 def _levels(shape: GridShape):
     """Yield each level (masks, counts) of the completion table, sorted by
-    _keys, from the whole grid down to the empty set; callers check the cap."""
+    _keys, from the whole grid down to the empty set, the counts as (L, n)
+    limbs (_carried), L as the level needs; callers check the cap."""
     faces = _faces(shape)
     masks = _word_array(shape._chain_faces[0], _words(shape)).reshape(1, -1)
-    counts = np.ones(1, dtype=object)
+    counts = np.ones((1, 1), dtype=np.uint64)
     while len(masks):
         yield masks, counts
         masks, counts = _level_below(masks, counts, faces)
@@ -296,11 +340,13 @@ def _reflected(masks: np.ndarray, size: int) -> np.ndarray:
 
 
 def _paired_levels(shape: GridShape):
-    """After the default cap check, hold every level and yield, for k = 1..size,
-    arrays over the down-sets D of k points in _keys order: g(D); f(D) = g(E),
+    """After the default cap check, hold every level, its counts as exact ints
+    (each level is read twice), and yield, for k = 1..size, arrays over the
+    down-sets D of k points in _keys order: g(D); f(D) = g(E),
     E = full ^ reflect(D), by one searchsorted in E's level; D's pits, E's tops, counted."""
     _check_cap(shape, None)
-    levels = list(_levels(shape))  # levels[i] holds the down-sets of size - i points
+    # levels[i] holds the down-sets of size - i points.
+    levels = [(masks, _ints(counts)) for masks, counts in _levels(shape)]
     size, faces = shape.size, _faces(shape)
     for k in range(1, size + 1):
         (masks, g), (below, counts) = levels[size - k], levels[k]
@@ -334,15 +380,16 @@ def _check_cap(shape: GridShape, cap: int | None) -> None:
 class CompletionTable(Mapping[int, int]):
     """Read-only map: down-set bitmask -> g(D), kept as the DP's levels.
 
-    _levels[k] holds the down-sets of k points as (keys, counts): the keys
-    sorted by _keys, the counts the level's object array as a list (8 B a
-    state, like the array, and quicker to index).  Up to 64 points the keys
-    are the level's uint64 words through a memoryview, which bisect reads
-    as Python ints; past 64 they are the rows' little-endian bytes (_Rows),
-    whose order is _keys' order.  A down-set's key is _key(bits): the int
-    itself, or its little-endian bytes.  So a lookup is one bisect_left in
-    level bits.bit_count(); iteration yields the down-sets as ints from the
-    whole grid down to the empty set, each level in _keys order; and
+    _levels[k] holds the down-sets of k points as (keys, counts, step): the
+    keys sorted by _keys, the counts their limbs as one bytes buffer of
+    little-endian counts, `step` bytes each (_limb_bytes).  Up to 64 points
+    the keys are the level's uint64 words through a memoryview, which
+    bisect reads as Python ints; past 64 they are the rows' little-endian
+    bytes (_Rows), whose order is _keys' order.  A down-set's key is
+    _key(bits): the int itself, or its little-endian bytes.  So a lookup is
+    one bisect_left in level bits.bit_count() and one int.from_bytes on the
+    count's slice; iteration yields the down-sets as ints from the whole
+    grid down to the empty set, each level in _keys order; and
     pit_weights(D) reads the weights g(D + v) the exact sampler draws from.
 
     The constructor runs the DP and checks no cap: completion_counts holds
@@ -360,40 +407,45 @@ class CompletionTable(Mapping[int, int]):
                 keys = memoryview(masks[:, 0]).cast("B").cast("Q")
             else:
                 keys = _Rows(masks.astype("<u8", copy=False).tobytes(), 8 * words)
-            self._levels.append((keys, counts.tolist()))
+            self._levels.append((keys, *_limb_bytes(counts)))
         self._levels.reverse()
-        self._len = sum(len(counts) for _, counts in self._levels)
+        self._len = sum(len(keys) for keys, _, _ in self._levels)
 
     def __getitem__(self, bits: int) -> int:
         try:
             bits = operator.index(bits)
-            keys, counts = self._levels[bits.bit_count()]
+            keys, counts, step = self._levels[bits.bit_count()]
             key = self._key(bits)
         except (TypeError, IndexError, OverflowError):
             raise KeyError(bits) from None
         i = bisect_left(keys, key)
-        if i == len(counts) or keys[i] != key:
+        if i == len(keys) or keys[i] != key:
             raise KeyError(bits)
-        return counts[i]
+        i *= step
+        return int.from_bytes(counts[i : i + step], "little")
 
     def pit_weights(self, bits: int) -> Iterator[tuple[int, int]]:
         """(v, g(D + v)) for each pit v of the down-set D = bits, in
         increasing index, each one bisect_left in level |D| + 1, read as the
-        caller asks; the whole grid has no pits.  Trusts `bits` to be a key."""
+        caller asks; the whole grid has no pits.  Trusts `bits` to be a key.
+        On one-word keys D + v increases with v, so each search starts at
+        the previous pit's index."""
         rest = self._pit_mask(bits)
         if rest:
-            keys, counts = self._levels[bits.bit_count() + 1]
-            key = self._key
+            keys, counts, step = self._levels[bits.bit_count() + 1]
+            key, ordered, i = self._key, isinstance(keys, memoryview), 0
             while rest:
                 low = rest & -rest
-                yield low.bit_length() - 1, counts[bisect_left(keys, key(bits | low))]
+                i = bisect_left(keys, key(bits | low), i if ordered else 0)
+                at = i * step
+                yield low.bit_length() - 1, int.from_bytes(counts[at : at + step], "little")
                 rest ^= low
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[int]:
-        for keys, _ in reversed(self._levels):
+        for keys, _, _ in reversed(self._levels):
             yield from keys if isinstance(keys, memoryview) else (
                 int.from_bytes(keys[i], "little") for i in range(len(keys))
             )
@@ -429,7 +481,7 @@ def count_extensions(shape: GridShape, cap: int | None = None) -> int:
     _check_cap(shape, cap)
     for _, counts in _levels(shape):
         pass
-    return counts[0]
+    return sum(limb << 32 * i for i, limb in enumerate(counts[:, 0].tolist()))
 
 
 def hook_length_count(shape: GridShape) -> int:

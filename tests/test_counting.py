@@ -5,8 +5,9 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from gridext import (
     DomainError,
@@ -23,7 +24,16 @@ from gridext import (
     pits_threshold,
     width_power_upper_bound,
 )
-from gridext.counting import _down_set_count, _faces, _lattice_size, _levels, _paired_levels, _reflected, _tops
+from gridext.counting import (
+    _carried,
+    _down_set_count,
+    _faces,
+    _lattice_size,
+    _levels,
+    _paired_levels,
+    _reflected,
+    _tops,
+)
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
 
@@ -57,13 +67,23 @@ def check_table(shape):
 
 
 def level_ints(masks):
-    """The rows of an (n, words) uint64 array as size-bit ints, read apart
-    from the table's own key reader."""
-    if masks.shape[1] == 1:
-        return masks.ravel().tolist()
-    data = masks.astype("<u8", copy=False).tobytes()
-    step = 8 * masks.shape[1]
-    return [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+    """The rows of an (n, words) array of 64-bit words, least significant
+    first, as size-bit ints, summed word by word apart from the table's
+    own byte readers."""
+    return [sum(word << 64 * i for i, word in enumerate(row)) for row in masks.tolist()]
+
+
+def limb_ints(counts):
+    """The columns of an (L, n) array of 32-bit limbs, least significant row
+    first, as exact ints, summed limb by limb apart from the table's own
+    byte readers."""
+    return [sum(limb << 32 * i for i, limb in enumerate(column)) for column in counts.T.tolist()]
+
+
+def limb_array(values, limbs):
+    """Exact ints below 2^(32 limbs) as an (limbs, n) uint64 array of 32-bit
+    limbs, least significant row first, by shifts and masks."""
+    return np.array([[v >> 32 * i & 0xFFFFFFFF for v in values] for i in range(limbs)], dtype=np.uint64).reshape(limbs, -1)
 
 
 def dict_table_oracle(shape):
@@ -71,7 +91,7 @@ def dict_table_oracle(shape):
     once used, filled from the DP's levels in the order they come."""
     table = {}
     for masks, counts in _levels(shape):
-        table.update(zip(level_ints(masks), counts.tolist()))
+        table.update(zip(level_ints(masks), limb_ints(counts)))
     return table
 
 
@@ -141,10 +161,12 @@ class TestCounts:
         assert count_extensions(GridShape((1,))) == 1
 
     def test_hook_sweep(self):
-        for a in range(1, 6):
-            for b in range(a, 7):
-                s = GridShape((a, b))
-                assert count_extensions(s) == hook_length_count(s)
+        # Past 5x6, counts of 69 to 337 bits (three to eleven limbs), and
+        # two-word states on 2x64.
+        wide = [(4, 12), (7, 12), (9, 11), (12, 12), (2, 64)]
+        for lengths in [(a, b) for a in range(1, 6) for b in range(a, 7)] + wide:
+            s = GridShape(lengths)
+            assert count_extensions(s) == hook_length_count(s)
 
     @given(modest_shapes())
     @settings(deadline=None)
@@ -299,7 +321,7 @@ class TestCounts:
             assert built[start:].count(shape) == 1
 
     def test_count_holds_one_level_at_a_time(self):
-        # 8x8 has 12870 down-sets, at most 70 to a level: the count keeps
+        # 8x8 has 12870 down-sets, at most 526 to a level: the count keeps
         # two levels and their temporaries, the table every level.
         shape = GridShape((8, 8))
         count_peak, counted = traced_peak(count_extensions, shape)
@@ -307,12 +329,13 @@ class TestCounts:
         assert counted == table[0] == hook_length_count(shape)
         assert count_peak < table_peak / 4
 
-    def test_table_takes_under_80_bytes_a_state(self):
-        # A state is a key word, a count pointer and its int (a dict of the
-        # same table took 128 B a state on 8x8).
+    def test_table_takes_under_40_bytes_a_state(self):
+        # A state is a key word and its count's 32-bit limbs, at most four
+        # on 8x8 (a dict of the same table took 128 B a state, a list of
+        # ints 56 B).
         shape = GridShape((8, 8))
         peak, table = traced_peak(completion_counts, shape)
-        assert peak < 80 * len(table) == 80 * 12870
+        assert peak < 40 * len(table) == 40 * 12870
 
     @pytest.mark.parametrize("lengths, words", [((64,), 1), ((65,), 2), ((2, 33), 2), ((200,), 4)])
     def test_cap_counts_state_words(self, lengths, words):
@@ -326,10 +349,47 @@ class TestCounts:
         assert ("64-bit words each" in str(exc.value)) == (words > 1)
 
 
+# Limb edges: a full limb, one past it, 2^64 and its neighbours.
+EDGE_VALUES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 1, 2**96 - 1]
+
+
+class TestLimbs:
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(EDGE_VALUES) | st.integers(0, 2**130)), min_size=1, max_size=64),
+        st.integers(1, 8),
+    )
+    @example([(0, 2**32 - 1), (0, 2**32 - 1)], 1)  # one limb carries: L grows to 2
+    @example([(0, 2**64 - 1), (0, 1), (1, 2**64)], 2)  # 2^64 twice, over three limbs
+    @settings(deadline=None)
+    def test_add_and_carry_match_int_sums(self, adds, targets):
+        # The DP's add: each value pushed onto its target by np.add.at, one
+        # limb row at a time in uint64 lanes, then one carry pass.
+        at = np.array([t % targets for t, _ in adds])
+        values = [v for _, v in adds]
+        limbs = max(1, -(-max(values).bit_length() // 32))
+        sums = np.zeros((limbs, targets), dtype=np.uint64)
+        for limb, out in zip(limb_array(values, limbs), sums):
+            np.add.at(out, at, limb)
+        carried = _carried(sums)
+        expected = [sum(v for t, v in zip(at.tolist(), values) if t == i) for i in range(targets)]
+        assert carried.dtype == np.uint64 and (carried >> np.uint64(32) == 0).all()
+        assert limb_ints(carried) == expected
+        # At most 64 adds: the top limb carries into one new limb at most.
+        assert len(carried) == max(limbs, -(-max(expected).bit_length() // 32))
+
+    @pytest.mark.parametrize("lengths", [(8, 8), (2, 2, 2, 2, 2), (2, 40)])
+    def test_levels_take_the_limbs_their_counts_need(self, lengths):
+        # L grows down the levels exactly when the top limb carries.
+        widths = [(len(counts), max(limb_ints(counts))) for _, counts in _levels(GridShape(lengths))]
+        assert [limbs for limbs, _ in widths] == [max(1, -(-top.bit_length() // 32)) for _, top in widths]
+        assert widths[-1][0] > 1
+
+
 class TestCompletionTable:
-    # The table keeps the DP's levels; the dict oracle copies them.
-    # 65, 2x33 and 9x9 have two-word states, 8x8 and 3x3x3x2 one-word ones.
-    @pytest.mark.parametrize("lengths", [(8, 8), (65,), (2, 33), (9, 9), (3, 3, 3, 2)])
+    # The table keeps the DP's levels; the dict oracle copies them, decoding
+    # the limbs itself.  65, 2x33, 9x9 and 3x30 have two-word states, 8x8,
+    # 3x3x3x2, 3x3 and 2x2x2x2 one-word ones.
+    @pytest.mark.parametrize("lengths", [(8, 8), (65,), (2, 33), (9, 9), (3, 3, 3, 2), (3, 3), (2, 2, 2, 2), (3, 30)])
     def test_matches_the_dict_oracle(self, lengths):
         self.check(GridShape(lengths))
 
@@ -365,11 +425,11 @@ class TestCompletionTable:
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2, 2), (2, 33), (3, 30)])
     def test_pit_weights_on_every_down_set(self, lengths):
         shape = GridShape(lengths)
-        table, full = completion_counts(shape), (1 << shape.size) - 1
-        for bits, here in table.items():
+        table, oracle, full = completion_counts(shape), dict_table_oracle(shape), (1 << shape.size) - 1
+        for bits, here in oracle.items():
             pairs, mask = list(table.pit_weights(bits)), shape.pit_mask(bits)
             assert [v for v, _ in pairs] == [v for v in range(shape.size) if mask >> v & 1]
-            assert all(weight == table[bits | 1 << v] for v, weight in pairs)
+            assert all(weight == oracle[bits | 1 << v] for v, weight in pairs)
             assert bits == full or sum(weight for _, weight in pairs) == here
         assert list(table.pit_weights(full)) == []
 

@@ -432,7 +432,10 @@ class TestBlockReader:
                 args = [*argv, "--shape", str(shape), "--in", str(path), "--format", fmt]
                 assert main(args) == 0
                 got = capsys.readouterr()
-                with mock.patch.object(cli, "_read_blocks", lambda *_: iter([oracle])):
+                # One validated block with its ready array, fresh per call.
+                with mock.patch.object(
+                    cli, "_read_blocks", lambda *_: iter([(oracle, jumps._positions(shape, oracle)[1])])
+                ):
                     assert main(args) == 0
                 assert got == capsys.readouterr()
         bad = jumps._block_rows(shape) + 7  # a line of the second block
