@@ -8,20 +8,27 @@ the closed-form bounds that govern these quantities, with vacuity made
 explicit at desk scales.
 
 Each module's __all__ is its public API; this package re-exports them all.
+They load on first access (PEP 562): `import gridext` binds __version__
+alone, and the first other name read from the package, __all__ and
+`from gridext import *` included, imports the eight modules and binds
+every name they export.  So a command loads only the modules it runs.
 """
 
-from . import bounds, counting, errors, grid, jumps, sampling, transposition, verify
 from ._version import __version__
-from .bounds import *
-from .counting import *
-from .errors import *
-from .grid import *
-from .jumps import *
-from .sampling import *
-from .transposition import *
-from .verify import *
 
-__all__ = [
-    "__version__", *errors.__all__, *grid.__all__, *counting.__all__, *jumps.__all__,
-    *transposition.__all__, *sampling.__all__, *bounds.__all__, *verify.__all__,
-]
+# The modules in the order of __all__, which follows __version__.
+_MODULES = ("errors", "grid", "counting", "jumps", "transposition", "sampling", "bounds", "verify")
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    names = globals()
+    modules = {module: import_module(f"{__name__}.{module}") for module in sorted(_MODULES)}  # alphabetical
+    for module in modules.values():
+        names.update((key, getattr(module, key)) for key in module.__all__)
+    names["__all__"] = ["__version__", *(key for module in _MODULES for key in modules[module].__all__)]
+    names.pop("__getattr__", None)  # every name is bound now, so a miss is an AttributeError
+    if name not in names:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return names[name]

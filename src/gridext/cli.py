@@ -11,6 +11,11 @@ full.  Exit codes: 0 ok, 1 assertion failure, 2 usage error, 3 resource
 cap exceeded.
 
 Runs are deterministic: fixed flags and seed give byte-identical output.
+
+Each command imports the modules it calls when it runs, so a run loads
+only those: this module's top imports the standard library, errors and
+the version alone.  --version, bounds and a malformed --shape load no
+numpy.
 """
 
 from __future__ import annotations
@@ -24,29 +29,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
-from .bounds import bound_reports
-from .counting import (
-    CompletionTable,
-    _check_cap,
-    count_extensions,
-    factorial_product_lower_bound,
-    width_power_upper_bound,
-)
 from .errors import DomainError, GridextError, ResourceCapError
-from .grid import GridShape
-from .jumps import _block_rows, _blocks, _jump_pit, _read_blocks, write_index_orders
-from .sampling import ExactSampler, _check_seed, jump_stats_from_orders, mcmc_ensemble
-from .transposition import (
-    build_graph,
-    dot_blocks,
-    enumerate_index_orders,
-    exhaustive_mean_degree,
-    graph_stats,
-)
-from .verify import VerifyConfig, run_suite
 
 DEFAULT_SEED = 42
 EXACT_SCAN_LIMIT = 100_000
@@ -61,6 +45,8 @@ def _parse_shape_token(token: str) -> GridShape:
         lengths = tuple(map(int, parts))  # also refuses a numeral past int()'s digit limit
     except ValueError:
         raise DomainError(f"malformed shape {token!r}; expected the form 3x3 or 2x2x2") from None
+    from .grid import GridShape  # numpy loads only once the token has parsed
+
     return GridShape(lengths)
 
 
@@ -92,6 +78,8 @@ def _text(record: dict) -> str:
 
 def cmd_count(args) -> int:
     shape = _parse_shape_token(args.shape)
+    from .counting import count_extensions, factorial_product_lower_bound, width_power_upper_bound
+
     record = {
         "shape": shape,
         "count": count_extensions(shape, args.cap),
@@ -111,6 +99,9 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     shape = _parse_shape_token(args.shape)
+    from .jumps import write_index_orders
+    from .transposition import enumerate_index_orders
+
     # The cap is checked here, before --out is opened, so a refusal leaves no file.
     orders = enumerate_index_orders(shape, cap=args.cap)
     if args.out:
@@ -126,6 +117,10 @@ def _written(fh, shape, orders):
     # the statistics read: the walk's array itself, written as int lists
     # first, or a stream that passes each block on once written (no list
     # of all orders).
+    import numpy as np
+
+    from .jumps import _block_rows, _blocks, write_index_orders
+
     blocks = _blocks(orders, _block_rows(shape))
     if isinstance(orders, np.ndarray):
         for block in blocks:
@@ -149,6 +144,8 @@ def cmd_sample(args) -> int:
         raise DomainError(f"--mcmc-steps must be >= 0, got {args.mcmc_steps}")
     if not 0.0 <= args.laziness <= 1.0:
         raise DomainError(f"--laziness must be in [0, 1], got {args.laziness}")
+    from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
+
     if args.method == "exact":
         sampler = ExactSampler(shape, args.seed, args.cap)
         orders = (sampler.sample_indices() for _ in range(args.samples))
@@ -184,6 +181,8 @@ def cmd_sample(args) -> int:
 
 def cmd_jumps(args) -> int:
     shape = _parse_shape_token(args.shape)
+    from .jumps import _jump_pit, _read_blocks
+
     fields = ("extension", "degree", "jump_times", "pits")
     as_csv = args.format == "csv"
     rows = []
@@ -200,6 +199,10 @@ def cmd_jumps(args) -> int:
 
 def cmd_pits(args) -> int:
     shape = _parse_shape_token(args.shape)
+    import numpy as np
+
+    from .jumps import _jump_pit, _read_blocks
+
     pits = [_jump_pit(*block)[1] for block in _read_blocks(args.infile, shape)]
     if not pits:
         raise DomainError(f"no extensions found in {args.infile}")
@@ -222,6 +225,8 @@ def cmd_pits(args) -> int:
 
 def cmd_graph(args) -> int:
     shape = _parse_shape_token(args.shape)
+    from .transposition import build_graph, dot_blocks, graph_stats
+
     graph = build_graph(shape, cap=args.cap)
     stats = graph_stats(graph)
     if args.dot:
@@ -246,6 +251,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bound_reports
+
     reports = bound_reports(args.m, args.n, R=args.R, delta=args.delta)
     if args.format == "json":
         _emit(args, _json([r.to_dict() for r in reports]))
@@ -271,6 +278,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifyConfig, run_suite
+
     reports = run_suite(args.suite, VerifyConfig(seed=args.seed))
     if args.format == "json":
         _emit(args, _json([r.to_dict() for r in reports]))
@@ -282,6 +291,10 @@ def cmd_verify(args) -> int:
 def cmd_conjecture_scan(args) -> int:
     if args.samples < 1:  # before any table is built, whether a row is sampled or not
         raise DomainError(f"need --samples >= 1, got {args.samples}")
+    from .counting import CompletionTable, _check_cap
+    from .grid import GridShape
+    from .sampling import ExactSampler, _check_seed, jump_stats_from_orders
+    from .transposition import exhaustive_mean_degree
 
     def grids(n):  # (m**n, n, m) for m = 2, 3, ... while m**n <= max-size
         m = 2

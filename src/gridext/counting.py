@@ -305,10 +305,21 @@ def _limb_bytes(counts: np.ndarray) -> tuple[bytes, int]:
     return counts.astype("<u4").T.tobytes(), 4 * len(counts)
 
 
-def _ints(counts: np.ndarray) -> np.ndarray:
-    """Normalized (L, n) limbs as an object array of n exact Python ints."""
-    data, step = _limb_bytes(counts)
-    return np.array([int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)], dtype=object)
+def _wide(counts: np.ndarray) -> np.ndarray:
+    """Normalized (L, n) limbs as (ceil(L / 2), n) 64-bit words, least
+    significant row first: each word is two limbs."""
+    if len(counts) % 2:
+        counts = np.concatenate((counts, np.zeros_like(counts[:1])))
+    return counts[0::2] | counts[1::2] << _LIMB_BITS
+
+
+def _ints(words: np.ndarray) -> np.ndarray:
+    """(W, n) 64-bit words (_wide) as an object array of n exact Python
+    ints: the top row's ints, then one shift-and-OR per row below."""
+    ints = words[-1].tolist()
+    for row in words[-2::-1]:
+        ints = [high << 64 | low for high, low in zip(ints, row.tolist())]
+    return np.array(ints, dtype=object)
 
 
 def _faces(shape: GridShape) -> list:
@@ -340,20 +351,26 @@ def _reflected(masks: np.ndarray, size: int) -> np.ndarray:
 
 
 def _paired_levels(shape: GridShape):
-    """After the default cap check, hold every level, its counts as exact ints
-    (each level is read twice), and yield, for k = 1..size, arrays over the
-    down-sets D of k points in _keys order: g(D); f(D) = g(E),
-    E = full ^ reflect(D), by one searchsorted in E's level; D's pits, E's tops, counted."""
+    """After the default cap check, hold every level, its counts as 64-bit
+    words (_wide), and yield, for k = 1..size, arrays over the down-sets D
+    of k points in _keys order: g(D); f(D) = g(E), E = full ^ reflect(D),
+    by one searchsorted in E's level; D's pits, E's tops, counted.
+
+    A level is read twice, for g at step size - i and for f at step i,
+    and its counts become exact ints at each read (_ints; f's after the
+    searchsorted gather on the words).  No ints outlive their step, so
+    two levels' ints exist at once.  Ints kept from a level's first read
+    to its second would still hold nearly every level at the middle step."""
     _check_cap(shape, None)
     # levels[i] holds the down-sets of size - i points.
-    levels = [(masks, _ints(counts)) for masks, counts in _levels(shape)]
+    levels = [(masks, _wide(counts)) for masks, counts in _levels(shape)]
     size, faces = shape.size, _faces(shape)
     for k in range(1, size + 1):
         (masks, g), (below, counts) = levels[size - k], levels[k]
         reflected = _reflected(masks, size)
-        f = counts[np.searchsorted(_keys(below), _keys(reflected))]
+        f = _ints(counts[:, np.searchsorted(_keys(below), _keys(reflected))])
         pits = _POPCOUNT[_tops(reflected, faces).view(np.uint8)].sum(axis=1)
-        yield g, f, pits
+        yield _ints(g), f, pits
 
 
 def _check_cap(shape: GridShape, cap: int | None) -> None:

@@ -60,12 +60,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import pits_threshold
 from .counting import _paired_levels, completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import jump_pit_blocks, rank_lex_indices
-from .transposition import _MAX_POINTS, build_graph, enumerate_index_orders, order_ids
+
+# transposition and bounds are imported by the functions that call them
+# (the walk, the entropy oracle, the pits threshold): an exact draw loads neither.
 
 __all__ = [
     "WordStream",
@@ -256,6 +257,8 @@ def mcmc_ensemble(
     too), and int64 results of more than 2^28 bytes, raise
     ResourceCapError before any table is built.
     """
+    from .transposition import _MAX_POINTS, build_graph, order_ids
+
     if steps < 0:
         raise DomainError(f"need steps >= 0, got {steps}")
     if chains < 0:
@@ -416,6 +419,8 @@ def entropy_profile_exact(shape: GridShape) -> EntropyProfile:
     more than 10^5 extensions, before the DP is built when the rank levels
     or the lattice alone show it (see enumerate_index_orders).
     """
+    from .transposition import enumerate_index_orders
+
     orders = enumerate_index_orders(shape, cap=10**5)
     size = shape.size
     if size == 1:
@@ -443,6 +448,8 @@ def entropy_profile_exact(shape: GridShape) -> EntropyProfile:
 
 
 def _deficit_threshold(shape: GridShape, R: float) -> float:
+    from .bounds import pits_threshold
+
     if not shape.is_equilateral:
         raise DomainError(f"pits thresholds are defined for equal chain lengths, got {shape}")
     return pits_threshold(shape.lengths[0], shape.num_chains, R)

@@ -317,17 +317,22 @@ def graph_stats(g: TranspositionGraph) -> GraphStats:
 
     Each edge counts once in the degree of either end, so the edge count
     is half the degree sum.  Connectivity is a breadth-first search from
-    vertex 0 whose frontier advances through whole rows of T.
+    vertex 0 whose frontier advances through whole rows of T; one reused
+    bool array marks the vertices a step reaches, so each joins the next
+    frontier once, with no sort.
     """
     degrees = g.degrees
     nv = len(degrees)
     seen = np.zeros(nv, dtype=bool)
     seen[0] = True
+    reached = np.zeros(nv, dtype=bool)
     frontier = np.zeros(1, dtype=np.intp)
     while frontier.size:
-        reached = np.unique(g.table[frontier])
-        frontier = reached[~seen[reached]]
+        reached[g.table[frontier]] = True
+        np.greater(reached, seen, out=reached)  # reached and not seen before
+        frontier = np.flatnonzero(reached)
         seen[frontier] = True
+        reached[frontier] = False
     values, counts = np.unique(degrees, return_counts=True)
     total = int(degrees.sum())
     return GraphStats(

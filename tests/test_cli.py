@@ -679,16 +679,16 @@ class TestConjectureScan:
     def test_only_sampled_rows_build_a_sampler(self, capsys, monkeypatch):
         # Of --max-size 16, only 2x2x2x2 (1680384 extensions) is sampled;
         # the exhaustive rows read their count from the table alone.
-        from gridext import GridShape, cli
+        from gridext import GridShape, sampling
 
         built = []
-        real = cli.ExactSampler
+        real = sampling.ExactSampler
 
         def spy(shape, *args, **kwargs):
             built.append(shape)
             return real(shape, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "ExactSampler", spy)
+        monkeypatch.setattr(sampling, "ExactSampler", spy)
         code, out, _ = run(capsys, "conjecture-scan", "--max-size", "16", "--samples", "5")
         assert code == 0
         assert [r["method"] for r in parse_csv(out)] == ["exhaustive"] * 4 + ["sampled"]
@@ -892,8 +892,78 @@ def run_fresh(code):
     return proc.stdout
 
 
+def loaded_by(*argv):
+    """main(argv)'s exit code and the set of gridext and numpy modules
+    loaded, in a new interpreter."""
+    out = run_fresh(
+        "import sys, gridext.cli\n"
+        f"code = gridext.cli.main({list(argv)!r})\n"
+        "print(code, *(m for m in sys.modules if m.partition('.')[0] in ('gridext', 'numpy')))\n"
+    )
+    code, *modules = out.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+# The modules of the tables and the oracles, which reading a file needs none of.
+TABLE_MODULES = {"gridext.counting", "gridext.sampling", "gridext.transposition", "gridext.bounds", "gridext.verify"}
+
+
 class TestColdImport:
-    """scipy loads only for the chi-square test (this process already has it)."""
+    """Each command loads only the modules it runs, numpy only when it calls
+    it, and scipy only for the chi-square test (this process has them all)."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["bounds", "--m", "4", "--n", "3"], 0), (["count", "--shape", "3y3"], 2)],
+    )
+    def test_numpy_free_commands(self, argv, code):
+        got, modules = loaded_by(*argv)
+        assert got == code
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("command", [["jumps"], ["pits"], ["pits", "--mean"]])
+    def test_file_commands_load_no_table(self, tmp_path, command):
+        path = tmp_path / "exts.txt"
+        path.write_text("0 1 2 3 4 5 6 7 8\n")  # row-major order extends the product order
+        code, modules = loaded_by(*command, "--shape", "3x3", "--in", str(path))
+        assert code == 0
+        assert modules.isdisjoint(TABLE_MODULES)
+
+    def test_exact_sample_loads_no_graph_bounds_or_verify(self):
+        code, modules = loaded_by("sample", "--shape", "3x3", "--samples", "5")
+        assert code == 0
+        assert "gridext.sampling" in modules
+        assert modules.isdisjoint({"gridext.transposition", "gridext.bounds", "gridext.verify"})
+
+    def test_graph_does_not_load_numpy_ma(self):
+        code, modules = loaded_by("graph", "--shape", "3x3")
+        assert code == 0
+        assert "gridext.transposition" in modules
+        assert "numpy.ma" not in modules
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import gridext\nassert gridext.counting.__name__ == 'gridext.counting'\n",
+            "from gridext import *\nimport gridext\nassert all(globals()[n] is getattr(gridext, n) for n in gridext.__all__)\n",
+            "import gridext\nassert len(gridext.__all__) == 60\n",
+        ],
+    )
+    def test_any_first_access_loads_the_package(self, first):
+        # Whichever comes first binds every export and __all__, in the
+        # eager package's order; a missing name is an AttributeError.
+        out = run_fresh(
+            first + "from importlib import import_module\n"
+            "parts = ('errors', 'grid', 'counting', 'jumps', 'transposition', 'sampling', 'bounds', 'verify')\n"
+            "modules = [import_module(f'gridext.{part}') for part in parts]\n"
+            "expected = ['__version__', *(name for module in modules for name in module.__all__)]\n"
+            "assert gridext.__all__ == expected and len(expected) == 60\n"
+            "assert all(getattr(gridext, part) is module for part, module in zip(parts, modules))\n"
+            "assert all(getattr(gridext, name) is getattr(module, name) for module in modules for name in module.__all__)\n"
+            "assert not hasattr(gridext, 'no_such_name')\n"
+            "print('ok')\n"
+        )
+        assert out.splitlines()[-1] == "ok"
 
     def test_commands_do_not_load_scipy(self):
         out = run_fresh(

@@ -25,7 +25,7 @@ from gridext import (
     read_extensions_file,
     write_extensions_file,
 )
-from gridext import cli, jumps, sampling
+from gridext import jumps, sampling
 from gridext.cli import main
 
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda ls: math.prod(ls) <= 24)
@@ -434,7 +434,7 @@ class TestBlockReader:
                 got = capsys.readouterr()
                 # One validated block with its ready array, fresh per call.
                 with mock.patch.object(
-                    cli, "_read_blocks", lambda *_: iter([(oracle, jumps._positions(shape, oracle)[1])])
+                    jumps, "_read_blocks", lambda *_: iter([(oracle, jumps._positions(shape, oracle)[1])])
                 ):
                     assert main(args) == 0
                 assert got == capsys.readouterr()

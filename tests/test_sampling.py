@@ -34,7 +34,7 @@ from gridext import (
     rank_lex_indices,
     tv_distance_from_uniform,
 )
-from gridext import sampling
+from gridext import sampling, transposition
 
 
 def dense_table_ensemble(shape, steps, chains, seed, laziness=0.5, starts=None):
@@ -298,7 +298,7 @@ class TestMcmc:
         # cover test.  A shape of at most one chain of length > 1 has one
         # extension and never moves, so it asks nothing.
         asked = []
-        real = sampling.build_graph
+        real = transposition.build_graph
 
         def spy(shape, cap):
             try:
@@ -309,7 +309,7 @@ class TestMcmc:
             asked.append("table")
             return graph
 
-        monkeypatch.setattr(sampling, "build_graph", spy)
+        monkeypatch.setattr(transposition, "build_graph", spy)
 
         def path(lengths):
             asked.clear()
