@@ -9,9 +9,9 @@ explicit at desk scales.
 
 Each module's __all__ is its public API; this package re-exports them all.
 They load on first access (PEP 562): `import gridext` binds __version__
-alone, and the first other name read from the package, __all__ and
-`from gridext import *` included, imports the eight modules and binds
-every name they export.  So a command loads only the modules it runs.
+alone, a submodule's name imports that module alone, and the first other
+name read, __all__ and `from gridext import *` included, imports the eight
+modules and binds their exports.  So a command loads only what it runs.
 """
 
 from ._version import __version__
@@ -23,12 +23,14 @@ _MODULES = ("errors", "grid", "counting", "jumps", "transposition", "sampling", 
 def __getattr__(name: str):
     from importlib import import_module
 
+    if name in _MODULES or name == "cli":
+        return import_module(f"{__name__}.{name}")
     names = globals()
-    modules = {module: import_module(f"{__name__}.{module}") for module in sorted(_MODULES)}  # alphabetical
-    for module in modules.values():
-        names.update((key, getattr(module, key)) for key in module.__all__)
-    names["__all__"] = ["__version__", *(key for module in _MODULES for key in modules[module].__all__)]
-    names.pop("__getattr__", None)  # every name is bound now, so a miss is an AttributeError
+    if "__all__" not in names:  # once bound, every other name is, so a miss is an AttributeError
+        modules = {module: import_module(f"{__name__}.{module}") for module in sorted(_MODULES)}  # alphabetical
+        for module in modules.values():
+            names.update((key, getattr(module, key)) for key in module.__all__)
+        names["__all__"] = ["__version__", *(key for module in _MODULES for key in modules[module].__all__)]
     if name not in names:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return names[name]

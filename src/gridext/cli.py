@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: count, enumerate, sample, jumps, pits, graph, bounds, verify,
-conjecture-scan.  Global flags: --seed, --out.  The six grid commands
-require --shape AxBxC; --m and --n are bounds' formula parameters.
+conjecture-scan.  Every command takes --out; --seed, read by sample,
+verify and conjecture-scan, is also taken unread by jumps, pits and graph,
+whose benchmark workloads pass it.  The six grid commands require --shape
+AxBxC; --m and --n are bounds' formula parameters.
 --format is registered by the commands with more than one output format,
 with that command's own choices and default; --cap, at least 1, by the
 commands that build a DP table or list extensions (count, enumerate,
@@ -363,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"gridext {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (64-bit)")
     common.add_argument("--out", default=None, help="write the primary output to this file")
+
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (64-bit)")
 
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument("--cap", type=positive_int, default=None, help="resource cap override")
@@ -384,25 +388,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("enumerate", parents=[common, capped, shaped], help="list every extension, one per line")
     p.set_defaults(func=cmd_enumerate)
 
-    p = command("sample", parents=[common, capped, shaped], help="draw random extensions and summarize them")
+    p = command("sample", parents=[seeded, common, capped, shaped], help="draw random extensions and summarize them")
     p.add_argument("--method", choices=("exact", "mcmc"), default="exact")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--mcmc-steps", type=int, default=10_000, dest="mcmc_steps")
     p.add_argument("--laziness", type=float, default=0.5)
     p.set_defaults(func=cmd_sample)
 
-    p = command("jumps", parents=[common, shaped], help="jump statistics of extensions from a file")
+    p = command("jumps", parents=[seeded, common, shaped], help="jump statistics of extensions from a file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.set_defaults(func=cmd_jumps)
 
-    p = command("pits", parents=[common, shaped], help="pits profiles of extensions from a file")
+    p = command("pits", parents=[seeded, common, shaped], help="pits profiles of extensions from a file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--in", dest="infile", required=True, help="extension file to analyze")
     p.add_argument("--mean", action="store_true", help="aggregate to mean pits per time")
     p.set_defaults(func=cmd_pits)
 
-    p = command("graph", parents=[common, capped, shaped], help="build the swap graph and report statistics")
+    p = command("graph", parents=[seeded, common, capped, shaped], help="build the swap graph and report statistics")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering to this file")
     p.set_defaults(func=cmd_graph)
@@ -415,14 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.set_defaults(func=cmd_bounds)
 
-    p = command("verify", parents=[common], help="run a named verification suite")
+    p = command("verify", parents=[seeded, common], help="run a named verification suite")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--suite", required=True, help="counting, bounds, extremes, entropy, sampling, or all")
     p.set_defaults(func=cmd_verify)
 
     p = command(
         "conjecture-scan",
-        parents=[common, capped],
+        parents=[seeded, common, capped],
         help="mean jump count over equal-chain grids, exact or sampled",
     )
     p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -133,8 +133,8 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     down-sets topped by D into that of i + 1: for each point p in
     canonical index order (a linear extension), add z[D] to z[D + p]
     whenever p is a pit of D.  After a - 1 passes the values sum to the
-    count.  J(P), sized by this rule and listed from P's levels, is never
-    larger than the lattice, so a refusal there is a correct refusal here.
+    count.  J(P), sized by this rule and listed by _ints from P's levels, is
+    never larger than the lattice, so a refusal there is correct here.
     """
     bound = _lattice_lower_bound(shape, states)
     if bound > states or _box_is_exact(shape):
@@ -143,7 +143,7 @@ def _lattice_size(shape: GridShape, states: int) -> int:
     sub = GridShape(tuple(rest))
     if _lattice_size(sub, states) > states:
         return states + 1
-    ideals = list(CompletionTable(sub))
+    ideals = [bits for masks, _ in _levels(sub) for bits in _ints(masks.T)]
     by_pit = [[] for _ in range(sub.size)]  # down-sets by each of their pits
     for bits in ideals:
         for p in _bit_indices(sub.pit_mask(bits)):
@@ -314,8 +314,8 @@ def _wide(counts: np.ndarray) -> np.ndarray:
 
 
 def _ints(words: np.ndarray) -> np.ndarray:
-    """(W, n) 64-bit words (_wide) as an object array of n exact Python
-    ints: the top row's ints, then one shift-and-OR per row below."""
+    """(W, n) 64-bit words, low row first (_wide counts, masks.T), as an object
+    array of n exact ints: the top row's, then one shift-and-OR per row below."""
     ints = words[-1].tolist()
     for row in words[-2::-1]:
         ints = [high << 64 | low for high, low in zip(ints, row.tolist())]
@@ -498,7 +498,7 @@ def count_extensions(shape: GridShape, cap: int | None = None) -> int:
     _check_cap(shape, cap)
     for _, counts in _levels(shape):
         pass
-    return sum(limb << 32 * i for i, limb in enumerate(counts[:, 0].tolist()))
+    return _ints(_wide(counts))[0]
 
 
 def hook_length_count(shape: GridShape) -> int:

@@ -127,14 +127,8 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
-
-
 def _check(name: str, relation: str, observed, expected, passed: bool) -> CheckResult:
-    return CheckResult(name, relation, _fmt(observed), _fmt(expected), bool(passed))
+    return CheckResult(name, relation, str(observed), str(expected), bool(passed))
 
 
 def suite_counting(cfg: VerifyConfig) -> SuiteReport:

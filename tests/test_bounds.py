@@ -109,6 +109,13 @@ class TestAstronomicM:
         assert count.value == math.inf and not count.vacuous
         assert degree.value == math.inf and not degree.vacuous
 
+    def test_square_just_past_the_double_range(self):
+        # n lg m is about 1024.76, under the lg test's 1025, so float(m^n)
+        # itself overflows: inf, not vacuous, as for any m^n past the range.
+        m = int(1.3 * 2**512)
+        for report in (log_count_lower_bound(m, 2), avg_degree_lower_bound(m, 2)):
+            assert report.value == math.inf and not report.vacuous
+
     def test_zero_factor_stays_zero(self):
         # lg m == 48 lg n exactly, with m^n = 2^1152 past the double range
         r = avg_degree_lower_bound(2**144, 8)

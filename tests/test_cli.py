@@ -840,6 +840,10 @@ class TestOptionSurface:
             ["sample", "--shape", "2x2", "--samp", "3"],
             ["pits", "--shape", "3x3", "--in", "{ext}", "--form", "json"],
             ["verify", "--suite", "counting", "--form", "json"],
+            # --seed only where it is read or passed by the benchmark.
+            ["count", "--shape", "3x3", "--seed", "7"],
+            ["enumerate", "--shape", "2x2", "--seed", "7"],
+            ["bounds", "--m", "3", "--n", "2", "--seed", "7"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )
@@ -850,6 +854,26 @@ class TestOptionSurface:
         assert (code, out) == (2, "")
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--shape", "2x2"],
+            ["verify", "--suite", "counting"],
+            ["conjecture-scan"],
+            # These three read no seed; the benchmark's workloads pass one.
+            ["jumps", "--shape", "2x2", "--in", "exts.txt"],
+            ["pits", "--shape", "2x2", "--in", "exts.txt"],
+            ["graph", "--shape", "2x2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_taken_where_read_or_passed(self, argv):
+        from gridext.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args([*argv, "--seed", "7"]).seed == 7
+        assert parser.parse_args(argv).seed == 42
 
     def test_no_parser_takes_abbreviations(self, capsys):
         from gridext.cli import build_parser
@@ -947,11 +971,17 @@ class TestColdImport:
             "import gridext\nassert gridext.counting.__name__ == 'gridext.counting'\n",
             "from gridext import *\nimport gridext\nassert all(globals()[n] is getattr(gridext, n) for n in gridext.__all__)\n",
             "import gridext\nassert len(gridext.__all__) == 60\n",
+            # A missing name read first still binds every name, then misses.
+            "import gridext\ntry:\n    gridext.no_such_name\nexcept AttributeError as exc:\n"
+            "    assert str(exc) == \"module 'gridext' has no attribute 'no_such_name'\"\n"
+            "else:\n    raise AssertionError('no AttributeError')\n",
         ],
     )
     def test_any_first_access_loads_the_package(self, first):
-        # Whichever comes first binds every export and __all__, in the
-        # eager package's order; a missing name is an AttributeError.
+        # Whichever comes first, every export and __all__ end up bound in
+        # the eager package's order (a submodule's name loads that module
+        # alone, the next other name the rest); a missing name is an
+        # AttributeError.
         out = run_fresh(
             first + "from importlib import import_module\n"
             "parts = ('errors', 'grid', 'counting', 'jumps', 'transposition', 'sampling', 'bounds', 'verify')\n"
@@ -964,6 +994,16 @@ class TestColdImport:
             "print('ok')\n"
         )
         assert out.splitlines()[-1] == "ok"
+
+    def test_from_import_loads_that_module_alone(self):
+        # The import system's from-list check reads gridext.cli through the
+        # package's __getattr__, which imports that submodule alone.
+        out = run_fresh(
+            "import sys\n"
+            "from gridext import cli\n"
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] in ('gridext', 'numpy')))\n"
+        )
+        assert out.split() == ["gridext", "gridext._version", "gridext.cli", "gridext.errors"]
 
     def test_commands_do_not_load_scipy(self):
         out = run_fresh(

@@ -258,6 +258,7 @@ class TestCounts:
 
         tables = []
         monkeypatch.setattr(counting, "completion_counts", lambda *args: tables.append(args))
+        monkeypatch.setattr(counting, "CompletionTable", lambda *args: tables.append(args))
         counting._check_cap(GridShape(lengths), None)
         assert tables == []
         assert built == [GridShape((2,) * k) for k in range(3, len(lengths))]

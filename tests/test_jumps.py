@@ -386,6 +386,22 @@ class TestBlockReader:
                 got = read_outcome(read_extensions_file, path, shape)
             assert got == read_outcome(read_line_by_line, path, shape)
 
+    def test_refused_block_is_read_again_line_by_line(self, tmp_path, square3, square3_orders):
+        # A block that _block_orders refuses is read again through
+        # LinearExtension.from_line: valid lines come back as the same
+        # orders with the same ready arrays, in blocks of ten rows.
+        path = tmp_path / "exts.txt"
+        path.write_text("".join(" ".join(map(str, order)) + "\n" for order in square3_orders))
+        with mock.patch.object(jumps, "_BLOCK_ENTRIES", 10 * square3.size):
+            expected = list(jumps._read_blocks(path, square3))
+            with mock.patch.object(jumps, "_block_orders", lambda *_: None):
+                got = list(jumps._read_blocks(path, square3))
+        assert [len(block) for block, _ in expected] == [10, 10, 10, 10, 2]
+        assert len(got) == len(expected)
+        for (block, ready), (want, want_ready) in zip(got, expected):
+            assert block.dtype == want.dtype and np.array_equal(block, want)
+            assert ready.dtype == want_ready.dtype and np.array_equal(ready, want_ready)
+
     @pytest.mark.parametrize(
         "bad, error",
         [
