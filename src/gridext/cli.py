@@ -146,7 +146,7 @@ def cmd_sample(args) -> int:
         raise DomainError(f"--mcmc-steps must be >= 0, got {args.mcmc_steps}")
     if not 0.0 <= args.laziness <= 1.0:
         raise DomainError(f"--laziness must be in [0, 1], got {args.laziness}")
-    from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
+    from .sampling import ExactSampler, _walk, jump_stats_from_orders
 
     if args.method == "exact":
         sampler = ExactSampler(shape, args.seed, args.cap)
@@ -154,8 +154,8 @@ def cmd_sample(args) -> int:
     elif args.cap is not None:
         raise DomainError("--cap is the exact sampler's DP state cap; the walk (--method mcmc) reads none")
     else:
-        # The walk's array as it is: the statistics cut it into blocks.
-        orders = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
+        # The walk's array as it is, narrow: the statistics cut it into blocks.
+        orders = _walk(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             stats = jump_stats_from_orders(shape, _written(fh, shape, orders))

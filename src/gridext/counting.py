@@ -406,8 +406,9 @@ class CompletionTable(Mapping[int, int]):
     _key(bits): the int itself, or its little-endian bytes.  So a lookup is
     one bisect_left in level bits.bit_count() and one int.from_bytes on the
     count's slice; iteration yields the down-sets as ints from the whole
-    grid down to the empty set, each level in _keys order; and
-    pit_weights(D) reads the weights g(D + v) the exact sampler draws from.
+    grid down to the empty set, each level in _keys order; pick(D, r), the
+    table's one pit reader, runs the exact sampler's scan over the weights
+    g(D + v) in one call; and pits(D) lists the pits it scans.
 
     The constructor runs the DP and checks no cap: completion_counts holds
     the shape to its cap first.
@@ -441,12 +442,16 @@ class CompletionTable(Mapping[int, int]):
         i *= step
         return int.from_bytes(counts[i : i + step], "little")
 
-    def pit_weights(self, bits: int) -> Iterator[tuple[int, int]]:
-        """(v, g(D + v)) for each pit v of the down-set D = bits, in
-        increasing index, each one bisect_left in level |D| + 1, read as the
-        caller asks; the whole grid has no pits.  Trusts `bits` to be a key.
-        On one-word keys D + v increases with v, so each search starts at
-        the previous pit's index."""
+    def pick(self, bits: int, r: int) -> tuple[int, int]:
+        """The documented scan from the down-set D = bits, in one call: over
+        the pits v of D in increasing index, subtract g(D + v) from r until
+        r < g(D + v), and return that (v, g(D + v)).  Each weight is one
+        bisect_left in level |D| + 1, read only when the scan reaches it; on
+        one-word keys D + v increases with v, so each search starts at the
+        previous pit's index.  Trusts `bits` to be a key and 0 <= r; raises
+        AssertionError if the weights run out first (r >= g(D), or D the
+        whole grid, which has no pits).
+        """
         rest = self._pit_mask(bits)
         if rest:
             keys, counts, step = self._levels[bits.bit_count() + 1]
@@ -455,8 +460,18 @@ class CompletionTable(Mapping[int, int]):
                 low = rest & -rest
                 i = bisect_left(keys, key(bits | low), i if ordered else 0)
                 at = i * step
-                yield low.bit_length() - 1, int.from_bytes(counts[at : at + step], "little")
+                weight = int.from_bytes(counts[at : at + step], "little")
+                if r < weight:
+                    return low.bit_length() - 1, weight
+                r -= weight
                 rest ^= low
+        raise AssertionError("weights of the pits must sum to g(D)")
+
+    def pits(self, bits: int) -> tuple[int, ...]:
+        """The pits of the down-set D = bits in increasing index, the order
+        pick scans them in; the whole grid has none.  Trusts `bits` to be a
+        down-set."""
+        return tuple(_bit_indices(self._pit_mask(bits)))
 
     def __len__(self) -> int:
         return self._len

@@ -142,10 +142,13 @@ class ExactSampler:
     current pits with weight g(D + v).  Samples from one instance form one
     deterministic sequence per seed, of which none is drawn until asked.
 
-    Both paths read the pits of D and their weights from the table's one
-    reader, CompletionTable.pit_weights.  On lattices of at most 2^12
-    down-sets they are kept, as running sums, per visited D, and a draw is
-    one bisect_right over them, the pit the documented scan stops at.
+    Both paths draw r below g(D) and stop at the pit the documented scan
+    stops at: over the pits v of D in increasing index, subtract g(D + v)
+    from r until r < g(D + v).  On lattices of at most 2^12 down-sets the
+    pits of each visited D (CompletionTable.pits) are kept with the running
+    sums of their weights, one table lookup each, and a draw is one
+    bisect_right over the sums; past that, each step makes one call to the
+    table's pit reader, CompletionTable.pick, which runs the scan from D.
 
     A caller that has already held the shape to its cap passes the
     shape's CompletionTable as `table`, which is then read as it is:
@@ -161,15 +164,16 @@ class ExactSampler:
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
 
     def _choices(self, placed: int) -> tuple:
-        """The memo entry of D = placed, built from the table's pit weights on
-        its first visit: (g(D), shift, running weight sums, next down-sets,
-        pit indices), g(D) the last sum; shift is 64 - bit_length(g(D)) when
-        one word draws below g(D), and -1 when it takes more."""
-        pits, weights = zip(*self._g.pit_weights(placed))
-        sums = tuple(itertools.accumulate(weights))
+        """The memo entry of D = placed, built on its first visit from the
+        table's pits of D and one lookup g(D + v) per pit, each weight read
+        once: (g(D), shift, running weight sums, next down-sets, pit
+        indices), g(D) the last sum; shift is 64 - bit_length(g(D)) when one
+        word draws below g(D), and -1 when it takes more."""
+        pits = self._g.pits(placed)
+        nexts = tuple(placed | 1 << v for v in pits)
+        sums = tuple(itertools.accumulate(map(self._g.__getitem__, nexts)))
         total = sums[-1]
         shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
-        nexts = tuple(placed | 1 << v for v in pits)
         self._memo[placed] = entry = (total, shift, sums, nexts, pits)
         return entry
 
@@ -199,19 +203,13 @@ class ExactSampler:
     def _scan_indices(self) -> tuple[int, ...]:
         """The documented scan itself, for lattices past the memo: building
         every pit's running sum costs more than stopping at the chosen one.
-        It reads the table's pit weights (CompletionTable.pit_weights) up
-        to the first that exceeds r, whose weight is g of the next D."""
-        weights, below = self._g.pit_weights, self._stream.below
+        Each step draws r = below(g(D)) and makes one CompletionTable.pick(D,
+        r), which returns the pit and g of the next D."""
+        below, pick = self._stream.below, self._g.pick
         placed, total = 0, self._g[0]
         out = []
         for _ in range(self.shape.size):
-            r = below(total)
-            for v, total in weights(placed):
-                if r < total:
-                    break
-                r -= total
-            else:
-                raise AssertionError("weights of the pits must sum to g(D)")
+            v, total = pick(placed, below(total))
             placed |= 1 << v
             out.append(v)
         return tuple(out)
@@ -257,6 +255,16 @@ def mcmc_ensemble(
     too), and int64 results of more than 2^28 bytes, raise
     ResourceCapError before any table is built.
     """
+    return _walk(shape, steps, chains, seed, laziness, starts).astype(np.int64, copy=False)
+
+
+def _walk(
+    shape: GridShape, steps: int, chains: int, seed: int, laziness: float = 0.5, starts: np.ndarray | None = None
+) -> np.ndarray:
+    """mcmc_ensemble's final states as the walk holds them, with no int64
+    copy: the cover path's state array, in the narrowest unsigned dtype that
+    holds size - 1, or the swap graph's orders cast to that dtype and
+    indexed by state.  With no step, the starts as int64.  The CLI reads it."""
     from .transposition import _MAX_POINTS, build_graph, order_ids
 
     if steps < 0:
@@ -283,6 +291,7 @@ def mcmc_ensemble(
         raise DomainError(f"starts must have shape ({chains}, {size}), got {starts.shape}")
     if chains == 0 or steps == 0 or shape.is_chain:
         return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
+    narrow = np.min_scalar_type(size - 1)  # the narrowest unsigned dtype that holds a point index
     rng = np.random.default_rng(seed)
     coins, move = np.empty(chains), np.empty(chains, dtype=bool)  # made later, they raise the peak RSS
 
@@ -311,11 +320,11 @@ def mcmc_ensemble(
             cell += move
             np.take(lazy, cell, out=state)
         state //= 2 * size
-        return graph.orders.astype(np.int64)[state]  # no int32 copy of the result
-    # The chains in the narrowest unsigned dtype that holds a point index,
-    # as a C-ordered copy whatever the layout of starts (a broadcast view is
-    # F-ordered), so that reshape(-1) is a view of it and not a copy.
-    arr = np.array(starts, dtype=np.min_scalar_type(size - 1), order="C")
+        return graph.orders.astype(narrow)[state]  # cast, then indexed: one narrow result
+    # The chains in the narrowest unsigned dtype, as a C-ordered copy
+    # whatever the layout of starts (a broadcast view is F-ordered), so that
+    # reshape(-1) is a view of it and not a copy.
+    arr = np.array(starts, dtype=narrow, order="C")
     flat = arr.reshape(-1)
     right = flat[1:]  # right[i] is flat[i + 1]
     up, step = shape.cover_arrays
@@ -332,7 +341,7 @@ def mcmc_ensemble(
         lo = lo[moved]
         flat[lo] = b[moved]
         right[lo] = a[moved]
-    return arr.astype(np.int64)
+    return arr
 
 
 @dataclass(frozen=True)

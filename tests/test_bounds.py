@@ -1,6 +1,7 @@
 """Closed-form bound formulas: values, vacuity flags, convexity check."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from gridext import (
     pits_fraction_bound,
     pits_threshold,
 )
+from gridext import verify
 
 
 class TestDeficitRate:
@@ -225,6 +227,31 @@ class TestConvexity:
             factorial_convexity_holds([])
         with pytest.raises(DomainError):
             factorial_convexity_holds([0, 2])
+
+
+class TestBoundsSuite:
+    def test_draws_and_counts(self):
+        # The suite checks CONVEXITY_VECTORS seeded vectors, lengths in 1..10
+        # and entries in 1..20, each by factorial_convexity_holds, and counts
+        # each SANDWICH_MN shape once for both of its checks.
+        vectors, shapes = [], []
+
+        def holds(values):
+            vectors.append(list(values))
+            return factorial_convexity_holds(values)
+
+        def count(shape):
+            shapes.append(shape)
+            return count_extensions(shape)
+
+        with mock.patch.object(verify, "factorial_convexity_holds", holds), \
+                mock.patch.object(verify, "count_extensions", count):
+            report = verify.suite_bounds(verify.VerifyConfig(seed=11))
+        assert report.passed
+        assert len(vectors) == verify.CONVEXITY_VECTORS
+        assert {len(vec) for vec in vectors} == set(range(1, 11))
+        assert {b for vec in vectors for b in vec} == set(range(1, 21))
+        assert shapes == [GridShape.equilateral(m, n) for m, n in verify.SANDWICH_MN]
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """Exact counting: DP vs hook-length and enumeration oracles, bounds, roots."""
 
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -424,15 +425,51 @@ class TestCompletionTable:
 
     # 3x3 and 2x2x2x2 have one-word states, 2x33 and 3x30 two-word ones.
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2, 2), (2, 33), (3, 30)])
-    def test_pit_weights_on_every_down_set(self, lengths):
+    def test_pick_on_every_down_set(self, lengths):
+        # Successive picks, r the sum of the weights listed so far, list
+        # every pit of D in increasing index (pits(D)) with its weight
+        # g(D + v), and the weights sum to g(D); the whole grid has no pit.
         shape = GridShape(lengths)
         table, oracle, full = completion_counts(shape), dict_table_oracle(shape), (1 << shape.size) - 1
         for bits, here in oracle.items():
-            pairs, mask = list(table.pit_weights(bits)), shape.pit_mask(bits)
+            if bits == full:
+                continue
+            pairs, mask, total = [], shape.pit_mask(bits), 0
+            while total < here:
+                pairs.append(table.pick(bits, total))
+                total += pairs[-1][1]
             assert [v for v, _ in pairs] == [v for v in range(shape.size) if mask >> v & 1]
+            assert table.pits(bits) == tuple(v for v, _ in pairs)
             assert all(weight == oracle[bits | 1 << v] for v, weight in pairs)
-            assert bits == full or sum(weight for _, weight in pairs) == here
-        assert list(table.pit_weights(full)) == []
+            assert total == here
+            with pytest.raises(AssertionError):
+                table.pick(bits, here)
+        with pytest.raises(AssertionError):
+            table.pick(full, 0)
+        assert table.pits(full) == ()
+
+    # 2x33: 66 points, two words, 595 down-sets.
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2), (4, 3), (2, 33)])
+    def test_pick_is_the_documented_scan(self, lengths):
+        # pick(D, r) against the subtractive scan written out over the dict
+        # table, for r at 0, at each running sum below g(D) and one below
+        # each, and at g(D) - 1.
+        shape = GridShape(lengths)
+        table, oracle, full = completion_counts(shape), dict_table_oracle(shape), (1 << shape.size) - 1
+        for bits, here in oracle.items():
+            if bits == full:
+                continue
+            mask = shape.pit_mask(bits)
+            weights = [(v, oracle[bits | 1 << v]) for v in range(shape.size) if mask >> v & 1]
+            sums = list(itertools.accumulate(weight for _, weight in weights))
+            assert sums[-1] == here
+            for r in {0, here - 1, *sums[:-1], *(s - 1 for s in sums)}:
+                left = r
+                for v, weight in weights:
+                    if left < weight:
+                        break
+                    left -= weight
+                assert table.pick(bits, r) == (v, weight), (bits, r)
 
 
 def mapping_deficit_oracle(shape, Rs, reflect):

@@ -1,6 +1,8 @@
 """Random sampling: determinism contract, uniformity, entropy, pit deficits."""
 
+import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -222,6 +224,29 @@ class TestExactSampler:
         s = GridShape((4,))
         assert ExactSampler(s, 0).sample_indices() == (0, 1, 2, 3)
 
+    # 2x40's counts reach 72 bits: entries with shift -1.
+    @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2), (4, 3), (2, 40)])
+    def test_memo_entries_agree_with_pick(self, lengths):
+        # Each memo entry is the one D's pits and their table weights give,
+        # (g(D), shift, running sums, next down-sets, pits), and its
+        # bisect_right stops where CompletionTable.pick's scan stops: at r = 0,
+        # at each running sum below g(D) and one below each.
+        shape = GridShape(lengths)
+        table, full = completion_counts(shape), (1 << shape.size) - 1
+        sampler = ExactSampler(shape, 0, table=table)
+        for bits in table:
+            if bits == full:
+                continue
+            pits = tuple(v for v in range(shape.size) if shape.pit_mask(bits) >> v & 1)
+            sums = tuple(itertools.accumulate(table[bits | 1 << v] for v in pits))
+            total = table[bits]
+            shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
+            nexts = tuple(bits | 1 << v for v in pits)
+            assert sampler._choices(bits) == (total, shift, sums, nexts, pits)
+            for r in {0, *sums[:-1], *(s - 1 for s in sums)}:
+                i = bisect_right(sums, r)
+                assert table.pick(bits, r) == (pits[i], sums[i] - (sums[i - 1] if i else 0))
+
 
 class TestMcmc:
     @pytest.mark.parametrize("chains, seed", [(1, 1), (3, 0)], ids=["one-chain", "ensemble"])
@@ -416,6 +441,17 @@ class TestMcmc:
         got = mcmc_ensemble(shape, 30, 4, seed=6)
         assert np.array_equal(got, loop_ensemble(shape, 30, 4, 6))
         assert got.flags.c_contiguous and got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "lengths, state", [((3, 3), np.uint8), ((2, 2, 2), np.uint8), ((4, 4, 4), np.uint8), ((2, 129), np.uint16)]
+    )
+    def test_narrow_walk_is_the_ensemble(self, lengths, state):
+        # 3x3 and 2x2x2 walk the swap table, 4x4x4 and 2x129 test covers:
+        # the CLI's narrow array equals mcmc_ensemble's int64 one row for row.
+        shape = GridShape(lengths)
+        narrow = sampling._walk(shape, 50, 40, 9)
+        assert narrow.dtype == state and narrow.flags.c_contiguous
+        assert np.array_equal(narrow, mcmc_ensemble(shape, 50, 40, 9))
 
     @pytest.mark.parametrize("lengths", [(3, 3), (4, 4, 4)])
     def test_list_starts_walk_as_array_starts(self, lengths):
