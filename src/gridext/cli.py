@@ -146,7 +146,7 @@ def cmd_sample(args) -> int:
         raise DomainError(f"--mcmc-steps must be >= 0, got {args.mcmc_steps}")
     if not 0.0 <= args.laziness <= 1.0:
         raise DomainError(f"--laziness must be in [0, 1], got {args.laziness}")
-    from .sampling import ExactSampler, _walk, jump_stats_from_orders
+    from .sampling import ExactSampler, jump_stats_from_orders, mcmc_ensemble
 
     if args.method == "exact":
         sampler = ExactSampler(shape, args.seed, args.cap)
@@ -154,8 +154,7 @@ def cmd_sample(args) -> int:
     elif args.cap is not None:
         raise DomainError("--cap is the exact sampler's DP state cap; the walk (--method mcmc) reads none")
     else:
-        # The walk's array as it is, narrow: the statistics cut it into blocks.
-        orders = _walk(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
+        orders = mcmc_ensemble(shape, args.mcmc_steps, args.samples, args.seed, args.laziness)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             stats = jump_stats_from_orders(shape, _written(fh, shape, orders))
@@ -205,12 +204,20 @@ def cmd_pits(args) -> int:
 
     from .jumps import _jump_pit, _read_blocks
 
-    pits = [_jump_pit(*block)[1] for block in _read_blocks(args.infile, shape)]
-    if not pits:
+    # One block's profiles at a time: --mean keeps their exact integer sums
+    # and a line count, the wide formats the rows they print.
+    size, lines, rows = shape.size, 0, []
+    totals = np.zeros(size, dtype=np.int64)
+    for pits in (_jump_pit(*block)[1] for block in _read_blocks(args.infile, shape)):
+        lines += len(pits)
+        if args.mean:
+            totals += pits.sum(axis=0)
+        else:
+            rows += pits.tolist()
+    if not lines:
         raise DomainError(f"no extensions found in {args.infile}")
-    pits, size = np.concatenate(pits), shape.size
     if args.mean:
-        means = [total / len(pits) for total in pits.sum(axis=0).tolist()]  # exact integer sums
+        means = [total / lines for total in totals.tolist()]
         if args.format == "csv":
             rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
             _emit(args, _csv_table(["time", "mean_pits"], rows))
@@ -218,10 +225,9 @@ def cmd_pits(args) -> int:
             _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
     elif args.format == "csv":
         header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
-        rows = [[i, *profile] for i, profile in enumerate(pits.tolist(), start=1)]
-        _emit(args, _csv_table(header, rows))
+        _emit(args, _csv_table(header, [[i, *profile] for i, profile in enumerate(rows, start=1)]))
     else:
-        _emit(args, _json(pits.tolist()))
+        _emit(args, _json(rows))
     return 0
 
 

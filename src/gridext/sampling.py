@@ -43,7 +43,9 @@ Determinism contract (external, bit-exact):
   chain x size + k, and writes back only the pairs that swap.  Both paths
   read the draws from one loop and make the same moves, so their output
   is byte-identical; neither the draws nor the bytes depend on how a step
-  is computed.
+  is computed.  The ensemble returns the chains in that narrow dtype,
+  C-ordered, on every path (the state walk indexes the swap graph's
+  orders, cast to it).
 
 For parallel use, derive stream i from SeedSequence((seed, i)).
 """
@@ -215,8 +217,9 @@ class ExactSampler:
         return tuple(out)
 
 
-# Largest chains x size int64 array the ensemble allocates (its result), in bytes.
-_ENSEMBLE_MAX_BYTES = 1 << 28
+# The most chain points (chains x size) the ensemble holds, checked before
+# any table is built: 2^28 bytes, had each point taken eight.
+_ENSEMBLE_MAX_POINTS = 1 << 25
 # The ensemble walks the swap table when count x size fits in this many
 # entries, i.e. count <= this // size, the enumeration cap it passes to
 # build_graph; past it the table costs more to build than a walk saves.
@@ -233,38 +236,16 @@ def mcmc_ensemble(
 ) -> np.ndarray:
     """Run many independent lazy swap walks at once (vectorized).
 
-    Returns an int64 array of final states, one row per chain.  All chains
-    start at the rank-sorted extension unless `starts` (a (chains, size)
-    array or nested list of trusted extensions) is given.  Uses the
-    documented Generator draw pattern, so results are reproducible per seed.
-
-    A chain (GridShape.is_chain) has one extension, so no swap is legal
-    and the starts are returned as they are.  When count x
-    size is at most 2^16 (build_graph with an enumeration cap of 2^16 //
-    size), the states are row numbers into the swap graph's orders, and a
-    step adds 2k and the coin to each state and gathers once from a lazy
-    table built once from the swap table T: cell 2 (s size + k) + [coin >=
-    laziness] holds s when the coin holds and T[s, k] when it moves.  Otherwise the chains are held in
+    Returns the final states, one row per chain, as a C-ordered array of
     the narrowest unsigned dtype that holds size - 1 (uint8 up to 256
-    points, then uint16, then uint32), and each step reads the two entries
-    at k - 1 and k of every chain through the flat view of one C-ordered
-    state array, tests the cover with GridShape.cover_arrays, and writes
-    back, swapped, only the pairs of the chains that move.  Both paths
-    make the same moves from the same draws, and neither writes to
-    `starts`.  Shapes of more than 2^17 points (enumeration's chain limit
-    too), and int64 results of more than 2^28 bytes, raise
-    ResourceCapError before any table is built.
+    points, then uint16, then uint32), on every path.  All chains start at
+    the rank-sorted extension unless `starts` (a (chains, size) array or
+    nested list of trusted extensions, never written to) is given.  The
+    draws and the two paths are the module's determinism contract, so
+    results are reproducible per seed.  Shapes of more than 2^17 points
+    (enumeration's chain limit too), and more than 2^25 chain points in
+    all, raise ResourceCapError before any table is built.
     """
-    return _walk(shape, steps, chains, seed, laziness, starts).astype(np.int64, copy=False)
-
-
-def _walk(
-    shape: GridShape, steps: int, chains: int, seed: int, laziness: float = 0.5, starts: np.ndarray | None = None
-) -> np.ndarray:
-    """mcmc_ensemble's final states as the walk holds them, with no int64
-    copy: the cover path's state array, in the narrowest unsigned dtype that
-    holds size - 1, or the swap graph's orders cast to that dtype and
-    indexed by state.  With no step, the starts as int64.  The CLI reads it."""
     from .transposition import _MAX_POINTS, build_graph, order_ids
 
     if steps < 0:
@@ -279,19 +260,19 @@ def _walk(
         raise ResourceCapError(
             f"the swap walk refuses {shape}: its tables cannot be built above {_MAX_POINTS} points", cap=_MAX_POINTS
         )
-    if 8 * chains * size > _ENSEMBLE_MAX_BYTES:
+    if chains * size > _ENSEMBLE_MAX_POINTS:
         raise ResourceCapError(
-            f"the swap walk refuses {chains} chains on {shape}: their states would take "
-            f"{8 * chains * size} bytes, above {_ENSEMBLE_MAX_BYTES}",
-            cap=_ENSEMBLE_MAX_BYTES,
+            f"the swap walk refuses {chains} chains on {shape}: they hold "
+            f"{chains * size} points, above {_ENSEMBLE_MAX_POINTS}",
+            cap=_ENSEMBLE_MAX_POINTS,
         )
+    narrow = np.min_scalar_type(size - 1)
     if starts is None:
-        starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=np.int64), (chains, size))
+        starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=narrow), (chains, size))
     elif (starts := np.asarray(starts)).shape != (chains, size):
         raise DomainError(f"starts must have shape ({chains}, {size}), got {starts.shape}")
     if chains == 0 or steps == 0 or shape.is_chain:
-        return np.array(starts, dtype=np.int64, order="C")  # no step, or one extension
-    narrow = np.min_scalar_type(size - 1)  # the narrowest unsigned dtype that holds a point index
+        return np.array(starts, dtype=narrow, order="C")  # no step, or one extension
     rng = np.random.default_rng(seed)
     coins, move = np.empty(chains), np.empty(chains, dtype=bool)  # made later, they raise the peak RSS
 
@@ -306,10 +287,8 @@ def _walk(
     except ResourceCapError:  # more extensions than the table takes: test covers
         pass
     else:
-        # The lazy table folds the coin into the cell: cell 2 (s size + k) +
-        # [coin >= laziness] holds s when even and T[s, k] when odd.  Its
-        # entries, like the states, are pre-multiplied by 2 size, so a step
-        # is one add of 2k plus the coin and one gather.
+        # The lazy table's entries, like the states, are pre-multiplied by
+        # 2 size, so a step is one add of 2k plus the coin and one gather.
         table = graph.table.astype(np.int64) * (2 * size)
         lazy = np.stack([np.repeat(table[:, :1], size, axis=1), table], axis=2).ravel()
         state = order_ids(graph.orders, starts) * (2 * size)
@@ -320,7 +299,7 @@ def _walk(
             cell += move
             np.take(lazy, cell, out=state)
         state //= 2 * size
-        return graph.orders.astype(narrow)[state]  # cast, then indexed: one narrow result
+        return graph.orders.astype(narrow)[state]
     # The chains in the narrowest unsigned dtype, as a C-ordered copy
     # whatever the layout of starts (a broadcast view is F-ordered), so that
     # reshape(-1) is a view of it and not a copy.

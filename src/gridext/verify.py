@@ -504,15 +504,15 @@ def suite_sampling(cfg: VerifyConfig) -> SuiteReport:
 
     first = ExactSampler(shape, cfg.seed)
     second = ExactSampler(shape, cfg.seed)
-    same_exact = all(first.sample_indices() == second.sample_indices() for _ in range(50))
-    same_walk = np.array_equal(*(mcmc_ensemble(shape, 500, 1, cfg.seed) for _ in range(2)))
+    exact_same = all(first.sample_indices() == second.sample_indices() for _ in range(50))
+    walk_same = np.array_equal(*(mcmc_ensemble(shape, 500, 1, cfg.seed) for _ in range(2)))
     checks.append(
         _check(
             "determinism",
             "identical seeds reproduce identical samples byte-for-byte",
-            f"exact={same_exact}, walk={same_walk}",
+            f"exact={exact_same}, walk={walk_same}",
             "exact=True, walk=True",
-            same_exact and same_walk,
+            exact_same and walk_same,
         )
     )
 

@@ -475,6 +475,28 @@ class TestJumpsAndPits:
         code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path), "--mean")
         assert [row["mean_pits"] for row in parse_csv(out)] == [f"{mean:.10g}" for mean in means]
 
+    def test_pits_mean_keeps_one_block(self, capsys, tmp_path):
+        # 20000 3x3 lines are 44 blocks, whose profiles would take 20000 x 9
+        # x 8 bytes = 1.44 MB as one int64 array.  --mean sums each block as
+        # it is read, so its traced peak stays below that.
+        import tracemalloc
+
+        from gridext import GridShape, enumerate_index_orders
+
+        lines = [" ".join(map(str, order)) + "\n" for order in enumerate_index_orders(GridShape((3, 3)))]
+        path = tmp_path / "e.txt"
+        path.write_text("".join(itertools.islice(itertools.cycle(lines), 20000)))
+        argv = ("pits", "--shape", "3x3", "--in", str(path), "--mean")
+        expected = run(capsys, *argv)  # the imports and shape tables, untraced
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected and expected[0] == 0
+        assert peak < 20000 * 9 * 8
+
     @pytest.mark.parametrize("command", ["jumps", "pits"])
     def test_non_ascii_byte_names_its_line(self, capsys, tmp_path, command):
         path = tmp_path / "bad.txt"
@@ -811,7 +833,7 @@ class TestWalkOnLargeShapes:
                 ["sample", "--method", "mcmc", "--shape", self.SHAPE, "--mcmc-steps", "30", "--samples", "1000000"]
             )
         assert code == 3
-        assert "Traceback" not in err.getvalue() and "bytes" in err.getvalue()
+        assert "Traceback" not in err.getvalue() and "points, above 33554432" in err.getvalue()
         assert out.getvalue() == ""
 
 

@@ -271,7 +271,7 @@ class TestMcmc:
         for seed in seeds:
             finals = mcmc_ensemble(shape, steps, chains, seed=seed)
             assert finals.shape == (chains, shape.size)
-            assert finals.dtype == np.int64
+            assert finals.dtype == np.uint8
             for row in finals.tolist():
                 LinearExtension(shape, tuple(row))  # constructor validates
 
@@ -379,7 +379,7 @@ class TestMcmc:
             starts = np.array([sampler.sample_indices() for _ in range(chains)], dtype=np.int64)
             starts = starts.reshape(chains, shape.size)
         got = mcmc_ensemble(shape, steps, chains, seed, laziness, starts=starts)
-        assert got.dtype == np.int64
+        assert got.dtype == np.min_scalar_type(shape.size - 1)
         assert np.array_equal(got, dense_table_ensemble(shape, steps, chains, seed, laziness, starts))
 
     @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
@@ -403,7 +403,7 @@ class TestMcmc:
             got = mcmc_ensemble(shape, 30, chains, 7, laziness, starts=starts)
             assert np.array_equal(got, dense_table_ensemble(shape, 30, chains, 7, laziness, starts)), name
             assert np.array_equal(starts, before), name
-            assert got.flags.c_contiguous and got.dtype == np.int64, name
+            assert got.flags.c_contiguous and got.dtype == np.uint8, name
 
     @pytest.mark.parametrize("laziness", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2)])
@@ -415,7 +415,7 @@ class TestMcmc:
         for begin in (None, starts):
             got = mcmc_ensemble(shape, 40, 60, 11, laziness, starts=begin)
             assert np.array_equal(got, dense_table_ensemble(shape, 40, 60, 11, laziness, begin))
-            assert got.flags.c_contiguous and got.dtype == np.int64
+            assert got.flags.c_contiguous and got.dtype == np.uint8
 
     @pytest.mark.parametrize(
         "lengths, state", [((16, 16), np.uint8), ((2, 129), np.uint16)], ids=["256-points", "258-points"]
@@ -427,7 +427,7 @@ class TestMcmc:
         assert np.min_scalar_type(shape.size - 1) == state
         got = mcmc_ensemble(shape, 400, 20, seed=5)
         assert np.array_equal(got, dense_table_ensemble(shape, 400, 20, 5))
-        assert got.flags.c_contiguous and got.dtype == np.int64
+        assert got.flags.c_contiguous and got.dtype == state
 
     @pytest.mark.parametrize(
         "lengths, state", [((2,) * 16, np.uint16), ((2, 32769), np.uint32)], ids=["65536-points", "65538-points"]
@@ -440,18 +440,38 @@ class TestMcmc:
         assert np.min_scalar_type(shape.size - 1) == state
         got = mcmc_ensemble(shape, 30, 4, seed=6)
         assert np.array_equal(got, loop_ensemble(shape, 30, 4, 6))
-        assert got.flags.c_contiguous and got.dtype == np.int64
+        assert got.flags.c_contiguous and got.dtype == state
 
     @pytest.mark.parametrize(
-        "lengths, state", [((3, 3), np.uint8), ((2, 2, 2), np.uint8), ((4, 4, 4), np.uint8), ((2, 129), np.uint16)]
+        "lengths, steps, chains, starts",
+        [
+            ((3, 3), 50, 40, None),
+            ((2, 2, 2), 50, 40, "list"),
+            ((4, 4, 4), 50, 40, "F-ordered"),
+            ((2, 129), 50, 40, "list"),
+            ((3, 3), 0, 40, "F-ordered"),
+            ((2, 129), 0, 40, "list"),
+            ((4, 4, 4), 50, 0, None),
+            ((300,), 50, 40, None),
+            ((1, 5, 1), 50, 40, "list"),
+        ],
+        ids=["table", "table-list", "covers", "covers-list", "no-step", "no-step-list", "no-chain", "chain", "chain-list"],
     )
-    def test_narrow_walk_is_the_ensemble(self, lengths, state):
-        # 3x3 and 2x2x2 walk the swap table, 4x4x4 and 2x129 test covers:
-        # the CLI's narrow array equals mcmc_ensemble's int64 one row for row.
+    def test_every_path_returns_narrow_c_ordered_states(self, lengths, steps, chains, starts):
+        # 3x3 and 2x2x2 walk the swap table, 4x4x4 and 2x129 test covers;
+        # no step, no chain and a chain shape return the starts.  Each path
+        # returns the oracle's values in the narrowest unsigned dtype of a
+        # point index (uint16 from 257 points), C-ordered.
         shape = GridShape(lengths)
-        narrow = sampling._walk(shape, 50, 40, 9)
-        assert narrow.dtype == state and narrow.flags.c_contiguous
-        assert np.array_equal(narrow, mcmc_ensemble(shape, 50, 40, 9))
+        begin = None if starts is None else dense_table_ensemble(shape, 20, chains, 3)
+        if starts == "list":
+            begin = begin.tolist()
+        elif starts == "F-ordered":
+            begin = np.asfortranarray(begin)
+        got = mcmc_ensemble(shape, steps, chains, 9, starts=begin)
+        assert got.dtype == np.min_scalar_type(shape.size - 1) and got.flags.c_contiguous
+        assert got.shape == (chains, shape.size)
+        assert np.array_equal(got, dense_table_ensemble(shape, steps, chains, 9, starts=begin))
 
     @pytest.mark.parametrize("lengths", [(3, 3), (4, 4, 4)])
     def test_list_starts_walk_as_array_starts(self, lengths):
