@@ -18,7 +18,7 @@ precision) and use a documented 1e-9 relative tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -53,12 +53,7 @@ class BoundReport:
     vacuous: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "inputs": dict(self.inputs),
-            "value": self.value,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self)
 
 
 def _require_mn(m: int, n: int) -> tuple[int, int]:

@@ -27,9 +27,11 @@ import csv
 import functools
 import heapq
 import io
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from ._version import __version__
 from .errors import DomainError, GridextError, ResourceCapError
@@ -64,7 +66,14 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list], comments: list[str] | None = None) -> str:
+def _json_list(blocks: Iterable[list]) -> str:
+    """_json of the blocks' items as one list, built a block at a time: a
+    nonempty block's text less its "[\n" and "\n]" is its items at depth 1."""
+    body = ",\n".join(json.dumps(block, indent=2)[2:-2] for block in blocks if block)
+    return f"[\n{body}\n]\n" if body else "[]\n"
+
+
+def _csv_table(header: list[str], rows: Iterable[list], comments: list[str] | None = None) -> str:
     buf = io.StringIO()
     for comment in comments or []:
         buf.write(f"# {comment}\n")
@@ -182,52 +191,53 @@ def cmd_sample(args) -> int:
 
 def cmd_jumps(args) -> int:
     shape = _parse_shape_token(args.shape)
-    from .jumps import _jump_pit, _read_blocks
+    from .jumps import _read_blocks, jump_pit_block
 
     fields = ("extension", "degree", "jump_times", "pits")
-    as_csv = args.format == "csv"
-    rows = []
-    for jumps, pits in (_jump_pit(*block) for block in _read_blocks(args.infile, shape)):
-        for flags, counts in zip(jumps.tolist(), pits.tolist()):
+    as_csv, number = args.format == "csv", itertools.count(1)
+
+    def rows(jumps, pits):  # one block's rows as printed; number last, so a block's end takes none
+        for flags, counts, i in zip(jumps.tolist(), pits.tolist(), number):
             times = [k for k, jump in enumerate(flags, start=1) if jump]
             if as_csv:
-                rows.append([len(rows) + 1, len(times), " ".join(map(str, times)), " ".join(map(str, counts))])
+                yield [i, len(times), " ".join(map(str, times)), " ".join(map(str, counts))]
             else:
-                rows.append(dict(zip(fields, (len(rows) + 1, len(times), times, counts))))
-    _emit(args, _csv_table(list(fields), rows) if as_csv else _json(rows))
+                yield dict(zip(fields, (i, len(times), times, counts)))
+
+    blocks = (list(rows(*jump_pit_block(shape, block))) for block in _read_blocks(args.infile, shape))
+    _emit(args, _csv_table(list(fields), itertools.chain.from_iterable(blocks)) if as_csv else _json_list(blocks))
     return 0
 
 
 def cmd_pits(args) -> int:
     shape = _parse_shape_token(args.shape)
-    import numpy as np
-
-    from .jumps import _jump_pit, _read_blocks
+    from .jumps import _read_blocks, jump_pit_block
 
     # One block's profiles at a time: --mean keeps their exact integer sums
-    # and a line count, the wide formats the rows they print.
-    size, lines, rows = shape.size, 0, []
-    totals = np.zeros(size, dtype=np.int64)
-    for pits in (_jump_pit(*block)[1] for block in _read_blocks(args.infile, shape)):
-        lines += len(pits)
-        if args.mean:
-            totals += pits.sum(axis=0)
-        else:
-            rows += pits.tolist()
-    if not lines:
+    # and a line count, the wide formats the text of the rows they print.
+    blocks = (jump_pit_block(shape, block)[1] for block in _read_blocks(args.infile, shape))
+    first = next(blocks, None)
+    if first is None:
         raise DomainError(f"no extensions found in {args.infile}")
+    blocks, size = itertools.chain([first], blocks), shape.size
     if args.mean:
+        lines, totals = 0, 0
+        for pits in blocks:
+            lines += len(pits)
+            totals = totals + pits.sum(axis=0)
         means = [total / lines for total in totals.tolist()]
         if args.format == "csv":
-            rows = [[k + 1, f"{means[k]:.10g}"] for k in range(size)]
-            _emit(args, _csv_table(["time", "mean_pits"], rows))
+            _emit(args, _csv_table(["time", "mean_pits"], [[k + 1, f"{means[k]:.10g}"] for k in range(size)]))
         else:
             _emit(args, _json({"times": list(range(1, size + 1)), "mean_pits": means}))
-    elif args.format == "csv":
+        return 0
+    profiles = (pits.tolist() for pits in blocks)
+    if args.format == "csv":
         header = ["extension"] + [f"t{k}" for k in range(1, size + 1)]
-        _emit(args, _csv_table(header, [[i, *profile] for i, profile in enumerate(rows, start=1)]))
+        rows = enumerate(itertools.chain.from_iterable(profiles), start=1)
+        _emit(args, _csv_table(header, ([i, *profile] for i, profile in rows)))
     else:
-        _emit(args, _json(rows))
+        _emit(args, _json_list(profiles))
     return 0
 
 

@@ -406,9 +406,9 @@ class CompletionTable(Mapping[int, int]):
     _key(bits): the int itself, or its little-endian bytes.  So a lookup is
     one bisect_left in level bits.bit_count() and one int.from_bytes on the
     count's slice; iteration yields the down-sets as ints from the whole
-    grid down to the empty set, each level in _keys order; pick(D, r), the
-    table's one pit reader, runs the exact sampler's scan over the weights
-    g(D + v) in one call; and pits(D) lists the pits it scans.
+    grid down to the empty set, each level in _keys order; and pick(D, r),
+    the table's one pit reader, runs the exact sampler's scan over the
+    weights g(D + v) in one call.
 
     The constructor runs the DP and checks no cap: completion_counts holds
     the shape to its cap first.
@@ -466,12 +466,6 @@ class CompletionTable(Mapping[int, int]):
                 r -= weight
                 rest ^= low
         raise AssertionError("weights of the pits must sum to g(D)")
-
-    def pits(self, bits: int) -> tuple[int, ...]:
-        """The pits of the down-set D = bits in increasing index, the order
-        pick scans them in; the whole grid has none.  Trusts `bits` to be a
-        down-set."""
-        return tuple(_bit_indices(self._pit_mask(bits)))
 
     def __len__(self) -> int:
         return self._len

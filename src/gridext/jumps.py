@@ -24,10 +24,8 @@ read_extensions_file and the jumps and pits commands read a file as
 validated int64 blocks (_read_blocks): a token is a point iff it is that
 point's label (_labels, the writer's table), and a row is an extension iff
 no point repeats and every point but 0 sits after its last lower cover
-(ready < pos); the commands hand that ready array on to the kernel,
-_jump_pit, so it is worked out once a block.  A block that fails is read
-again line by line through LinearExtension.from_line, which names the
-first bad line's error.
+(ready < pos).  A block that fails is read again line by line through
+LinearExtension.from_line, which names the first bad line's error.
 
 File format (external contract): one extension per line, canonical point
 indices separated by single spaces.  An index is a decimal numeral of ASCII
@@ -191,13 +189,8 @@ def jump_pit_block(shape: GridShape, orders: np.ndarray) -> tuple[np.ndarray, np
     pits_counts.
     """
     orders = np.asarray(orders, dtype=np.int64)
-    return _jump_pit(orders, _positions(shape, orders)[1])
-
-
-def _jump_pit(orders: np.ndarray, ready: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """jump_pit_block's kernel, from the orders and their _positions ready
-    array, which it overwrites."""
     rows, size = orders.shape
+    ready = _positions(shape, orders)[1]
     # Only the bottom corner, point 0, has no lower cover; it is placed first.
     # The point at position p follows one of its lower covers iff its last
     # lower cover sits at p - 1; otherwise time p is a jump.
@@ -274,10 +267,9 @@ def write_extensions_file(path, extensions: Iterable[LinearExtension]) -> int:
         return write_index_orders(fh, (ext.indices for ext in extensions))
 
 
-def _block_orders(shape: GridShape, lines: list[str], index: dict[str, int]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (rows, size) int64 orders of a block of lines and their
-    _positions ready array if every line is an extension of the shape, else
-    None.  `index` inverts _labels(size)."""
+def _block_orders(shape: GridShape, lines: list[str], index: dict[str, int]) -> np.ndarray | None:
+    """The (rows, size) int64 orders of a block of lines if every line is
+    an extension of the shape, else None.  `index` inverts _labels(size)."""
     size = shape.size
     try:  # a token that is no label, ragged lines or lines of another length: refused
         block = np.array([list(map(index.__getitem__, line.split())) for line in lines], dtype=np.int64)
@@ -289,16 +281,16 @@ def _block_orders(shape: GridShape, lines: list[str], index: dict[str, int]) -> 
     # later than its last lower cover is out of order.
     if (np.take_along_axis(pos, block, axis=1) != np.arange(size)).any() or (ready[:, 1:] >= pos[:, 1:]).any():
         return None
-    return block, ready
+    return block
 
 
-def _read_blocks(path, shape: GridShape) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _read_blocks(path, shape: GridShape) -> Iterator[np.ndarray]:
     """The nonblank lines of an extension file as validated (rows, size)
-    int64 blocks of the jump_pit_blocks row count, each with its _positions
-    ready array, which _jump_pit reads.  A block that fails _block_orders'
-    check is read again in file order through LinearExtension.from_line,
-    which raises the first error, as a line-by-line read would.  The file
-    is ASCII; a line holding any other byte is rejected by number.
+    int64 blocks of the jump_pit_blocks row count.  A block that fails
+    _block_orders' check is read again in file order through
+    LinearExtension.from_line, which raises the first error, as a
+    line-by-line read would.  The file is ASCII; a line holding any other
+    byte is rejected by number.
     """
     index = {label: v for v, label in enumerate(_labels(shape.size))}
     # surrogateescape decodes each non-ASCII byte b to the lone surrogate
@@ -307,8 +299,8 @@ def _read_blocks(path, shape: GridShape) -> Iterator[tuple[np.ndarray, np.ndarra
         stripped = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
         lines = filter(operator.itemgetter(1), stripped)  # nonblank lines, numbered
         for block in _blocks(lines, _block_rows(shape)):
-            checked = _block_orders(shape, [line for _, line in block], index)
-            if checked is None:
+            orders = _block_orders(shape, [line for _, line in block], index)
+            if orders is None:
                 orders = []
                 for lineno, line in block:
                     try:
@@ -319,12 +311,11 @@ def _read_blocks(path, shape: GridShape) -> Iterator[tuple[np.ndarray, np.ndarra
                     except InvalidExtensionError as exc:
                         raise InvalidExtensionError(f"line {lineno}: {exc}", position=exc.position) from exc
                 orders = np.asarray(orders, dtype=np.int64)
-                checked = orders, _positions(shape, orders)[1]
-            yield checked
+            yield orders
 
 
 def read_extensions_file(path, shape: GridShape) -> list[LinearExtension]:
     """Read and validate an extension file against a shape: the extensions
     of _read_blocks' blocks, or the first bad line's error."""
     blocks = _read_blocks(path, shape)
-    return [LinearExtension._trusted(shape, order) for block, _ in blocks for order in map(tuple, block.tolist())]
+    return [LinearExtension._trusted(shape, order) for block in blocks for order in map(tuple, block.tolist())]

@@ -62,7 +62,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .counting import _paired_levels, completion_counts
+from .counting import CompletionTable, _paired_levels, completion_counts
 from .errors import DomainError, ResourceCapError
 from .grid import GridShape
 from .jumps import jump_pit_blocks, rank_lex_indices
@@ -146,19 +146,19 @@ class ExactSampler:
 
     Both paths draw r below g(D) and stop at the pit the documented scan
     stops at: over the pits v of D in increasing index, subtract g(D + v)
-    from r until r < g(D + v).  On lattices of at most 2^12 down-sets the
-    pits of each visited D (CompletionTable.pits) are kept with the running
-    sums of their weights, one table lookup each, and a draw is one
-    bisect_right over the sums; past that, each step makes one call to the
-    table's pit reader, CompletionTable.pick, which runs the scan from D.
+    from r until r < g(D + v).  Both read the pits through the table's one
+    pit reader, CompletionTable.pick, which runs the scan from D.  On
+    lattices of at most 2^12 down-sets each visited D keeps its pits with
+    the running sums of their weights, and a draw is one bisect_right over
+    the sums; past that, each step makes one pick call.
 
     A caller that has already held the shape to its cap passes the
-    shape's CompletionTable as `table`, which is then read as it is:
-    state_cap is not read and no cap is checked.
+    shape's CompletionTable as `table` (a plain mapping has no pick), which
+    is then read as it is: state_cap is not read and no cap is checked.
     """
 
     def __init__(
-        self, shape: GridShape, seed: int, state_cap: int | None = None, *, table: Mapping[int, int] | None = None
+        self, shape: GridShape, seed: int, state_cap: int | None = None, *, table: CompletionTable | None = None
     ):
         self.shape = shape
         self._stream = WordStream(seed)  # checks the seed before the DP is built
@@ -166,17 +166,20 @@ class ExactSampler:
         self._memo: dict[int, tuple] | None = {} if len(self._g) <= _MEMO_MAX_STATES else None
 
     def _choices(self, placed: int) -> tuple:
-        """The memo entry of D = placed, built on its first visit from the
-        table's pits of D and one lookup g(D + v) per pit, each weight read
-        once: (g(D), shift, running weight sums, next down-sets, pit
-        indices), g(D) the last sum; shift is 64 - bit_length(g(D)) when one
-        word draws below g(D), and -1 when it takes more."""
-        pits = self._g.pits(placed)
-        nexts = tuple(placed | 1 << v for v in pits)
-        sums = tuple(itertools.accumulate(map(self._g.__getitem__, nexts)))
-        total = sums[-1]
+        """The memo entry of D = placed, built on its first visit from one
+        lookup of g(D) and one pick(D, s) per pit, s the running weight sum,
+        which returns the next pit and its weight: (g(D), shift, running
+        weight sums, next down-sets, pit indices), g(D) the last sum; shift
+        is 64 - bit_length(g(D)) when one word draws below g(D), and -1 when
+        it takes more."""
+        total, s, pits, sums = self._g[placed], 0, [], []
+        while s < total:
+            v, weight = self._g.pick(placed, s)
+            pits.append(v)
+            sums.append(s := s + weight)
         shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
-        self._memo[placed] = entry = (total, shift, sums, nexts, pits)
+        nexts = tuple(placed | 1 << v for v in pits)
+        self._memo[placed] = entry = (total, shift, tuple(sums), nexts, tuple(pits))
         return entry
 
     def sample_indices(self) -> tuple[int, ...]:

@@ -142,8 +142,7 @@ def _lex_keys(rows: np.ndarray) -> np.ndarray:
     # becomes one opaque key, and keys sort as the rows do lexicographically.
     # The entries are point indices below the row length, so the narrowest
     # width that holds row length - 1 is enough.
-    top = rows.shape[1] - 1
-    dtype = np.dtype("u1" if top < 1 << 8 else ">u2" if top < 1 << 16 else ">u4")
+    dtype = np.min_scalar_type(rows.shape[1] - 1).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=dtype)
     return rows.view(f"V{dtype.itemsize * rows.shape[1]}").ravel()
 

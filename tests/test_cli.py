@@ -475,10 +475,11 @@ class TestJumpsAndPits:
         code, out, _ = run(capsys, "pits", "--shape", "3x3", "--in", str(path), "--mean")
         assert [row["mean_pits"] for row in parse_csv(out)] == [f"{mean:.10g}" for mean in means]
 
-    def test_pits_mean_keeps_one_block(self, capsys, tmp_path):
-        # 20000 3x3 lines are 44 blocks, whose profiles would take 20000 x 9
-        # x 8 bytes = 1.44 MB as one int64 array.  --mean sums each block as
-        # it is read, so its traced peak stays below that.
+    @staticmethod
+    def traced_peak(capsys, tmp_path, *argv):
+        """The tracemalloc peak of a command on 20000 3x3 lines (44 blocks),
+        run once untraced first for the imports and shape tables; its result
+        is checked to be the same both times."""
         import tracemalloc
 
         from gridext import GridShape, enumerate_index_orders
@@ -486,8 +487,8 @@ class TestJumpsAndPits:
         lines = [" ".join(map(str, order)) + "\n" for order in enumerate_index_orders(GridShape((3, 3)))]
         path = tmp_path / "e.txt"
         path.write_text("".join(itertools.islice(itertools.cycle(lines), 20000)))
-        argv = ("pits", "--shape", "3x3", "--in", str(path), "--mean")
-        expected = run(capsys, *argv)  # the imports and shape tables, untraced
+        argv = (*argv, "--shape", "3x3", "--in", str(path))
+        expected = run(capsys, *argv)
         tracemalloc.start()
         try:
             result = run(capsys, *argv)
@@ -495,7 +496,19 @@ class TestJumpsAndPits:
         finally:
             tracemalloc.stop()
         assert result == expected and expected[0] == 0
-        assert peak < 20000 * 9 * 8
+        return peak
+
+    def test_pits_mean_keeps_one_block(self, capsys, tmp_path):
+        # The profiles would take 20000 x 9 x 8 bytes = 1.44 MB as one int64
+        # array.  --mean sums each block as it is read, so its traced peak
+        # stays below that.
+        assert self.traced_peak(capsys, tmp_path, "pits", "--mean") < 20000 * 9 * 8
+
+    def test_wide_json_keeps_no_rows(self, capsys, tmp_path):
+        # jumps --format json prints 4.2 MB here.  Its text is built a block
+        # of rows at a time, with no list of every row's dict beside it, so
+        # its traced peak, the captured output included, stays below 16 MB.
+        assert self.traced_peak(capsys, tmp_path, "jumps", "--format", "json") < 16 * 2**20
 
     @pytest.mark.parametrize("command", ["jumps", "pits"])
     def test_non_ascii_byte_names_its_line(self, capsys, tmp_path, command):
@@ -639,6 +652,24 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
+
+    def test_all_runs_every_suite(self, capsys, monkeypatch):
+        # Two stub suites, the second failing: all runs both in SUITES
+        # order, prints their reports joined (text) or as one list (json),
+        # and exits 1.
+        from gridext import verify
+
+        def stub(name, passed):
+            check = verify.CheckResult(f"{name} check", "holds", "1", "1", passed)
+            return lambda cfg: verify.SuiteReport(name, cfg, (check,))
+
+        monkeypatch.setattr(verify, "SUITES", {"first": stub("first", True), "second": stub("second", False)})
+        reports = verify.run_suite("all", verify.VerifyConfig(seed=3))
+        assert [(r.suite, r.passed) for r in reports] == [("first", True), ("second", False)]
+        text = "\n".join(r.to_text() for r in reports)
+        assert run(capsys, "verify", "--suite", "all", "--seed", "3") == (1, text, "")
+        code, out, err = run(capsys, "verify", "--suite", "all", "--seed", "3", "--format", "json")
+        assert (code, err) == (1, "") and json.loads(out) == [r.to_dict() for r in reports]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range(self, capsys, seed):

@@ -250,6 +250,21 @@ class TestCounts:
             completion_counts(shape)
         assert built == [GridShape((3, 3, 3))] * 2
 
+    def test_refused_sub_shape_refuses_the_shape(self, monkeypatch, built):
+        # No grid of four to six chains reaches this rule with the real
+        # bounds, so the four-chain bound is stubbed to 0: 2x2x2x2 then
+        # asks its sub-shape 2x2x2, whose 20 down-sets pass 10 states, and
+        # is refused as 11 with no level built, also by count_extensions.
+        from gridext import counting
+
+        bound = counting._lattice_lower_bound
+        stub = lambda shape, cap: 0 if shape.num_chains > 3 else bound(shape, cap)
+        monkeypatch.setattr(counting, "_lattice_lower_bound", stub)
+        assert _lattice_size(GridShape((2, 2, 2, 2)), 10) == 11
+        with pytest.raises(ResourceCapError, match="at least 11 ideals"):
+            count_extensions(GridShape((2, 2, 2, 2)), cap=10)
+        assert built == []
+
     @pytest.mark.parametrize("lengths", [(2,) * 5, (2,) * 6])
     def test_cap_check_builds_no_table(self, monkeypatch, built, lengths):
         # The sub-lattice's size asks the same rule, then lists the
@@ -427,8 +442,8 @@ class TestCompletionTable:
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2, 2), (2, 33), (3, 30)])
     def test_pick_on_every_down_set(self, lengths):
         # Successive picks, r the sum of the weights listed so far, list
-        # every pit of D in increasing index (pits(D)) with its weight
-        # g(D + v), and the weights sum to g(D); the whole grid has no pit.
+        # every pit of D in increasing index with its weight g(D + v), and
+        # the weights sum to g(D); the whole grid has no pit.
         shape = GridShape(lengths)
         table, oracle, full = completion_counts(shape), dict_table_oracle(shape), (1 << shape.size) - 1
         for bits, here in oracle.items():
@@ -439,14 +454,12 @@ class TestCompletionTable:
                 pairs.append(table.pick(bits, total))
                 total += pairs[-1][1]
             assert [v for v, _ in pairs] == [v for v in range(shape.size) if mask >> v & 1]
-            assert table.pits(bits) == tuple(v for v, _ in pairs)
             assert all(weight == oracle[bits | 1 << v] for v, weight in pairs)
             assert total == here
             with pytest.raises(AssertionError):
                 table.pick(bits, here)
         with pytest.raises(AssertionError):
             table.pick(full, 0)
-        assert table.pits(full) == ()
 
     # 2x33: 66 points, two words, 595 down-sets.
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2), (4, 3), (2, 33)])

@@ -389,18 +389,17 @@ class TestBlockReader:
     def test_refused_block_is_read_again_line_by_line(self, tmp_path, square3, square3_orders):
         # A block that _block_orders refuses is read again through
         # LinearExtension.from_line: valid lines come back as the same
-        # orders with the same ready arrays, in blocks of ten rows.
+        # int64 orders, in blocks of ten rows.
         path = tmp_path / "exts.txt"
         path.write_text("".join(" ".join(map(str, order)) + "\n" for order in square3_orders))
         with mock.patch.object(jumps, "_BLOCK_ENTRIES", 10 * square3.size):
             expected = list(jumps._read_blocks(path, square3))
             with mock.patch.object(jumps, "_block_orders", lambda *_: None):
                 got = list(jumps._read_blocks(path, square3))
-        assert [len(block) for block, _ in expected] == [10, 10, 10, 10, 2]
+        assert [len(block) for block in expected] == [10, 10, 10, 10, 2]
         assert len(got) == len(expected)
-        for (block, ready), (want, want_ready) in zip(got, expected):
-            assert block.dtype == want.dtype and np.array_equal(block, want)
-            assert ready.dtype == want_ready.dtype and np.array_equal(ready, want_ready)
+        for block, want in zip(got, expected):
+            assert block.dtype == want.dtype == np.int64 and np.array_equal(block, want)
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -448,10 +447,8 @@ class TestBlockReader:
                 args = [*argv, "--shape", str(shape), "--in", str(path), "--format", fmt]
                 assert main(args) == 0
                 got = capsys.readouterr()
-                # One validated block with its ready array, fresh per call.
-                with mock.patch.object(
-                    jumps, "_read_blocks", lambda *_: iter([(oracle, jumps._positions(shape, oracle)[1])])
-                ):
+                # The oracle's orders as one validated block.
+                with mock.patch.object(jumps, "_read_blocks", lambda *_: iter([oracle])):
                     assert main(args) == 0
                 assert got == capsys.readouterr()
         bad = jumps._block_rows(shape) + 7  # a line of the second block
