@@ -16,9 +16,10 @@ levels, a level at a time; the exact entropy profile enumerates, as an oracle.
 
 Determinism contract (external, bit-exact):
 
-- The exact sampler consumes one stream of 64-bit words from numpy's PCG64
-  bit generator seeded with SeedSequence(seed); word i is the i-th output
-  of random_raw.
+- The exact sampler consumes one stream of 64-bit words: word i is the
+  i-th random_raw output of numpy's PCG64(SeedSequence(seed)).  The
+  package computes these words itself (gridext._pcg64), so exact sampling
+  does not import numpy.random; the tests check them against numpy's.
 - randbelow(n): let k = n.bit_length(); assemble ceil(k/64) consecutive
   words big-endian (earlier word more significant) and keep the top k bits
   of that block; reject values >= n and redraw.  randbelow(1) is 0 and
@@ -47,12 +48,13 @@ Determinism contract (external, bit-exact):
   C-ordered, on every path (the state walk indexes the swap graph's
   orders, cast to it).
 
-For parallel use, derive stream i from SeedSequence((seed, i)).
+For parallel use, give worker i its own seed, such as
+int.from_bytes(hashlib.sha256(f"{seed} {i}".encode()).digest()[:8], "big"),
+an int in [0, 2^64).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
@@ -68,7 +70,9 @@ from .grid import GridShape
 from .jumps import jump_pit_blocks, rank_lex_indices
 
 # transposition and bounds are imported by the functions that call them
-# (the walk, the entropy oracle, the pits threshold): an exact draw loads neither.
+# (the walk, the entropy oracle, the pits threshold): an exact draw loads
+# neither.  Likewise _pcg64, by WordStream: a command that draws no exact
+# sample (the walk, the bounds suite) does not load it.
 
 __all__ = [
     "WordStream",
@@ -91,8 +95,6 @@ def _check_seed(seed: int) -> None:
         raise DomainError(f"seed must be a 64-bit nonnegative integer, got {seed}")
 
 
-# Words fetched from the bit generator per refill; buffering never changes the stream.
-_WORD_BUFFER = 4096
 # The exact sampler keeps its per-down-set draw tables when the completion
 # table has at most this many down-sets.  Past it few visits repeat: 500
 # draws on 4x4x4 (232848 down-sets) visit 15922 of them, and keeping their
@@ -104,15 +106,15 @@ _MEMO_MAX_STATES = 1 << 12
 class WordStream:
     """Buffered 64-bit word stream with the documented seed-to-stream mapping.
 
-    Word i is always the i-th random_raw output of PCG64(SeedSequence(seed)).
+    Word i is always the i-th random_raw output of numpy's
+    PCG64(SeedSequence(seed)), computed without numpy.random.
     """
 
     def __init__(self, seed: int):
         _check_seed(seed)
-        bitgen = np.random.PCG64(np.random.SeedSequence(int(seed)))
-        # One iterator over the Python ints of successive refills.
-        refills = iter(lambda: bitgen.random_raw(_WORD_BUFFER).tolist(), None)
-        self._words = itertools.chain.from_iterable(refills)
+        from ._pcg64 import raw_words
+
+        self._words = raw_words(int(seed))
 
     def word(self) -> int:
         """Next raw 64-bit word."""
@@ -150,7 +152,9 @@ class ExactSampler:
     pit reader, CompletionTable.pick, which runs the scan from D.  On
     lattices of at most 2^12 down-sets each visited D keeps its pits with
     the running sums of their weights, and a draw is one bisect_right over
-    the sums; past that, each step makes one pick call.
+    the sums, or, when one word draws below g(D), of the word itself over
+    the sums shifted to word thresholds; past that, each step makes one
+    pick call.
 
     A caller that has already held the shape to its cap passes the
     shape's CompletionTable as `table` (a plain mapping has no pick), which
@@ -168,18 +172,28 @@ class ExactSampler:
     def _choices(self, placed: int) -> tuple:
         """The memo entry of D = placed, built on its first visit from one
         lookup of g(D) and one pick(D, s) per pit, s the running weight sum,
-        which returns the next pit and its weight: (g(D), shift, running
-        weight sums, next down-sets, pit indices), g(D) the last sum; shift
-        is 64 - bit_length(g(D)) when one word draws below g(D), and -1 when
-        it takes more."""
+        which returns the next pit and its weight: (n, thresholds, next
+        down-sets, pit indices).  When one word draws below g(D) > 1, n is
+        the number of pits and the thresholds are the running sums shifted
+        left by 64 - bit_length(g(D)): a word w, whose top bits are r, picks
+        bisect_right(thresholds, w), and that is n when r >= g(D), a
+        rejection.  n is 0 when g(D) = 1, which draws no word, and -1 when a
+        draw takes more words; the thresholds are then the running sums,
+        g(D) the last."""
         total, s, pits, sums = self._g[placed], 0, [], []
         while s < total:
             v, weight = self._g.pick(placed, s)
             pits.append(v)
             sums.append(s := s + weight)
-        shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
+        if total == 1:
+            n = 0
+        elif total.bit_length() <= 64:
+            n, shift = len(pits), 64 - total.bit_length()
+            sums = [s << shift for s in sums]
+        else:
+            n = -1
         nexts = tuple(placed | 1 << v for v in pits)
-        self._memo[placed] = entry = (total, shift, tuple(sums), nexts, tuple(pits))
+        self._memo[placed] = entry = (n, tuple(sums), nexts, tuple(pits))
         return entry
 
     def sample_indices(self) -> tuple[int, ...]:
@@ -191,16 +205,15 @@ class ExactSampler:
         placed = 0
         out = []
         for _ in range(self.shape.size):
-            total, shift, sums, nexts, pits = memo.get(placed) or choices(placed)
-            if total == 1:  # a single pit: below(1) is 0 and reads no word
+            n, thresholds, nexts, pits = memo.get(placed) or choices(placed)
+            if n > 0:  # below(g(D)) on one word, inline: i == n is a rejection
+                i = bisect_right(thresholds, next(words))
+                while i == n:
+                    i = bisect_right(thresholds, next(words))
+            elif n:  # a draw of more than one word
+                i = bisect_right(thresholds, below(thresholds[-1]))
+            else:  # g(D) = 1, a single pit: below(1) is 0 and reads no word
                 i = 0
-            elif shift >= 0:  # below(total) on one word, inline
-                r = next(words) >> shift
-                while r >= total:
-                    r = next(words) >> shift
-                i = bisect_right(sums, r)
-            else:
-                i = bisect_right(sums, below(total))
             out.append(pits[i])
             placed = nexts[i]
         return tuple(out)
@@ -284,6 +297,7 @@ def mcmc_ensemble(
             ks = rng.integers(1, size, size=chains)
             rng.random(out=coins)  # into a kept buffer: draws what random(chains) would
             yield ks, np.greater_equal(coins, laziness, out=move)
+            del ks  # here and by the caller: the next draw never holds two position arrays
 
     try:
         graph = build_graph(shape, cap=_SWAP_TABLE_ENTRIES // size)
@@ -300,7 +314,10 @@ def mcmc_ensemble(
             np.add(ks, ks, out=ks)
             np.add(state, ks, out=cell)
             cell += move
-            np.take(lazy, cell, out=state)
+            # mode="clip" writes straight into state: every cell is in range,
+            # and the default mode="raise" fills a chain-sized buffer first.
+            np.take(lazy, cell, out=state, mode="clip")
+            del ks
         state //= 2 * size
         return graph.orders.astype(narrow)[state]
     # The chains in the narrowest unsigned dtype, as a C-ordered copy

@@ -1058,13 +1058,31 @@ class TestColdImport:
         )
         assert out.split() == ["gridext", "gridext._version", "gridext.cli", "gridext.errors"]
 
-    def test_commands_do_not_load_scipy(self):
-        out = run_fresh(
-            "import sys, gridext, gridext.cli\n"
-            "assert gridext.cli.main(['count', '--shape', '3x3']) == 0\n"
-            "print('scipy' in sys.modules)\n"
-        )
-        assert out.splitlines()[-1] == "False"
+    @pytest.mark.parametrize(
+        "run, module, loaded",
+        [
+            ("assert gridext.cli.main(['count', '--shape', '3x3']) == 0", "scipy", False),
+            # The exact sampler computes its PCG64 words without numpy.random.
+            ("assert gridext.cli.main(['sample', '--shape', '3x3', '--samples', '5']) == 0", "numpy.random", False),
+            (
+                "assert gridext.cli.main(['conjecture-scan', '--max-size', '16', '--samples', '10']) == 0",
+                "numpy.random",
+                False,
+            ),
+            ("gridext.ExactSampler(gridext.GridShape((3, 3)), 7).sample_indices()", "numpy.random", False),
+            # The walk's Generator draws still need it.
+            (
+                "assert gridext.cli.main(['sample', '--shape', '3x3', '--method', 'mcmc', '--samples', '5',"
+                " '--mcmc-steps', '10']) == 0",
+                "numpy.random",
+                True,
+            ),
+        ],
+        ids=["count-scipy", "sample", "conjecture-scan", "sampler", "mcmc"],
+    )
+    def test_commands_load_a_module_only_to_use_it(self, run, module, loaded):
+        out = run_fresh(f"import sys, gridext, gridext.cli\n{run}\nprint({module!r} in sys.modules)\n")
+        assert out.splitlines()[-1] == str(loaded)
 
     def test_chi_square_loads_scipy(self):
         out = run_fresh(

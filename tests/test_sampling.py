@@ -146,10 +146,20 @@ class TestWordStream:
         assert [ws.word() for _ in range(4)] == raw
 
     def test_words_across_refills_match_one_raw_call(self):
-        # 5000 words cross the 4096-word refill: buffering changes nothing.
-        ws = WordStream(99)
-        raw = np.random.PCG64(np.random.SeedSequence(99)).random_raw(5000).tolist()
-        assert [ws.word() for _ in range(5000)] == raw
+        # 12289 words cross three 4096-word refills: buffering changes nothing.
+        # 99 is one entropy word; 2^32 - 1 the largest one-word seed, 2^32 the
+        # smallest two-word one, and 2^64 - 1 the largest seed admitted.
+        for seed in (0, 99, 2**32 - 1, 2**32, 2**64 - 1):
+            ws = WordStream(seed)
+            raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(12289).tolist()
+            assert [ws.word() for _ in range(12289)] == raw, seed
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @settings(deadline=None)
+    def test_words_match_pcg64_for_any_seed(self, seed):
+        ws = WordStream(seed)
+        raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(12289).tolist()
+        assert [ws.word() for _ in range(12289)] == raw
 
     def test_below_range_and_determinism(self):
         ws1, ws2 = WordStream(7), WordStream(7)
@@ -224,13 +234,16 @@ class TestExactSampler:
         s = GridShape((4,))
         assert ExactSampler(s, 0).sample_indices() == (0, 1, 2, 3)
 
-    # 2x40's counts reach 72 bits: entries with shift -1.
+    # 2x40's counts reach 72 bits: entries (-1, ...) that keep the running sums unshifted.
     @pytest.mark.parametrize("lengths", [(3, 3), (2, 2, 2), (4, 3), (2, 40)])
     def test_memo_entries_agree_with_pick(self, lengths):
         # Each memo entry is the one D's pits and their table weights give,
-        # (g(D), shift, running sums, next down-sets, pits), and its
+        # (n, thresholds, next down-sets, pits), the thresholds the running
+        # sums shifted to the top of a word and n the number of pits when
+        # g(D) > 1 fits in one word, n = 0 when g(D) = 1.  Its
         # bisect_right stops where CompletionTable.pick's scan stops: at r = 0,
-        # at each running sum below g(D) and one below each.
+        # at each running sum below g(D) and one below each, whichever word
+        # has r as its top bits; and a word with r >= g(D) is past every pit.
         shape = GridShape(lengths)
         table, full = completion_counts(shape), (1 << shape.size) - 1
         sampler = ExactSampler(shape, 0, table=table)
@@ -240,12 +253,18 @@ class TestExactSampler:
             pits = tuple(v for v in range(shape.size) if shape.pit_mask(bits) >> v & 1)
             sums = tuple(itertools.accumulate(table[bits | 1 << v] for v in pits))
             total = table[bits]
-            shift = 64 - total.bit_length() if total.bit_length() <= 64 else -1
+            n = 0 if total == 1 else len(pits) if total.bit_length() <= 64 else -1
+            shift = 64 - total.bit_length() if n > 0 else 0
+            thresholds = tuple(s << shift for s in sums)
             nexts = tuple(bits | 1 << v for v in pits)
-            assert sampler._choices(bits) == (total, shift, sums, nexts, pits)
+            assert sampler._choices(bits) == (n, thresholds, nexts, pits)
+            low = (1 << shift) - 1  # the bits a word has below its top bits r
             for r in {0, *sums[:-1], *(s - 1 for s in sums)}:
-                i = bisect_right(sums, r)
-                assert table.pick(bits, r) == (pits[i], sums[i] - (sums[i - 1] if i else 0))
+                for w in {r << shift, r << shift | low}:
+                    i = bisect_right(thresholds, w)
+                    assert table.pick(bits, r) == (pits[i], sums[i] - (sums[i - 1] if i else 0))
+            if n > 0:
+                assert bisect_right(thresholds, total << shift) == n
 
 
 class TestMcmc:
