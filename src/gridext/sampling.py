@@ -56,6 +56,7 @@ an int in [0, 2^64).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -283,7 +284,7 @@ def mcmc_ensemble(
             cap=_ENSEMBLE_MAX_POINTS,
         )
     narrow = np.min_scalar_type(size - 1)
-    if starts is None:
+    if one_start := starts is None:
         starts = np.broadcast_to(np.array(rank_lex_indices(shape), dtype=narrow), (chains, size))
     elif (starts := np.asarray(starts)).shape != (chains, size):
         raise DomainError(f"starts must have shape ({chains}, {size}), got {starts.shape}")
@@ -308,7 +309,10 @@ def mcmc_ensemble(
         # 2 size, so a step is one add of 2k plus the coin and one gather.
         table = graph.table.astype(np.int64) * (2 * size)
         lazy = np.stack([np.repeat(table[:, :1], size, axis=1), table], axis=2).ravel()
-        state = order_ids(graph.orders, starts) * (2 * size)
+        if one_start:  # every chain starts at the rank-sorted row: look it up once
+            state = np.full(chains, order_ids(graph.orders, starts[:1])[0] * (2 * size), dtype=np.intp)
+        else:
+            state = order_ids(graph.orders, starts) * (2 * size)
         cell = np.empty_like(state)
         for ks, move in draws():
             np.add(ks, ks, out=ks)
@@ -510,23 +514,56 @@ class ChiSquareResult:
     pvalue: float
 
 
+def _chi2_tail(dof: int, x: float) -> float:
+    """P(chi-square with dof degrees > x): Q(dof/2, x/2), the regularized
+    upper incomplete gamma, by its series below x/2 < dof/2 + 1 and by
+    Lentz's continued fraction above (Numerical Recipes, 3rd ed., 6.2)."""
+    a, x = dof / 2, x / 2
+    if x <= 0:
+        return 1.0
+    scale = math.exp(a * math.log(x) - x - math.lgamma(a))  # x^a e^-x / Gamma(a)
+    if x < a + 1:  # P(a, x) = scale * sum_n x^n / (a (a+1) ... (a+n))
+        term = total = 1 / a
+        n = a
+        while term > total * 1e-16:
+            n += 1
+            term *= x / n
+            total += term
+        return 1 - scale * total
+    tiny = 1e-300  # stands in for a zero denominator
+    b = x + 1 - a
+    c, d = 1 / tiny, 1 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2
+        d = 1 / (an * d + b or tiny)
+        c = b + an / c or tiny
+        h *= (delta := d * c)
+        if abs(delta - 1) < 1e-15:
+            break
+    return scale * h
+
+
 def chi_square_uniformity(observed: Sequence[int]) -> ChiSquareResult:
     """Chi-square test of the observed cell counts against equal expecteds.
 
-    Pass the full support as cells (zeros included for unobserved cells).
-    scipy is imported here, not at module level: this test is its only
-    use, and importing scipy.stats would add most of the package's import
-    time to every command.
+    Pass the full support as cells (zeros included for unobserved cells);
+    each must be an int.  The statistic is exact, (k sum o^2 - n^2) / n
+    over k cells of total n, rounded to a float once; the p-value is the
+    chi-square tail at k - 1 degrees (_chi2_tail).
     """
-    from scipy import stats
-
-    obs = np.asarray(list(observed), dtype=float)
-    if obs.size < 2:
+    try:
+        cells = [operator.index(c) for c in observed]
+    except TypeError:
+        raise DomainError("cell counts must be integers") from None
+    k, n = len(cells), sum(cells)
+    if k < 2:
         raise DomainError("need at least two cells")
-    if np.any(obs < 0) or obs.sum() <= 0:
+    if min(cells) < 0 or n <= 0:
         raise DomainError("cell counts must be nonnegative with a positive total")
-    res = stats.chisquare(obs)
-    return ChiSquareResult(float(res.statistic), int(obs.size - 1), float(res.pvalue))
+    statistic = float(Fraction(k * sum(c * c for c in cells) - n * n, n))
+    return ChiSquareResult(statistic, k - 1, _chi2_tail(k - 1, statistic))
 
 
 def tv_distance_from_uniform(cell_counts: Iterable[int], support_size: int) -> float:

@@ -185,6 +185,9 @@ def test_criterion_07_sampler_uniformity(sampling_run):
     missing += [name for name, text in sizes.items() if name not in checks or text not in checks[name].relation]
     failed = [c.name for c in checks.values() if not c.passed]
     ok = not missing and not failed and elapsed < 300.0
+    # The chi-square text at seed 42: the exact statistic and its tail.
+    problems = []
+    _read(checks, "exact sampler uniformity", "p > 0.01", problems, "stat 42.2511, p 0.4167")
     _finish(
         7,
         ok,
@@ -193,6 +196,7 @@ def test_criterion_07_sampler_uniformity(sampling_run):
         f"{len(checks) - len(failed)}/{len(checks)} sampling checks passed in {elapsed:.1f}s < 300s"
         + (f"; missing {missing}" if missing else "")
         + (f"; failed {failed}" if failed else ""),
+        problems,
     )
 
 
@@ -281,7 +285,7 @@ def test_criterion_10_vacuity_and_scan(bounds_run, entropy_run, sampling_run, ex
     # (c) ingredient re-checks tied to criteria 6-8; criterion 8's, the (3,2)
     # R=4 low-pits fraction <= 1/2, is the last check read in (a)
     _read(entropy_run[0], "diamond profile", "(1.0, 0.0, 0.0)", problems, "(1.0, 0.0, 0.0)")
-    c = _read(sampling_run[0], "diamond sampler uniformity", "p > 0.001", problems)
+    c = _read(sampling_run[0], "diamond sampler uniformity", "p > 0.001", problems, "stat 0.5780, p 0.4471")
     if c and "2000 samples at seed 4242" not in c.relation:
         problems.append(f"diamond sampler uniformity: relation {c.relation!r} lacks 2000 samples at seed 4242")
 

@@ -644,6 +644,11 @@ class TestPitsDeficit:
             pits_deficit_stats(square3, 27, 0, 2.0)
 
 
+@pytest.fixture(scope="module")
+def scipy_chi2():
+    return pytest.importorskip("scipy.stats").chi2
+
+
 class TestDistributionChecks:
     def test_chi_square_interface(self):
         res = chi_square_uniformity([10, 10, 10, 10])
@@ -654,6 +659,40 @@ class TestDistributionChecks:
             chi_square_uniformity([5])
         with pytest.raises(DomainError):
             chi_square_uniformity([-1, 3])
+        for cell in (float("nan"), float("inf"), 2.5):  # a count is an int, not a float
+            with pytest.raises(DomainError):
+                chi_square_uniformity([cell, 3])
+
+    @pytest.mark.parametrize(
+        "cells, statistic",
+        [
+            ((3, 5), Fraction(1, 2)),
+            ((0, 9), Fraction(9)),
+            ((50, 70), Fraction(10, 3)),
+            ((1, 400), Fraction(159201, 401)),
+            ((1, 2, 3), Fraction(1)),
+            ((0, 0, 30), Fraction(60)),
+            ((10, 20, 60), Fraction(140, 3)),
+        ],
+    )
+    def test_chi_square_closed_forms(self, cells, statistic):
+        # 1 degree of freedom: the tail is erfc(sqrt(x/2)); 2 degrees: exp(-x/2).
+        res = chi_square_uniformity(cells)
+        assert res.statistic == float(statistic)  # the exact value, rounded once
+        x = res.statistic
+        closed = math.erfc(math.sqrt(x / 2)) if len(cells) == 2 else math.exp(-x / 2)
+        assert res.pvalue == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-300, 0.01, 0.5, 2.9, 3.1, 3.9, 4.1, 10.0, 40.0, 200.0])
+    def test_chi2_tail_closed_forms(self, x):
+        # Both sides of each switch: series below x/2 < dof/2 + 1, continued fraction above.
+        assert sampling._chi2_tail(1, x) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-12)
+        assert sampling._chi2_tail(2, x) == pytest.approx(math.exp(-x / 2), rel=1e-12)
+
+    @given(st.integers(1, 300), st.floats(0, 1500))
+    def test_chi2_tail_matches_scipy(self, scipy_chi2, dof, x):
+        # scipy is a test oracle only; the package never imports it.
+        assert sampling._chi2_tail(dof, x) == pytest.approx(float(scipy_chi2.sf(x, dof)), rel=1e-12, abs=1e-12)
 
     def test_tv_distance(self):
         assert tv_distance_from_uniform([50, 50], 2) == pytest.approx(0.0)
