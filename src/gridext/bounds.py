@@ -18,6 +18,7 @@ precision) and use a documented 1e-9 relative tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -201,19 +202,23 @@ def markov_tail_probability(delta: float) -> BoundReport:
 def factorial_convexity_holds(values: Sequence[int]) -> bool:
     """Check sum lgGamma(b_j + 1) >= s * lgGamma(mean + 1) for positive ints.
 
-    Log-convexity of the factorial makes this hold for every input; it is
-    evaluated with math.lgamma (double precision, ~1e-15 relative) and a
-    1e-12 relative slack so exact-equality cases (all entries equal) pass.
+    Each entry must be an int (read with operator.index: a float or a NaN
+    is refused).  Log-convexity of the factorial makes this hold for every
+    input; it is evaluated with math.lgamma (double precision, ~1e-15
+    relative) and a 1e-12 relative slack so exact-equality cases (all
+    entries equal) pass.
     """
-    vals = [int(b) for b in values]
-    if not vals:
+    try:
+        shifted = [operator.index(b) + 1 for b in values]
+    except TypeError:
+        raise DomainError("entries must be integers") from None
+    if not shifted:
         raise DomainError("need a nonempty vector")
-    if any(b < 1 for b in vals):
-        raise DomainError(f"entries must be positive integers, got {vals}")
-    lhs = math.fsum(math.lgamma(b + 1) for b in vals)
-    mean = math.fsum(vals) / len(vals)
-    rhs = len(vals) * math.lgamma(mean + 1)
-    return lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
+    if min(shifted) < 2:
+        raise DomainError(f"entries must be positive integers, got {[b - 1 for b in shifted]}")
+    s = len(shifted)
+    rhs = s * math.lgamma(math.fsum(shifted) / s)
+    return math.fsum(map(math.lgamma, shifted)) >= rhs - 1e-12 * max(1.0, abs(rhs))
 
 
 def bound_reports(m: int, n: int, R: float | None = None, delta: float | None = None) -> list[BoundReport]:

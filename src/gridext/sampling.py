@@ -55,6 +55,7 @@ an int in [0, 2^64).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect_right
@@ -72,8 +73,8 @@ from .jumps import jump_pit_blocks, rank_lex_indices
 
 # transposition and bounds are imported by the functions that call them
 # (the walk, the entropy oracle, the pits threshold): an exact draw loads
-# neither.  Likewise _pcg64, by WordStream: a command that draws no exact
-# sample (the walk, the bounds suite) does not load it.
+# neither.  Likewise _pcg64, by WordStream: only what reads its words (an
+# exact draw, the bounds suite's vectors) loads it, and the walk does not.
 
 __all__ = [
     "WordStream",
@@ -120,6 +121,10 @@ class WordStream:
     def word(self) -> int:
         """Next raw 64-bit word."""
         return next(self._words)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` raw words, as a uint64 array."""
+        return np.fromiter(itertools.islice(self._words, count), np.uint64, count)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by top-bits rejection."""
@@ -570,9 +575,14 @@ def tv_distance_from_uniform(cell_counts: Iterable[int], support_size: int) -> f
     """Total variation distance between empirical frequencies and uniform.
 
     `cell_counts` are the nonzero (or all) observed cell counts; cells of
-    the support never observed contribute 1/support_size each.
+    the support never observed contribute 1/support_size each.  The counts
+    and support_size must be ints, as in chi_square_uniformity.
     """
-    cells = [int(c) for c in cell_counts]
+    try:
+        cells = [operator.index(c) for c in cell_counts]
+        support_size = operator.index(support_size)
+    except TypeError:
+        raise DomainError("cell counts and support_size must be integers") from None
     if support_size < len(cells) or support_size < 1:
         raise DomainError(f"support_size {support_size} smaller than the observed cell count {len(cells)}")
     if any(c < 0 for c in cells):

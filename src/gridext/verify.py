@@ -8,6 +8,7 @@ reports carry the package version and the fully resolved configuration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -37,6 +38,7 @@ from .grid import GridShape, max_antichain_size
 from .jumps import jump_pit_blocks, jump_times, rank_lex_indices
 from .sampling import (
     ExactSampler,
+    WordStream,
     _check_seed,
     chi_square_uniformity,
     entropy_profile_exact,
@@ -72,8 +74,10 @@ DIAMOND_SEED = 4242
 TV_RUNS = 100_000
 TV_STEPS = 10_000
 DEFICIT_SAMPLES = 20_000
-# Convexity vectors: one batch of lengths in 1..10, then one of all their
-# entries in 1..20, cut into vectors in order.
+# Convexity vectors, from WordStream(seed): one batch of lengths in 1..10,
+# then one of all their entries in 1..20, cut into vectors in order.  Each
+# value takes one word w, as 1 + ((w >> 32) * k >> 32) for k = 10 or 20
+# (multiply-shift on the high 32 bits, exact in uint64).
 CONVEXITY_VECTORS = 10_000
 
 
@@ -196,9 +200,13 @@ def suite_bounds(cfg: VerifyConfig) -> SuiteReport:
             )
         )
 
-    rng = np.random.default_rng(cfg.seed)
-    ends = np.cumsum(rng.integers(1, 11, size=CONVEXITY_VECTORS)).tolist()
-    entries = rng.integers(1, 21, size=ends[-1]).tolist()
+    stream = WordStream(cfg.seed)
+
+    def draw(count: int, k: int) -> list[int]:
+        return (1 + ((stream.words(count) >> 32) * k >> 32)).tolist()
+
+    ends = list(itertools.accumulate(draw(CONVEXITY_VECTORS, 10)))
+    entries = draw(ends[-1], 20)
     good = sum(factorial_convexity_holds(entries[lo:hi]) for lo, hi in zip([0, *ends], ends))
     checks.append(
         _check(

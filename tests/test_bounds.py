@@ -3,12 +3,14 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gridext import (
     DomainError,
     GridShape,
+    WordStream,
     almost_regular_fraction,
     avg_degree_lower_bound,
     bound_reports,
@@ -213,6 +215,7 @@ class TestConvexity:
     def test_strict_example(self):
         assert factorial_convexity_holds([1, 5])
         assert factorial_convexity_holds([2, 3, 7])
+        assert factorial_convexity_holds([np.int64(2), np.uint8(7), True])  # integer types, read by operator.index
 
     def test_equality_case(self):
         assert factorial_convexity_holds([4, 4, 4, 4])
@@ -227,13 +230,17 @@ class TestConvexity:
             factorial_convexity_holds([])
         with pytest.raises(DomainError):
             factorial_convexity_holds([0, 2])
+        for entry in (float("nan"), float("inf"), 2.5, 3.0):  # an entry is an int, not a float
+            with pytest.raises(DomainError, match="integers"):
+                factorial_convexity_holds([entry, 3])
 
 
 class TestBoundsSuite:
     def test_draws_and_counts(self):
-        # The suite checks CONVEXITY_VECTORS seeded vectors, lengths in 1..10
-        # and entries in 1..20, each by factorial_convexity_holds, and counts
-        # each SANDWICH_MN shape once for both of its checks.
+        # The suite checks CONVEXITY_VECTORS vectors from WordStream(seed),
+        # lengths in 1..10 and entries in 1..20, each by
+        # factorial_convexity_holds, and counts each SANDWICH_MN shape once
+        # for both of its checks.
         vectors, shapes = [], []
 
         def holds(values):
@@ -252,6 +259,13 @@ class TestBoundsSuite:
         assert {len(vec) for vec in vectors} == set(range(1, 11))
         assert {b for vec in vectors for b in vec} == set(range(1, 21))
         assert shapes == [GridShape.equilateral(m, n) for m, n in verify.SANDWICH_MN]
+        # The documented rule, one word per value, in Python ints: the
+        # lengths from the first CONVEXITY_VECTORS words, then the entries.
+        stream = WordStream(11)
+        lengths = [1 + ((stream.word() >> 32) * 10 >> 32) for _ in range(verify.CONVEXITY_VECTORS)]
+        assert [len(vec) for vec in vectors] == lengths
+        entries = [1 + ((stream.word() >> 32) * 20 >> 32) for _ in range(sum(lengths))]
+        assert [b for vec in vectors for b in vec] == entries
 
 
 class TestReports:

@@ -1070,6 +1070,8 @@ class TestColdImport:
                 False,
             ),
             ("gridext.ExactSampler(gridext.GridShape((3, 3)), 7).sample_indices()", "numpy.random", False),
+            # The bounds suite's vectors come from the same word stream.
+            ("assert gridext.cli.main(['verify', '--suite', 'bounds']) == 0", "numpy.random", False),
             # The walk's Generator draws still need it.
             (
                 "assert gridext.cli.main(['sample', '--shape', '3x3', '--method', 'mcmc', '--samples', '5',"
@@ -1078,7 +1080,7 @@ class TestColdImport:
                 True,
             ),
         ],
-        ids=["count", "sample", "conjecture-scan", "sampler", "mcmc"],
+        ids=["count", "sample", "conjecture-scan", "sampler", "verify-bounds", "mcmc"],
     )
     def test_commands_load_a_module_only_to_use_it(self, run, module, loaded):
         out = run_fresh(f"import sys, gridext, gridext.cli\n{run}\nprint({module!r} in sys.modules)\n")

@@ -161,6 +161,14 @@ class TestWordStream:
         raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(12289).tolist()
         assert [ws.word() for _ in range(12289)] == raw
 
+    def test_word_arrays_continue_the_stream(self):
+        # words(n) reads the same words as n word() calls, across refills.
+        ws = WordStream(2**64 - 1)
+        raw = np.random.PCG64(np.random.SeedSequence(2**64 - 1)).random_raw(9000).tolist()
+        first, block, middle, last = ws.word(), ws.words(5000), ws.word(), ws.words(3998)
+        assert block.dtype == last.dtype == np.uint64
+        assert [first, *block.tolist(), middle, *last.tolist()] == raw
+
     def test_below_range_and_determinism(self):
         ws1, ws2 = WordStream(7), WordStream(7)
         vals1 = [ws1.below(42) for _ in range(200)]
@@ -705,6 +713,12 @@ class TestDistributionChecks:
             tv_distance_from_uniform([], 2)
         with pytest.raises(DomainError, match="nonnegative"):
             tv_distance_from_uniform([3, -1], 2)
+        for cell in (float("nan"), float("inf"), 2.5):  # a count is an int, not a float
+            with pytest.raises(DomainError, match="integers"):
+                tv_distance_from_uniform([cell, 3], 2)
+        with pytest.raises(DomainError, match="integers"):
+            tv_distance_from_uniform([3, 3], 2.5)
+        assert tv_distance_from_uniform([np.int64(3), True], np.int64(2)) == pytest.approx(0.25)
 
     def test_walk_tv_shrinks_with_steps(self, diamond):
         short = mcmc_ensemble(diamond, 1, 4000, seed=91)
